@@ -327,13 +327,19 @@ def hj_expand(numerator: int, denominator: int) -> list[int]:
 
 
 def hj_evaluate(entries: Iterable[int]) -> Fraction:
-    """Evaluate ``b_1 - 1/(b_2 - 1/(...))`` exactly."""
-    value: Fraction | None = None
-    for b in reversed(list(entries)):
-        if value is None:
-            value = Fraction(b)
-        else:
-            value = Fraction(b) - Fraction(1) / value
-    if value is None:
+    """Evaluate ``b_1 - 1/(b_2 - 1/(...))`` exactly.
+
+    The tail from the last entry is kept as the coprime pair ``p/q``
+    through the convergent recurrence ``p, q = b*p - q, p``, starting
+    from ``1/0``, and one Fraction is built at the end.  A tail that
+    evaluates to zero before another entry raises ZeroDivisionError.
+    """
+    chain = tuple(entries)
+    if not chain:
         raise BadInput("empty continued fraction")
-    return value
+    p, q = 1, 0
+    for b in reversed(chain):
+        if p == 0:
+            raise ZeroDivisionError("continued fraction has a zero tail")
+        p, q = b * p - q, p
+    return Fraction(p, q)

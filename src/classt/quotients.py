@@ -58,12 +58,16 @@ class QuotientSingularity:
 def normalize(s: QuotientSingularity) -> QuotientSingularity:
     """Standard form ``1/r(1, q)`` with ``q = q2 * q1^(-1) mod r``.
 
-    A smooth germ (order one) normalizes to ``1/1(1, 1)``.
+    A smooth germ (order one) normalizes to ``1/1(1, 1)``; a germ
+    already in standard form, ``q1 == 1`` and ``0 < q2 < r``, is
+    returned as it is.
     """
     r = s.order
+    q1, q2 = s.weights
+    if q1 == 1 and 0 < q2 < r:
+        return s
     if r == 1:
         return QuotientSingularity(1, (1, 1))
-    q1, q2 = s.weights
     q = (q2 * mod_inverse(q1, r)) % r
     return QuotientSingularity(r, (1, q))
 

@@ -351,7 +351,8 @@ def birational_report(
 def resolve_report(order: int, weights: tuple[int, int]) -> CommandReport:
     s = QuotientSingularity(order, tuple(weights))
     std = normalize(s)
-    chain = hj_resolution(s)
+    # A smooth germ raises SmoothPoint under the weights it was given.
+    chain = hj_resolution(s if s.is_smooth() else std)
     value = hj_evaluate(chain.entries)
     matches = value * std.weights[1] == std.order
     outputs = {

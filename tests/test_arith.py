@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from classt.arith import (
     UniPoly,
@@ -195,6 +197,78 @@ def test_hj_roundtrip_sweep():
             assert hj_evaluate(entries) == Fraction(r, q)
 
 
+@st.composite
+def _coprime_pairs(draw):
+    digits = draw(st.integers(min_value=1, max_value=30))
+    r = draw(st.integers(min_value=max(2, 10 ** (digits - 1)), max_value=10**digits))
+    q = draw(st.integers(min_value=1, max_value=r - 1))
+    assume(gcd(r, q) == 1)
+    return r, q
+
+
+def _hj_length_bound(r, q):
+    """Bound on the length of the negative-regular expansion of r/q.
+
+    With r/q = [a_1; a_2, ..., a_k] as an ordinary continued fraction,
+    each a_i at an even position i gives a_i - 1 entries equal to 2, and
+    the other entries number at most k.
+    """
+    total, even = 0, False
+    while q:
+        total += r // q if even else 1
+        r, q, even = q, r % q, not even
+    return total
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_coprime_pairs())
+def test_hj_roundtrip_property(pair):
+    r, q = pair
+    # r/(r-1) expands to r-1 entries; keep the chains short enough to build.
+    assume(_hj_length_bound(r, q) <= 10**4)
+    entries = hj_expand(r, q)
+    assert all(b >= 2 for b in entries)
+    assert hj_evaluate(entries) == Fraction(r, q)
+
+
+def _nested_fraction_evaluate(entries):
+    value = None
+    for b in reversed(list(entries)):
+        if value is None:
+            value = Fraction(b)
+        else:
+            value = Fraction(b) - Fraction(1) / value
+    if value is None:
+        raise BadInput("empty continued fraction")
+    return value
+
+
+def _outcome(evaluate, entries):
+    try:
+        return evaluate(entries)
+    except (BadInput, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def test_hj_evaluate_matches_nested_fractions():
+    rng = random.Random(31)
+    chains = [[3, 2, 1, 1], [0], [1, 0], [0, 5], [2, 1, 1], [-3], [6, 6, 6]]
+    for _ in range(20000):
+        chains.append([rng.randint(-3, 6) for _ in range(rng.randint(1, 8))])
+    zero_tails = 0
+    for entries in chains:
+        expected = _outcome(_nested_fraction_evaluate, entries)
+        zero_tails += expected is ZeroDivisionError
+        got = _outcome(hj_evaluate, entries)
+        assert got == expected, entries
+        assert _outcome(hj_evaluate, (b for b in entries)) == expected, entries
+        if isinstance(got, Fraction):
+            assert type(got) is Fraction
+    assert zero_tails > 100
+
+
 def test_hj_evaluate_empty():
     with pytest.raises(BadInput):
         hj_evaluate([])
+    with pytest.raises(BadInput):
+        hj_evaluate(b for b in ())

@@ -38,6 +38,9 @@ def test_invalid_input_exit_one(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "nonzero" in err
+    code, out, err = run(capsys, ["resolve", "--order", "1", "--weights", "3,5"])
+    assert (code, out) == (1, "")
+    assert err == "error: 1/1(3,5) is a smooth point; nothing to resolve\n"
 
 
 def test_rdp_a_type_redirect_exit_one(capsys):

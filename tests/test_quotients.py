@@ -34,6 +34,9 @@ def test_normalize_frozen():
     assert normalize(QuotientSingularity(5, (2, 3))) == QuotientSingularity(5, (1, 4))
     assert normalize(QuotientSingularity(7, (1, 5))) == QuotientSingularity(7, (1, 5))
     assert normalize(QuotientSingularity(1, (1, 1))) == QuotientSingularity(1, (1, 1))
+    assert normalize(QuotientSingularity(5, (1, 7))) == QuotientSingularity(5, (1, 2))
+    assert normalize(QuotientSingularity(5, (1, -1))) == QuotientSingularity(5, (1, 4))
+    assert normalize(QuotientSingularity(7, (1, 6))) == QuotientSingularity(7, (1, 6))
 
 
 def test_normalize_is_idempotent_and_equivalent():
