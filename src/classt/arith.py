@@ -97,15 +97,28 @@ class UniPoly:
 
     @staticmethod
     def from_roots(pairs: Iterable[tuple[RationalLike, int]]) -> "UniPoly":
-        """Monic product of ``(z - root) ** multiplicity`` factors."""
-        p = UniPoly.of([1])
+        """Monic product of ``(z - root) ** multiplicity`` factors.
+
+        With ``root = rp/rq`` the product runs over the integer factors
+        ``rq*z - rp``; the result equals ``N(z) / D`` with
+        ``D = prod rq ** multiplicity``, so one Fraction is built per
+        coefficient at the end.
+        """
+        ints = [1]
+        den = 1
         for root, mult in pairs:
             if mult < 0:
                 raise BadInput(f"negative multiplicity {mult}")
-            factor = UniPoly.of([-as_fraction(root), 1])
+            rf = as_fraction(root)
+            rp, rq = rf.numerator, rf.denominator
             for _ in range(mult):
-                p = p * factor
-        return p
+                out = [0] * (len(ints) + 1)
+                for i, c in enumerate(ints):
+                    out[i] -= c * rp
+                    out[i + 1] += c * rq
+                ints = out
+            den *= rq**mult
+        return UniPoly(tuple(Fraction(c, den) for c in ints))
 
     @property
     def degree(self) -> int:

@@ -44,6 +44,9 @@ from .errors import (
 from .quotients import QuotientSingularity, normalize
 from .wps import WeightedProjectiveSpace
 
+# Shared unit coordinate, so chart images need no coercion in WPoint.
+_ONE = Fraction(1)
+
 
 class WPoint:
     """Point of a weighted projective space with exact coordinates.
@@ -210,12 +213,12 @@ def evaluate_pi_chart(
     plane = target_plane(model)
     if chart == "T":
         value = model.fiber_polynomial()(t**model.n)
-        return WPoint(plane, (s * value, t, 1))
+        return WPoint(plane, (s * value, t, _ONE))
     if chart == "S":
         q = Fraction(1)
         for root, k in model.roots.pairs():
             q *= (1 - root * t**model.c) ** k
-        return WPoint(plane, (s * q, 1, t))
+        return WPoint(plane, (s * q, _ONE, t))
     raise BadInput(f"chart must be 'T' or 'S', got {chart!r}")
 
 
@@ -278,7 +281,6 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
         raise BadInput("sample_count must be positive")
     rng = random.Random(seed)
     plane = target_plane(model)
-    one = Fraction(1)
     done = 0
     attempts = 0
     while done < sample_count:
@@ -294,12 +296,12 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
         if x == 0:
             continue
         # x = w' * P(r^n), so y = P(r^n) / x = 1 / w'.
-        point = WPoint(model.ambient, (x, 1 / w1, r, one))
+        point = WPoint(model.ambient, (x, 1 / w1, r, _ONE))
         try:
             image = project_pi(model, point)
         except NotOnSurface:
             return False
-        expected = WPoint(plane, (x, r, one))
+        expected = WPoint(plane, (x, r, _ONE))
         if image != expected or chart_image != expected:
             return False
         done += 1

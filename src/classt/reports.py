@@ -48,6 +48,17 @@ DIAGNOSTIC_TAGS = ("hom", "action", "div", "man-cond", "beta>1", "adjunction-res
 
 _NA = "not applicable to this command"
 
+# Caps on command inputs, shared by the command line and corpus rows, so
+# no command runs unbounded; the library functions take any size.
+_MAX_BOX = 10
+_MAX_D_INDEX = 100
+_MAX_SAMPLES = 1000
+
+
+def _check_range(name: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise BadInput(f"{name} must be between {low} and {high}, got {value}")
+
 
 def rational_str(x: Fraction) -> str:
     f = as_fraction(x)
@@ -251,6 +262,8 @@ def build_cyclic_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfi
 
 
 def build_rdp_report(ade: str, index: int, coeffs: list | None) -> CommandReport:
+    if ade == "D":
+        _check_range("D-type index", index, 4, _MAX_D_INDEX)
     model = build_rdp(ade, index, coeffs)
     diags = na_diags("hom", "action", "div", "man-cond")
     diags.append(diag("beta>1", model.beta > 1, f"beta = {rational_str(model.beta)}"))
@@ -302,6 +315,7 @@ def check_report(
 def birational_report(
     d: int, n: int, m: int, c: int, a: int, roots: RootConfig, samples: int, seed: int
 ) -> CommandReport:
+    _check_range("samples", samples, 1, _MAX_SAMPLES)
     diags, model = _cyclic_diagnostics(d, n, m, c, a, roots)
     inputs = {
         "d": d, "n": n, "m": m, "c": c, "a": a,
@@ -379,6 +393,8 @@ def resolve_report(order: int, weights: tuple[int, int]) -> CommandReport:
 
 
 def sweep_report(max_d: int, max_n: int, max_c: int, seed: int) -> CommandReport:
+    for name, value in (("--max-d", max_d), ("--max-n", max_n), ("--max-c", max_c)):
+        _check_range(name, value, 1, _MAX_BOX)
     results = run_all(max_d=max_d, max_n=max_n, max_c=max_c, seed=seed)
     all_passed = all(r.passed for r in results)
     outputs = {

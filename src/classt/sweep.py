@@ -18,6 +18,7 @@ from .arith import hj_evaluate, mod_inverse
 from .birational import blowup_at_R2, blowup_description, roundtrip_check
 from .compactify import (
     CompactificationModel,
+    FiberStatus,
     RootConfig,
     build_cyclic,
     build_rdp,
@@ -70,11 +71,19 @@ def default_roots(d: int) -> RootConfig:
 
 
 def iter_models(max_d: int, max_n: int, max_c: int) -> Iterator[CompactificationModel]:
-    """Every model with simple roots ``1..d`` over the admissible weights."""
+    """Every model with simple roots ``1..d`` over the admissible weights.
+
+    One ``default_roots(d)`` is built per ``d`` and shared by every
+    model of that ``d``, so its fibre polynomial is expanded once per
+    call rather than once per model.
+    """
+    roots_by_d: dict[int, RootConfig] = {}
     for d, n, m, c in cyclic_tuples(max_d, max_n, max_c):
-        enum = enumerate_weights(d, n, m, c)
-        for pair in enum.pairs:
-            yield build_cyclic(d, n, m, c, pair.a, default_roots(d))
+        roots = roots_by_d.get(d)
+        if roots is None:
+            roots = roots_by_d[d] = default_roots(d)
+        for pair in enumerate_weights(d, n, m, c).pairs:
+            yield build_cyclic(d, n, m, c, pair.a, roots)
 
 
 def rdp_models(max_dk: int = 12):
@@ -136,14 +145,26 @@ def residual_suite(max_d: int, max_n: int, max_c: int, max_dk: int = 12) -> Suit
 def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
     """Euler characteristics, Betti numbers, fundamental group order,
     and the blow-up Euler count, for simple roots and for one fully
-    degenerate root configuration per parameter tuple."""
+    degenerate root configuration per parameter tuple.
+
+    The two root configurations and their squarefree ``smoothness_status``
+    are built once per ``d`` in each call; every case still compares
+    that status with its own model's interior singularities.
+    """
     out = SuiteResult("topology")
+    configs_by_d: dict[int, tuple[tuple[RootConfig, FiberStatus], ...]] = {}
     for d, n, m, c in cyclic_tuples(max_d, max_n, max_c):
         enum = enumerate_weights(d, n, m, c)
         if not enum.pairs:
             continue
         a = enum.pairs[0].a
-        for roots in (default_roots(d), RootConfig.of([(1, d)])):
+        configs = configs_by_d.get(d)
+        if configs is None:
+            configs = configs_by_d[d] = tuple(
+                (roots, smoothness_status(roots))
+                for roots in (default_roots(d), RootConfig.of([(1, d)]))
+            )
+        for roots, status in configs:
             out.tick()
             model = build_cyclic(d, n, m, c, a, roots)
             t = topology(model)
@@ -162,7 +183,6 @@ def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
                     f"{label}: blow-up Euler count {desc.euler_characteristic} "
                     f"!= chi + 1 = {t.chi_Mbar + 1}"
                 )
-            status = smoothness_status(roots)
             model_indices = tuple(sorted(k for _, k in model.interior_singularities))
             if status.a_indices != model_indices:
                 out.fail(f"{label}: fibre status {status.a_indices} != {model_indices}")

@@ -33,11 +33,21 @@ class TianYauReport:
     beta: Fraction
     beta_gt_one: bool
     singularities_on_divisor: bool
-    divisor_almost_ample: bool
-    divisor_admissible: bool
     C_squared: Fraction
     decay_rhs: Fraction | None
     adjunction_residual: Fraction
+
+    @property
+    def divisor_almost_ample(self) -> bool:
+        """``C^2 > 0``; every CurveAtInfinity has it, so this is always true."""
+        return self.C_squared > 0
+
+    @property
+    def divisor_admissible(self) -> bool:
+        """Smooth uniformized neighbourhoods of the singular points: the
+        quotient points at infinity have them tautologically, so this is
+        ``singularities_on_divisor``."""
+        return self.singularities_on_divisor
 
     @property
     def all_satisfied(self) -> bool:
@@ -74,27 +84,20 @@ def check_hypotheses(model: AnyModel) -> TianYauReport:
 
     ``singularities_on_divisor`` is true when no interior singular
     point remains (all quotient points then lie on the boundary curve
-    by construction).  Admissibility additionally needs smooth
-    uniformized neighbourhoods, which the quotient points at infinity
-    have tautologically, so it coincides with the previous flag here.
-    Almost ampleness holds since the boundary curve has positive
-    self-intersection and moves in the anticanonical system; the flag
-    records the positivity check.
+    by construction).  Admissibility and almost ampleness are derived
+    from it and from ``C^2`` on the report: the quotient points at
+    infinity have smooth uniformized neighbourhoods tautologically, and
+    the boundary curve has positive self-intersection and moves in the
+    anticanonical system.
     """
     base = _base(model)
     beta = base.beta
     csq = base.curve.self_intersection
-    interior_empty = len(model.interior_singularities) == 0
-    on_divisor = interior_empty
-    almost_ample = csq > 0
-    admissible = on_divisor
     decay = Fraction(2) / (beta - 1) if beta > 1 else None
     return TianYauReport(
         beta=beta,
         beta_gt_one=beta > 1,
-        singularities_on_divisor=on_divisor,
-        divisor_almost_ample=almost_ample,
-        divisor_admissible=admissible,
+        singularities_on_divisor=not model.interior_singularities,
         C_squared=csq,
         decay_rhs=decay,
         adjunction_residual=orbifold_adjunction_residual(model),

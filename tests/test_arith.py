@@ -73,6 +73,49 @@ def test_from_roots_expansion_frozen():
     assert eval_poly(p, Fraction(1, 2)) == Fraction(-3, 8)
 
 
+def _fraction_product(pairs):
+    p = UniPoly.of([1])
+    for root, mult in pairs:
+        if mult < 0:
+            raise BadInput(f"negative multiplicity {mult}")
+        factor = UniPoly.of([-Fraction(root), 1])
+        for _ in range(mult):
+            p = p * factor
+    return p
+
+
+def test_from_roots_matches_fraction_product():
+    rng = random.Random(29)
+    pool = [Fraction(num, den) for num in range(-7, 8) for den in (1, 2, 3, 5, 12)]
+    cases = [
+        [],
+        [(Fraction(3, 4), 0)],
+        [(2, 0), (Fraction(-1, 3), 2)],
+        [("1/2", 2), ("-3", 1), (5, 1)],
+        [(0, 3), (Fraction(-5, 6), 1)],
+    ]
+    for _ in range(300):
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            root = rng.choice(pool)
+            kind = rng.random()
+            if kind < 0.2:
+                root = int(root.numerator)
+            elif kind < 0.4:
+                root = str(root)
+            pairs.append((root, rng.randint(0, 3)))
+        if rng.random() < 0.3:
+            pairs.append(pairs[0])  # a repeated root
+        cases.append(pairs)
+    for pairs in cases:
+        got = UniPoly.from_roots(pairs)
+        assert got.coeffs == _fraction_product(pairs).coeffs, pairs
+        assert all(type(c) is Fraction for c in got.coeffs)
+    for pairs in ([(1, -1)], [(Fraction(1, 2), 2), (3, -2)]):
+        with pytest.raises(BadInput):
+            UniPoly.from_roots(pairs)
+
+
 def _fraction_horner(coeffs, x):
     value = Fraction(0)
     for c in reversed(coeffs):

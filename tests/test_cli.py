@@ -43,6 +43,42 @@ def test_invalid_input_exit_one(capsys):
     assert err == "error: 1/1(3,5) is a smooth point; nothing to resolve\n"
 
 
+def test_out_of_range_inputs_exit_one(capsys, tmp_path):
+    cases = [
+        (["sweep", "--max-d", "0"], "error: --max-d must be between 1 and 10, got 0\n"),
+        (["sweep", "--max-d", "-1"], "error: --max-d must be between 1 and 10, got -1\n"),
+        (["sweep", "--max-n", "0"], "error: --max-n must be between 1 and 10, got 0\n"),
+        (["sweep", "--max-c", "11"], "error: --max-c must be between 1 and 10, got 11\n"),
+        (
+            ["build", "rdp", "--type", "D", "--index", "101"],
+            "error: D-type index must be between 4 and 100, got 101\n",
+        ),
+    ]
+    for argv, message in cases:
+        for fmt in ("text", "json"):
+            assert run(capsys, argv + ["--format", fmt]) == (1, "", message), argv
+    # The caps sit above the acceptance box and the largest tested D index.
+    assert run(capsys, ["sweep", "--max-d", "1", "--max-n", "1", "--max-c", "1"])[0] == 0
+    assert run(capsys, ["build", "rdp", "--type", "D", "--index", "12"])[0] == 0
+
+    bir = {"d": 1, "n": 2, "m": 1, "a": 1, "roots": "1"}
+    rows = [
+        {"id": "ok", "kind": "birational", "parameters": {**bir, "samples": 25}},
+        {"id": "many", "kind": "birational", "parameters": {**bir, "samples": 1001}},
+        {"id": "none", "kind": "birational", "parameters": {**bir, "samples": 0}},
+        {"id": "deep", "kind": "build-rdp", "parameters": {"type": "D", "index": 101}},
+    ]
+    code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
+    assert code == 1
+    assert data["outputs"]["failed_ids"] == ["many", "none", "deep"]
+    assert [r["mismatches"] for r in data["outputs"]["results"]] == [
+        [],
+        ["error: samples must be between 1 and 1000, got 1001"],
+        ["error: samples must be between 1 and 1000, got 0"],
+        ["error: D-type index must be between 4 and 100, got 101"],
+    ]
+
+
 def test_rdp_a_type_redirect_exit_one(capsys):
     code, _, err = run(capsys, ["build", "rdp", "--type", "D", "--index", "3"])
     assert code == 1 and "error:" in err

@@ -1,10 +1,15 @@
 """Tests for the in-package verification sweeps."""
 
+from dataclasses import replace
+
+import classt.sweep
+from classt.compactify import smoothness_status
 from classt.sweep import (
     SuiteResult,
     brute_force_class_t,
     class_t_suite,
     cyclic_tuples,
+    default_roots,
     hj_suite,
     iter_models,
     rdp_models,
@@ -14,6 +19,8 @@ from classt.sweep import (
     topology_suite,
     weight_family_suite,
 )
+
+SWEEP_BOX = (5, 6, 4)  # the acceptance box
 
 
 def test_suite_result_tally():
@@ -50,6 +57,39 @@ def test_iter_models_and_rdp_models():
     assert all(m.is_cyclic for m in models)
     des = list(rdp_models(6))
     assert [m.descriptor.label() for m in des] == ["D_4", "D_5", "D_6", "E6", "E7", "E8"]
+
+
+def test_iter_models_use_default_roots():
+    models = list(iter_models(2, 3, 2))
+    assert {m.d for m in models} == {1, 2}
+    for model in models:
+        assert model.roots == default_roots(model.d)
+
+
+def test_sweep_box_case_counts():
+    assert topology_suite(*SWEEP_BOX).cases == 338
+    assert roundtrip_suite(*SWEEP_BOX, samples=1, seed=0).cases == 730
+
+
+def test_topology_status_reaches_every_case(monkeypatch):
+    calls = []
+
+    def wrong_for_d2(roots):
+        calls.append(roots)
+        status = smoothness_status(roots)
+        if roots.total == 2:
+            return replace(status, a_indices=status.a_indices + (9,))
+        return status
+
+    d2_cases = topology_suite(2, 2, 2).cases - topology_suite(1, 2, 2).cases
+    assert 0 < d2_cases <= 12  # every failure message is recorded
+    monkeypatch.setattr(classt.sweep, "smoothness_status", wrong_for_d2)
+    suite = topology_suite(3, 2, 2)
+    assert len(calls) == 6  # two root configurations per d
+    assert suite.failure_count == d2_cases
+    assert len(suite.failures) == d2_cases
+    for message in suite.failures:
+        assert message.startswith("cyclic(d=2,") and "fibre status" in message
 
 
 def test_brute_force_class_t_examples():
