@@ -1,6 +1,6 @@
 """Exact arithmetic foundation.
 
-Extended gcd, modular inverses, dense univariate polynomials over the
+Modular inverses, dense univariate polynomials over the
 rationals, squarefree (multiplicity) decomposition, and the
 negative-regular continued fractions that drive cyclic quotient
 resolutions.  Everything here is exact: rationals are
@@ -29,28 +29,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclidean algorithm.
-
-    Returns ``(g, x, y)`` with ``g = gcd(a, b) >= 0`` and
-    ``a*x + b*y == g``.  The degenerate pair ``(0, 0)`` maps to
-    ``(0, 0, 0)``.
-    """
-    if a == 0 and b == 0:
-        return 0, 0, 0
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def mod_inverse(m: int, n: int) -> int:
@@ -90,10 +68,6 @@ class UniPoly:
     @staticmethod
     def constant(value: RationalLike) -> "UniPoly":
         return UniPoly.of([value])
-
-    @staticmethod
-    def variable() -> "UniPoly":
-        return UniPoly.of([0, 1])
 
     @staticmethod
     def from_roots(pairs: Iterable[tuple[RationalLike, int]]) -> "UniPoly":
@@ -206,9 +180,6 @@ class UniPoly:
             rem.pop()
         return UniPoly.of(q), UniPoly.of(rem)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
@@ -261,11 +232,6 @@ class UniPoly:
             else:
                 parts.append(f"z^{i}" if c == 1 else f"{c}*z^{i}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def eval_poly(p: UniPoly, x: RationalLike) -> Fraction:
-    """Horner evaluation of ``p`` at an exact rational point."""
-    return p(x)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:

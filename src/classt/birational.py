@@ -198,6 +198,16 @@ def blowup_at_R2(model: CompactificationModel) -> BlowupModel:
     )
 
 
+def plane_points(model: CompactificationModel) -> tuple[QuotientSingularity, QuotientSingularity]:
+    """The plane's coordinate points ``1/c(a, n)`` and ``1/n(a, c)``,
+    normalized, which the blow-up's new points must match."""
+    a, c, n = model.a, model.c, model.n
+    return (
+        normalize(QuotientSingularity(c, (a, n))),
+        normalize(QuotientSingularity(n, (a, c))),
+    )
+
+
 def evaluate_pi_chart(
     model: CompactificationModel, chart: str, coords: tuple[RationalLike, RationalLike]
 ) -> WPoint:

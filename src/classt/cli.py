@@ -35,6 +35,17 @@ def _add_common(parser: argparse.ArgumentParser, trailing: bool) -> None:
                         help="run the JSON-lines case file and report per-case results")
 
 
+def _add_model_command(sub, name: str, common: argparse.ArgumentParser, help_text: str) -> None:
+    """A subcommand taking the six parameters of a cyclic model."""
+    parser = sub.add_parser(name, parents=[common], help=help_text)
+    parser.add_argument("-d", type=int, required=True)
+    parser.add_argument("-n", type=int, required=True)
+    parser.add_argument("-m", type=int, required=True)
+    parser.add_argument("-c", type=int, default=1)
+    parser.add_argument("-a", type=int, required=True)
+    parser.add_argument("--roots", required=True, help='root:multiplicity list, e.g. "1:1,2:1"')
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="classt",
@@ -60,33 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", parents=[common], help="construct a compactified smoothing")
     build_sub = build.add_subparsers(dest="variant", required=True)
-    bc = build_sub.add_parser("cyclic", parents=[common], help="cyclic variant from (d, n, m, c, a) and roots")
-    bc.add_argument("-d", type=int, required=True)
-    bc.add_argument("-n", type=int, required=True)
-    bc.add_argument("-m", type=int, required=True)
-    bc.add_argument("-c", type=int, default=1)
-    bc.add_argument("-a", type=int, required=True)
-    bc.add_argument("--roots", required=True, help='root:multiplicity list, e.g. "1:1,2:1"')
+    _add_model_command(build_sub, "cyclic", common, "cyclic variant from (d, n, m, c, a) and roots")
     br = build_sub.add_parser("rdp", parents=[common], help="D or E double point model")
     br.add_argument("--type", dest="ade", choices=("D", "E"), required=True)
     br.add_argument("--index", type=int, required=True)
     br.add_argument("--coeffs", help="deformation coefficients, e.g. 1/2,0,3")
 
-    check = sub.add_parser("check", parents=[common], help="evaluate the metric existence hypotheses")
-    check.add_argument("-d", type=int, required=True)
-    check.add_argument("-n", type=int, required=True)
-    check.add_argument("-m", type=int, required=True)
-    check.add_argument("-c", type=int, default=1)
-    check.add_argument("-a", type=int, required=True)
-    check.add_argument("--roots", required=True)
-
-    bir = sub.add_parser("birational", parents=[common], help="projection, blow-up at R2, roundtrip sampling")
-    bir.add_argument("-d", type=int, required=True)
-    bir.add_argument("-n", type=int, required=True)
-    bir.add_argument("-m", type=int, required=True)
-    bir.add_argument("-c", type=int, default=1)
-    bir.add_argument("-a", type=int, required=True)
-    bir.add_argument("--roots", required=True)
+    _add_model_command(sub, "check", common, "evaluate the metric existence hypotheses")
+    _add_model_command(sub, "birational", common, "projection, blow-up at R2, roundtrip sampling")
 
     res = sub.add_parser("resolve", parents=[common], help="minimal resolution chain of a quotient germ")
     res.add_argument("--order", type=int, required=True)
@@ -124,21 +116,15 @@ def _dispatch(args: argparse.Namespace) -> reports.CommandReport:
         return reports.classify_report(args.order, _parse_weights(args.weights))
     if cmd == "enumerate":
         return reports.enumerate_report(args.d, args.n, args.m, args.c)
-    if cmd == "build":
-        if args.variant == "cyclic":
-            return reports.build_cyclic_report(
-                args.d, args.n, args.m, args.c, args.a, RootConfig.parse(args.roots)
-            )
+    if cmd == "build" and args.variant == "rdp":
         return reports.build_rdp_report(args.ade, args.index, _parse_coeffs(args.coeffs))
-    if cmd == "check":
-        return reports.check_report(
-            args.d, args.n, args.m, args.c, args.a, RootConfig.parse(args.roots)
-        )
-    if cmd == "birational":
-        return reports.birational_report(
-            args.d, args.n, args.m, args.c, args.a,
-            RootConfig.parse(args.roots), 25, args.seed,
-        )
+    if cmd in ("build", "check", "birational"):
+        model = (args.d, args.n, args.m, args.c, args.a, RootConfig.parse(args.roots))
+        if cmd == "build":
+            return reports.build_cyclic_report(*model)
+        if cmd == "check":
+            return reports.check_report(*model)
+        return reports.birational_report(*model, 25, args.seed)
     if cmd == "resolve":
         return reports.resolve_report(args.order, _parse_weights(args.weights))
     if cmd == "sweep":

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .arith import RationalLike, UniPoly, as_fraction, mod_inverse, multiplicity_profile
 from .errors import (
@@ -285,6 +285,65 @@ class WeightEnumeration:
         return [(p.a, p.b) for p in self.pairs]
 
 
+def _reduced_m(d: int, n: int, m: int, c: int) -> int:
+    """Check the arguments every cyclic model needs; return ``m`` mod ``n``."""
+    if d < 1 or n < 1 or c < 1:
+        raise BadInput(f"d, n, c must be positive, got ({d}, {n}, {c})")
+    if gcd(m, n) != 1:
+        raise BadInput(f"m = {m} must be prime to n = {n}")
+    return m % n if n > 1 else 1
+
+
+class Condition(NamedTuple):
+    """One weight condition: its tag, whether it holds, and the numbers
+    its ``detail`` sentence quotes."""
+
+    tag: str
+    passed: bool
+    values: tuple
+
+    @property
+    def detail(self) -> str:
+        return _CONDITION_TEXT[self.tag, self.passed].format(*self.values)
+
+
+# Rendered only when a report or an error asks for the sentence.
+_CONDITION_TEXT = {
+    ("hom", True): "a + b = {0} + {1} = {2} = d*n*c with positive weights",
+    ("hom", False): "a = {0} outside 1..{3}, so b = {1} is not positive",
+    ("action", True): "a*m = {0}*{1} == c = {2} (mod {3})",
+    ("action", False): "a*m = {0}*{1} != c = {2} (mod {3})",
+    ("div", True): "gcd(c, n) = gcd({0}, {1}) = 1 and gcd(a, c) = gcd({2}, {0}) = 1",
+    ("div", False): "gcd(c, n) = {3}, gcd(a, c) = {4}",
+    ("man-cond", True): "roots nonzero and distinct, multiplicities sum to d = {0}",
+    ("man-cond", False): "multiplicities sum to {1}, expected d = {0}",
+}
+
+
+def weight_conditions(
+    d: int, n: int, m: int, c: int, a: int, roots: RootConfig
+) -> tuple[Condition, Condition, Condition, Condition]:
+    """The conditions for the cyclic model ``(d, n, m, c, a)`` to exist.
+
+    In order: "hom" (``1 <= a <= d*n*c - 1``, so both ``a`` and
+    ``b = d*n*c - a`` are positive), "action" (``a*m == c mod n``),
+    "div" (``gcd(c, n) = gcd(a, c) = 1``) and "man-cond" (the root
+    multiplicities sum to ``d``; RootConfig already holds the roots
+    nonzero and distinct).  Raises BadInput unless ``d, n, c >= 1`` and
+    ``gcd(m, n) = 1``.
+    """
+    m_c = _reduced_m(d, n, m, c)
+    degree = d * n * c
+    b = degree - a
+    g_cn, g_ac = gcd(c, n), gcd(a, c)
+    return (
+        Condition("hom", 1 <= a <= degree - 1, (a, b, degree, degree - 1)),
+        Condition("action", (a * m_c - c) % n == 0, (a, m_c, c, n)),
+        Condition("div", g_cn == 1 and g_ac == 1, (c, n, a, g_cn, g_ac)),
+        Condition("man-cond", roots.total == d, (d, roots.total)),
+    )
+
+
 def enumerate_weights(d: int, n: int, m: int, c: int) -> WeightEnumeration:
     """Enumerate weights ``(a, b)`` for the cyclic model of given
     ``(d, n, m)`` at third weight ``c``.
@@ -293,13 +352,9 @@ def enumerate_weights(d: int, n: int, m: int, c: int) -> WeightEnumeration:
     family ``a = u + k*n``, ``b = (d - k)*n - u`` for ``k = 0..d-1``,
     where ``u`` is the inverse of ``m`` mod ``n``.
     """
-    if d < 1 or n < 1 or c < 1:
-        raise BadInput(f"d, n, c must be positive, got ({d}, {n}, {c})")
-    if gcd(m, n) != 1:
-        raise BadInput(f"m = {m} must be prime to n = {n}")
+    m_c = _reduced_m(d, n, m, c)
     if gcd(c, n) != 1:
         raise BadInput(f"c = {c} must be prime to n = {n}")
-    m_c = m % n if n > 1 else 1
     u = mod_inverse(m_c, n)
     degree = d * n * c
     if n == 1:
@@ -336,32 +391,21 @@ def enumerate_weights(d: int, n: int, m: int, c: int) -> WeightEnumeration:
 def build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CompactificationModel:
     """Compactified smoothing of ``1/(d*n^2)(1, d*n*m - 1)``.
 
-    Checks the weight conditions by name: "hom" (``1 <= a <= d*n*c - 1``
-    so both ``a`` and ``b = d*n*c - a`` are positive), "action"
-    (``a*m == c mod n``), "div" (``gcd(c, n) = gcd(a, c) = 1``), and
-    "man-cond" (the root total equals ``d``, roots nonzero and
-    distinct).
+    Raises from the records of weight_conditions: RootsInvalid when
+    "man-cond" fails, ConditionViolated with the tag of the first other
+    failed condition, where a ``c`` sharing a factor with ``n`` fails
+    "div" ahead of every other tag.
     """
-    if d < 1 or n < 1 or c < 1:
-        raise BadInput(f"d, n, c must be positive, got ({d}, {n}, {c})")
-    if gcd(m, n) != 1:
-        raise BadInput(f"m = {m} must be prime to n = {n}")
-    if gcd(c, n) != 1:
-        raise ConditionViolated("div", f"gcd(c, n) = gcd({c}, {n}) != 1")
+    hom, action, div, man = weight_conditions(d, n, m, c, a, roots)
+    # div quotes gcd(c, n) as values[3]; action quotes m mod n as values[1].
+    for cond in (div,) if div.values[3] != 1 else (hom, action, div, man):
+        if not cond.passed:
+            if cond is man:
+                raise RootsInvalid(cond.detail)
+            raise ConditionViolated(cond.tag, cond.detail)
+    m_c = action.values[1]
     degree = d * n * c
     b = degree - a
-    if a < 1 or b < 1:
-        raise ConditionViolated(
-            "hom", f"a + b = {degree} forces 1 <= a <= {degree - 1}, got a = {a}"
-        )
-    m_c = m % n if n > 1 else 1
-    if (a * m_c - c) % n:
-        raise ConditionViolated("action", f"a*m = {a}*{m_c} != c = {c} (mod {n})")
-    if gcd(a, c) != 1:
-        raise ConditionViolated("div", f"gcd(a, c) = gcd({a}, {c}) != 1")
-    if roots.total != d:
-        raise RootsInvalid(f"multiplicities must sum to d = {d}, got {roots.total}")
-
     u = mod_inverse(m_c, n)
     ambient = WeightedProjectiveSpace((a, b, c, n))
     X = HypersurfaceClass(ambient, degree)

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Mapping, Union
+from typing import Mapping
 
-from .arith import RationalLike, as_fraction, hj_evaluate, hj_expand, mod_inverse
+from .arith import RationalLike, as_fraction, hj_expand, mod_inverse
 from .errors import BadInput, InvalidIndex, NotFree, SmoothPoint
 
 
@@ -72,22 +72,6 @@ def normalize(s: QuotientSingularity) -> QuotientSingularity:
     return QuotientSingularity(r, (1, q))
 
 
-def is_equivalent(s1: QuotientSingularity, s2: QuotientSingularity) -> bool:
-    """Isomorphism of germs: equal normalized forms, or inverse ones.
-
-    Swapping the two coordinates replaces ``q`` by its inverse mod
-    ``r``, so ``1/r(1, q)`` and ``1/r(1, q')`` agree as germs iff
-    ``q' == q`` or ``q * q' == 1 (mod r)``.
-    """
-    a = normalize(s1)
-    b = normalize(s2)
-    if a.order != b.order:
-        return False
-    q = a.weights[1]
-    qq = b.weights[1]
-    return q == qq or (q * qq) % a.order == 1 % a.order
-
-
 @dataclass(frozen=True)
 class HJChain:
     """Resolution chain; entry ``b_i`` means a curve of self-intersection ``-b_i``."""
@@ -96,10 +80,6 @@ class HJChain:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def value(self) -> Fraction:
-        """The continued fraction the chain expands."""
-        return hj_evaluate(self.entries)
 
     def self_intersections(self) -> tuple[int, ...]:
         return tuple(-b for b in self.entries)
@@ -160,9 +140,6 @@ class RdpDescriptor:
 
     def label(self) -> str:
         return f"{self.ade}_{self.index}" if self.ade != "E" else f"E{self.index}"
-
-
-ClassTDescriptor = Union[CyclicTDescriptor, RdpDescriptor]
 
 
 def class_t_solutions(r: int, q: int) -> list[tuple[int, int, int]]:
@@ -233,11 +210,6 @@ class TriPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i + j + k for i, j, k in self.terms)
 
     def __add__(self, other: "TriPoly") -> "TriPoly":
         out = dict(self.terms)
@@ -347,9 +319,6 @@ class RDPData:
 
     def label(self) -> str:
         return f"{self.ade}_{self.index}" if self.ade != "E" else f"E{self.index}"
-
-    def basis_polys(self) -> tuple[TriPoly, ...]:
-        return tuple(TriPoly.monomial(1, *e) for e in self.milnor_basis)
 
 
 def _validate_ade(ade: str, index: int) -> None:

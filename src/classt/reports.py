@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Any
 
 from .arith import as_fraction, hj_evaluate
-from .birational import blowup_at_R2, blowup_description, roundtrip_check
+from .birational import blowup_at_R2, blowup_description, plane_points, roundtrip_check
 from .compactify import (
     CompactificationModel,
     RootConfig,
@@ -30,6 +29,7 @@ from .compactify import (
     enumerate_weights,
     minimal_resolution,
     topology,
+    weight_conditions,
 )
 from .errors import BadInput, ClassTError
 from .quotients import (
@@ -99,62 +99,35 @@ def assemble(case_id: str, inputs: dict, outputs: dict, diagnostics: list[dict])
     }
 
 
-def _cyclic_diagnostics(
-    d: int, n: int, m: int, c: int, a: int, roots: RootConfig | None
-) -> tuple[list[dict], CompactificationModel | None]:
-    """Evaluate the named conditions; build the model when all pass."""
-    if d < 1 or n < 1 or c < 1:
-        raise BadInput(f"d, n, c must be positive, got ({d}, {n}, {c})")
-    if gcd(m, n) != 1:
-        raise BadInput(f"m = {m} must be prime to n = {n}")
-    degree = d * n * c
-    b = degree - a
-    m_c = m % n if n > 1 else 1
-    diags = []
-    hom_ok = 1 <= a <= degree - 1
-    diags.append(
-        diag("hom", hom_ok, f"a + b = {a} + {b} = {degree} = d*n*c with positive weights")
-        if hom_ok
-        else diag("hom", False, f"a = {a} outside 1..{degree - 1}, so b = {b} is not positive")
-    )
-    action_ok = (a * m_c - c) % n == 0
-    diags.append(
-        diag("action", action_ok, f"a*m = {a}*{m_c} == c = {c} (mod {n})")
-        if action_ok
-        else diag("action", False, f"a*m = {a}*{m_c} != c = {c} (mod {n})")
-    )
-    div_ok = gcd(c, n) == 1 and gcd(a, c) == 1
-    diags.append(
-        diag("div", div_ok, f"gcd(c, n) = gcd({c}, {n}) = 1 and gcd(a, c) = gcd({a}, {c}) = 1")
-        if div_ok
-        else diag("div", False, f"gcd(c, n) = {gcd(c, n)}, gcd(a, c) = {gcd(a, c)}")
-    )
-    if roots is None:
-        diags.append(diag("man-cond", True, "no root configuration supplied"))
-        man_ok = True
-    else:
-        man_ok = roots.total == d
-        diags.append(
-            diag("man-cond", True, f"roots nonzero and distinct, multiplicities sum to d = {d}")
-            if man_ok
-            else diag("man-cond", False, f"multiplicities sum to {roots.total}, expected d = {d}")
-        )
+def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> CommandReport:
+    """Report of a command on the cyclic model ``params = (d, n, m, c, a, roots)``.
+
+    The weight conditions become diagnostics, with "beta>1" and
+    "adjunction-residual" added.  When a condition fails the outputs list
+    the failed tags and the exit code is 1; otherwise the model is built
+    and ``finish(model)`` gives the outputs, the exit code and the DOT form.
+    """
+    d, n, m, c, a, roots = params
+    conditions = weight_conditions(d, n, m, c, a, roots)
+    diags = [diag(x.tag, x.passed, x.detail) for x in conditions]
     beta = Fraction(c + n, n)
     diags.append(diag("beta>1", beta > 1, f"beta = (c + n)/n = {rational_str(beta)}"))
-    model = None
-    if hom_ok and action_ok and div_ok and man_ok and roots is not None:
+    if all(x.passed for x in conditions):
         model = build_cyclic(d, n, m, c, a, roots)
-        res = check_hypotheses(model).adjunction_residual
-        diags.append(
-            diag(
-                "adjunction-residual",
-                res == 0,
-                f"K.C + C^2 - orbifold Euler side = {rational_str(res)}",
-            )
-        )
+        diags.append(_residual_diag(model))
+        outputs, exit_code, dot = finish(model)
     else:
         diags.append(diag("adjunction-residual", False, "model not constructed"))
-    return diags, model
+        outputs = {"conditions_failed": [x["name"] for x in diags if not x["passed"]]}
+        exit_code, dot = 1, None
+    inputs = {"d": d, "n": n, "m": m, "c": c, "a": a, "roots": roots.as_text(), **extra_inputs}
+    data = assemble(f"{kind}-{d}-{n}-{m}-{c}-{a}", inputs, outputs, diags)
+    return CommandReport(data=data, exit_code=exit_code, dot=dot)
+
+
+def _residual_diag(model: CompactificationModel) -> dict:
+    res = check_hypotheses(model).adjunction_residual
+    return diag("adjunction-residual", res == 0, f"K.C + C^2 - orbifold Euler side = {rational_str(res)}")
 
 
 def _model_outputs(model: CompactificationModel) -> dict:
@@ -250,15 +223,10 @@ def enumerate_report(d: int, n: int, m: int, c: int) -> CommandReport:
 
 
 def build_cyclic_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CommandReport:
-    diags, model = _cyclic_diagnostics(d, n, m, c, a, roots)
-    inputs = {"d": d, "n": n, "m": m, "c": c, "a": a, "roots": roots.as_text()}
-    case_id = f"build-cyclic-{d}-{n}-{m}-{c}-{a}"
-    if model is None:
-        failed = [x["name"] for x in diags if not x["passed"]]
-        data = assemble(case_id, inputs, {"conditions_failed": failed}, diags)
-        return CommandReport(data=data, exit_code=1)
-    data = assemble(case_id, inputs, _model_outputs(model), diags)
-    return CommandReport(data=data, exit_code=0, dot=render_model_dot(model))
+    return _cyclic_report(
+        "build-cyclic", (d, n, m, c, a, roots), {},
+        lambda model: (_model_outputs(model), 0, render_model_dot(model)),
+    )
 
 
 def build_rdp_report(ade: str, index: int, coeffs: list | None) -> CommandReport:
@@ -267,28 +235,21 @@ def build_rdp_report(ade: str, index: int, coeffs: list | None) -> CommandReport
     model = build_rdp(ade, index, coeffs)
     diags = na_diags("hom", "action", "div", "man-cond")
     diags.append(diag("beta>1", model.beta > 1, f"beta = {rational_str(model.beta)}"))
-    res = check_hypotheses(model).adjunction_residual
-    diags.append(
-        diag("adjunction-residual", res == 0, f"K.C + C^2 - orbifold Euler side = {rational_str(res)}")
-    )
+    residual = _residual_diag(model)
+    diags.append(residual)
     inputs = {"type": ade, "index": index}
     if coeffs is not None:
         inputs["coeffs"] = [rational_str(v) for v in model.coefficients]
     data = assemble(f"build-rdp-{ade}{index}", inputs, _model_outputs(model), diags)
-    ok = model.beta > 1 and res == 0
+    ok = model.beta > 1 and residual["passed"]
     return CommandReport(data=data, exit_code=0 if ok else 1, dot=render_model_dot(model))
 
 
-def check_report(
-    d: int, n: int, m: int, c: int, a: int, roots: RootConfig
-) -> CommandReport:
-    diags, model = _cyclic_diagnostics(d, n, m, c, a, roots)
-    inputs = {"d": d, "n": n, "m": m, "c": c, "a": a, "roots": roots.as_text()}
-    case_id = f"check-{d}-{n}-{m}-{c}-{a}"
-    if model is None:
-        failed = [x["name"] for x in diags if not x["passed"]]
-        data = assemble(case_id, inputs, {"conditions_failed": failed}, diags)
-        return CommandReport(data=data, exit_code=1)
+def check_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CommandReport:
+    return _cyclic_report("check", (d, n, m, c, a, roots), {}, _check_outputs)
+
+
+def _check_outputs(model: CompactificationModel) -> tuple[dict, int, str]:
     report = check_hypotheses(model)
     resolved_report = check_hypotheses(minimal_resolution(model))
     outputs = {
@@ -304,62 +265,47 @@ def check_report(
         "all_satisfied": report.all_satisfied,
         "after_resolution_all_satisfied": resolved_report.all_satisfied,
     }
-    data = assemble(case_id, inputs, outputs, diags)
-    return CommandReport(
-        data=data,
-        exit_code=0 if report.all_satisfied else 1,
-        dot=render_model_dot(model),
-    )
+    return outputs, 0 if report.all_satisfied else 1, render_model_dot(model)
 
 
 def birational_report(
     d: int, n: int, m: int, c: int, a: int, roots: RootConfig, samples: int, seed: int
 ) -> CommandReport:
     _check_range("samples", samples, 1, _MAX_SAMPLES)
-    diags, model = _cyclic_diagnostics(d, n, m, c, a, roots)
-    inputs = {
-        "d": d, "n": n, "m": m, "c": c, "a": a,
-        "roots": roots.as_text(), "samples": samples, "seed": seed,
-    }
-    case_id = f"birational-{d}-{n}-{m}-{c}-{a}"
-    if model is None:
-        failed = [x["name"] for x in diags if not x["passed"]]
-        data = assemble(case_id, inputs, {"conditions_failed": failed}, diags)
-        return CommandReport(data=data, exit_code=1)
-    blow = blowup_at_R2(model)
-    desc = blowup_description(model)
-    plane_points = (
-        normalize(QuotientSingularity(model.c, (model.a, model.n))),
-        normalize(QuotientSingularity(model.n, (model.a, model.c))),
+
+    def finish(model: CompactificationModel) -> tuple[dict, int, str]:
+        blow = blowup_at_R2(model)
+        desc = blowup_description(model)
+        points_match = blow.new_singularities == plane_points(model)
+        euler_ok = desc.euler_characteristic == topology(model).chi_Mbar + 1
+        rt_ok = roundtrip_check(model, samples, seed)
+        outputs = {
+            "target_plane": desc.base_plane.label(),
+            "projection": "[x:y:z:w] -> [x:z:w]",
+            "blowup": {
+                "chart_actions": [
+                    {"order": order, "weights": list(ws)} for order, ws in blow.chart_actions
+                ],
+                "new_singularities": [sing_json(s) for s in blow.new_singularities],
+                "exceptional_orbifold_orders": list(blow.exceptional_curve.orbifold_orders),
+            },
+            "plane_points_match": points_match,
+            "description": {
+                "base_plane": desc.base_plane.label(),
+                "centers": [{"root": rational_str(r), "iterations": k} for r, k in desc.centers],
+                "total_blowups": desc.total_blowups,
+                "removed_divisors": list(desc.removed_divisors),
+                "euler_characteristic": desc.euler_characteristic,
+            },
+            "euler_count_consistent": euler_ok,
+            "roundtrip": {"samples": samples, "seed": seed, "passed": rt_ok},
+        }
+        ok = points_match and euler_ok and rt_ok
+        return outputs, 0 if ok else 1, render_blowup_dot(desc)
+
+    return _cyclic_report(
+        "birational", (d, n, m, c, a, roots), {"samples": samples, "seed": seed}, finish
     )
-    points_match = blow.new_singularities == plane_points
-    chi_plus_one = topology(model).chi_Mbar + 1
-    euler_ok = desc.euler_characteristic == chi_plus_one
-    rt_ok = roundtrip_check(model, samples, seed)
-    outputs = {
-        "target_plane": desc.base_plane.label(),
-        "projection": "[x:y:z:w] -> [x:z:w]",
-        "blowup": {
-            "chart_actions": [
-                {"order": order, "weights": list(ws)} for order, ws in blow.chart_actions
-            ],
-            "new_singularities": [sing_json(s) for s in blow.new_singularities],
-            "exceptional_orbifold_orders": list(blow.exceptional_curve.orbifold_orders),
-        },
-        "plane_points_match": points_match,
-        "description": {
-            "base_plane": desc.base_plane.label(),
-            "centers": [{"root": rational_str(r), "iterations": k} for r, k in desc.centers],
-            "total_blowups": desc.total_blowups,
-            "removed_divisors": list(desc.removed_divisors),
-            "euler_characteristic": desc.euler_characteristic,
-        },
-        "euler_count_consistent": euler_ok,
-        "roundtrip": {"samples": samples, "seed": seed, "passed": rt_ok},
-    }
-    data = assemble(case_id, inputs, outputs, diags)
-    ok = points_match and euler_ok and rt_ok
-    return CommandReport(data=data, exit_code=0 if ok else 1, dot=render_blowup_dot(desc))
 
 
 def resolve_report(order: int, weights: tuple[int, int]) -> CommandReport:
@@ -535,27 +481,21 @@ def _run_corpus_case(kind: str, params: dict, seed: int) -> CommandReport:
         return enumerate_report(
             int(params["d"]), int(params["n"]), int(params["m"]), int(params.get("c", 1))
         )
-    if kind == "build-cyclic":
-        return build_cyclic_report(
-            int(params["d"]), int(params["n"]), int(params["m"]),
-            int(params.get("c", 1)), int(params["a"]),
-            RootConfig.parse(str(params["roots"])),
-        )
     if kind == "build-rdp":
         coeffs = params.get("coeffs")
         return build_rdp_report(str(params["type"]), int(params["index"]), coeffs)
-    if kind == "check":
-        return check_report(
+    if kind in ("build-cyclic", "check", "birational"):
+        model = (
             int(params["d"]), int(params["n"]), int(params["m"]),
             int(params.get("c", 1)), int(params["a"]),
             RootConfig.parse(str(params["roots"])),
         )
-    if kind == "birational":
+        if kind == "build-cyclic":
+            return build_cyclic_report(*model)
+        if kind == "check":
+            return check_report(*model)
         return birational_report(
-            int(params["d"]), int(params["n"]), int(params["m"]),
-            int(params.get("c", 1)), int(params["a"]),
-            RootConfig.parse(str(params["roots"])),
-            int(params.get("samples", 25)), int(params.get("seed", seed)),
+            *model, int(params.get("samples", 25)), int(params.get("seed", seed))
         )
     raise BadInput(f"unknown corpus kind {kind!r}; expected one of {_CORPUS_KINDS}")
 

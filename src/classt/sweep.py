@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from typing import Iterator
 
 from .arith import hj_evaluate, mod_inverse
-from .birational import blowup_at_R2, blowup_description, roundtrip_check
+from .birational import blowup_at_R2, blowup_description, plane_points, roundtrip_check
 from .compactify import (
     CompactificationModel,
     FiberStatus,
@@ -27,7 +27,7 @@ from .compactify import (
     smoothness_status,
     topology,
 )
-from .quotients import QuotientSingularity, detect_class_T, hj_resolution, normalize
+from .quotients import QuotientSingularity, detect_class_T, hj_resolution
 from .tianyau import check_hypotheses, orbifold_adjunction_residual
 
 _MAX_RECORDED = 12
@@ -70,8 +70,11 @@ def default_roots(d: int) -> RootConfig:
     return RootConfig.simple(range(1, d + 1))
 
 
-def iter_models(max_d: int, max_n: int, max_c: int) -> Iterator[CompactificationModel]:
-    """Every model with simple roots ``1..d`` over the admissible weights.
+def model_params(
+    max_d: int, max_n: int, max_c: int
+) -> Iterator[tuple[int, int, int, int, int, RootConfig]]:
+    """``(d, n, m, c, a, roots)`` for every model with simple roots ``1..d``
+    over the admissible weights.
 
     One ``default_roots(d)`` is built per ``d`` and shared by every
     model of that ``d``, so its fibre polynomial is expanded once per
@@ -83,7 +86,13 @@ def iter_models(max_d: int, max_n: int, max_c: int) -> Iterator[Compactification
         if roots is None:
             roots = roots_by_d[d] = default_roots(d)
         for pair in enumerate_weights(d, n, m, c).pairs:
-            yield build_cyclic(d, n, m, c, pair.a, roots)
+            yield d, n, m, c, pair.a, roots
+
+
+def iter_models(max_d: int, max_n: int, max_c: int) -> Iterator[CompactificationModel]:
+    """The models of model_params, built in its order."""
+    for params in model_params(max_d, max_n, max_c):
+        yield build_cyclic(*params)
 
 
 def rdp_models(max_dk: int = 12):
@@ -210,20 +219,15 @@ def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> S
     """Blow-up chart actions must normalize to the plane's coordinate
     quotient points ``1/c(a, n)`` and ``1/n(a, c)``."""
     out = SuiteResult("blowup-singularities")
-    models = list(iter_models(max_d, max_n, max_c))
+    params = list(model_params(max_d, max_n, max_c))
     rng = random.Random(seed)
-    chosen = rng.sample(models, min(count, len(models)))
-    for model in chosen:
+    for chosen in rng.sample(params, min(count, len(params))):
+        model = build_cyclic(*chosen)
         out.tick()
         blow = blowup_at_R2(model)
-        a, c, n = model.a, model.c, model.n
-        expected = (
-            normalize(QuotientSingularity(c, (a, n))),
-            normalize(QuotientSingularity(n, (a, c))),
-        )
-        if blow.new_singularities != expected:
+        if blow.new_singularities != plane_points(model):
             out.fail(f"{model.label()}: blow-up points {blow.new_singularities}")
-        orders = tuple(o for o in (c, n) if o > 1)
+        orders = tuple(o for o in (model.c, model.n) if o > 1)
         if blow.exceptional_curve.orbifold_orders != orders:
             out.fail(f"{model.label()}: exceptional orders")
     return out

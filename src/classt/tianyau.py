@@ -31,11 +31,18 @@ class TianYauReport:
     """Exact record of the hypothesis checks for one model."""
 
     beta: Fraction
-    beta_gt_one: bool
     singularities_on_divisor: bool
     C_squared: Fraction
-    decay_rhs: Fraction | None
     adjunction_residual: Fraction
+
+    @property
+    def beta_gt_one(self) -> bool:
+        return self.beta > 1
+
+    @property
+    def decay_rhs(self) -> Fraction | None:
+        """``2/(beta - 1)``, the decay exponent, when ``beta > 1``."""
+        return Fraction(2) / (self.beta - 1) if self.beta > 1 else None
 
     @property
     def divisor_almost_ample(self) -> bool:
@@ -91,14 +98,9 @@ def check_hypotheses(model: AnyModel) -> TianYauReport:
     anticanonical system.
     """
     base = _base(model)
-    beta = base.beta
-    csq = base.curve.self_intersection
-    decay = Fraction(2) / (beta - 1) if beta > 1 else None
     return TianYauReport(
-        beta=beta,
-        beta_gt_one=beta > 1,
+        beta=base.beta,
         singularities_on_divisor=not model.interior_singularities,
-        C_squared=csq,
-        decay_rhs=decay,
+        C_squared=base.curve.self_intersection,
         adjunction_residual=orbifold_adjunction_residual(model),
     )

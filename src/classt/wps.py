@@ -38,42 +38,6 @@ class WeightedProjectiveSpace:
         return "P(" + ",".join(str(w) for w in self.weights) + ")"
 
 
-def is_well_formed(space: WeightedProjectiveSpace) -> bool:
-    """No weight shares a factor with the gcd of all the others."""
-    ws = space.weights
-    for i in range(len(ws)):
-        g = 0
-        for j, w in enumerate(ws):
-            if j != i:
-                g = gcd(g, w)
-        if g > 1:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class AffineQuotientChart:
-    """Coordinate chart ``(x_i != 0)`` as a cyclic quotient of affine space.
-
-    ``action_weights`` are the remaining weights in order; the chart is
-    their quotient by the cyclic group of order ``group_order``.
-    """
-
-    chart_index: int
-    group_order: int
-    action_weights: tuple[int, ...]
-
-    def reduced_action(self) -> tuple[int, ...]:
-        return tuple(w % self.group_order for w in self.action_weights)
-
-
-def chart(space: WeightedProjectiveSpace, i: int) -> AffineQuotientChart:
-    if not 0 <= i < len(space.weights):
-        raise IndexOutOfRange(f"chart index {i} outside 0..{space.dim}")
-    rest = tuple(w for j, w in enumerate(space.weights) if j != i)
-    return AffineQuotientChart(chart_index=i, group_order=space.weights[i], action_weights=rest)
-
-
 @dataclass(frozen=True)
 class HypersurfaceClass:
     """Degree-``e`` hypersurface class in a weighted projective space."""

@@ -10,8 +10,10 @@ sparse polynomial arithmetic type is reused.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from classt.quotients import TriPoly
+from classt.quotients import QuotientSingularity, TriPoly, normalize
+from classt.wps import WeightedProjectiveSpace
 
 Monomial = tuple[int, int, int]
 Terms = dict[Monomial, Fraction]
@@ -173,3 +175,32 @@ def exhaustive_inverse(m: int, n: int) -> int | None:
         if (m * u) % n == 1:
             return u
     return None
+
+
+def is_equivalent(s1: QuotientSingularity, s2: QuotientSingularity) -> bool:
+    """Isomorphism of germs: equal normalized forms, or inverse ones.
+
+    Swapping the two coordinates replaces ``q`` by its inverse mod
+    ``r``, so ``1/r(1, q)`` and ``1/r(1, q')`` agree as germs iff
+    ``q' == q`` or ``q * q' == 1 (mod r)``.
+    """
+    a = normalize(s1)
+    b = normalize(s2)
+    if a.order != b.order:
+        return False
+    q = a.weights[1]
+    qq = b.weights[1]
+    return q == qq or (q * qq) % a.order == 1 % a.order
+
+
+def is_well_formed(space: WeightedProjectiveSpace) -> bool:
+    """No weight shares a factor with the gcd of all the others."""
+    ws = space.weights
+    for i in range(len(ws)):
+        g = 0
+        for j, w in enumerate(ws):
+            if j != i:
+                g = gcd(g, w)
+        if g > 1:
+            return False
+    return True

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from classt.arith import (
     UniPoly,
-    eval_poly,
-    ext_gcd,
     hj_evaluate,
     hj_expand,
     mod_inverse,
@@ -22,21 +20,6 @@ from classt.arith import (
 from classt.errors import BadInput, NonInvertible, ZeroPolynomial
 
 from oracles import exhaustive_inverse
-
-
-def test_ext_gcd_frozen_values():
-    assert ext_gcd(35, 64) == (1, 11, -6)
-    g, x, y = ext_gcd(12, 18)
-    assert g == 6 and 12 * x + 18 * y == 6
-    assert ext_gcd(0, 0) == (0, 0, 0)
-
-
-def test_ext_gcd_identity_sweep():
-    for a in range(-25, 26):
-        for b in range(-25, 26):
-            g, x, y = ext_gcd(a, b)
-            assert g == gcd(a, b)
-            assert a * x + b * y == g
 
 
 def test_mod_inverse_frozen_values():
@@ -69,8 +52,8 @@ def test_mod_inverse_rejects_bad_modulus():
 def test_from_roots_expansion_frozen():
     p = UniPoly.from_roots([(1, 2), (2, 1)])
     assert p.coeffs == (Fraction(-2), Fraction(5), Fraction(-4), Fraction(1))
-    assert eval_poly(p, 3) == 4
-    assert eval_poly(p, Fraction(1, 2)) == Fraction(-3, 8)
+    assert p(3) == 4
+    assert p(Fraction(1, 2)) == Fraction(-3, 8)
 
 
 def _fraction_product(pairs):

@@ -102,6 +102,35 @@ def test_failed_conditions_exit_one(capsys):
     assert not by_name["action"]["passed"]
     assert by_name["hom"]["passed"] and by_name["div"]["passed"]
 
+    # Several conditions failing at once, each with its detail pinned.
+    unbuilt = {"adjunction-residual": "model not constructed"}
+    cases = [
+        (
+            "-d 2 -n 3 -m 2 -c 2 -a 14 --roots 1,2",
+            {
+                "hom": "a = 14 outside 1..11, so b = -2 is not positive",
+                "action": "a*m = 14*2 != c = 2 (mod 3)",
+                "div": "gcd(c, n) = 1, gcd(a, c) = 2",
+            },
+        ),
+        ("-d 2 -n 2 -m 1 -a 1 --roots 1:3", {"man-cond": "multiplicities sum to 3, expected d = 2"}),
+        (
+            "-d 2 -n 3 -m 2 -c 3 -a 0 --roots 1",
+            {
+                "hom": "a = 0 outside 1..17, so b = 18 is not positive",
+                "div": "gcd(c, n) = 3, gcd(a, c) = 3",
+                "man-cond": "multiplicities sum to 1, expected d = 2",
+            },
+        ),
+    ]
+    for args, details in cases:
+        for command in (["build", "cyclic"], ["check"], ["birational"]):
+            code, data, err = run_json(capsys, command + args.split())
+            assert (code, err) == (1, ""), args
+            assert data["outputs"] == {"conditions_failed": [*details, "adjunction-residual"]}
+            failing = {d["name"]: d["detail"] for d in data["diagnostics"] if not d["passed"]}
+            assert failing == {**details, **unbuilt}, args
+
 
 # ------------------------------------------------------------- diagnostics
 

@@ -1,5 +1,6 @@
 """Tests for weight enumeration and compactified-model construction."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +23,7 @@ from classt import (
     smoothness_status,
     topology,
 )
+from classt.compactify import weight_conditions
 
 
 # ---------------------------------------------------------------- roots
@@ -183,6 +185,35 @@ def test_build_cyclic_condition_tags():
     with pytest.raises(ConditionViolated) as err:
         build_cyclic(2, 3, 2, 3, 1, roots)
     assert err.value.tag == "div"
+
+    # A seeded box reaching a <= 0 and a >= d*n*c, against the conditions
+    # written out here.
+    rng = random.Random(17)
+    failures = dict.fromkeys(("hom", "action", "div", "man-cond"), 0)
+    for _ in range(600):
+        d, n, c = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+        m = rng.choice([m for m in range(2 * n + 1) if gcd(m, n) == 1])
+        a = rng.randint(-2, d * n * c + 2)
+        roots = RootConfig.simple(range(1, rng.choice((d, d, d + 1)) + 1))
+        expected = {
+            "hom": 0 < a and 0 < d * n * c - a,
+            "action": (a * m - c) % n == 0,
+            "div": gcd(c, n) == 1 and gcd(a, c) == 1,
+            "man-cond": sum(roots.multiplicities) == d,
+        }
+        conditions = weight_conditions(d, n, m, c, a, roots)
+        assert {x.tag: x.passed for x in conditions} == expected
+        assert [x.tag for x in conditions] == list(expected)
+        failed = [tag for tag, ok in expected.items() if not ok]
+        for tag in failed:
+            failures[tag] += 1
+        if not failed:
+            assert build_cyclic(d, n, m, c, a, roots).weights_abc == (a, d * n * c - a, c)
+            continue
+        with pytest.raises((ConditionViolated, RootsInvalid)) as err:
+            build_cyclic(d, n, m, c, a, roots)
+        assert getattr(err.value, "tag", "man-cond") in failed
+    assert all(count > 20 for count in failures.values()), failures
 
 
 def test_build_cyclic_root_total_must_match_d():

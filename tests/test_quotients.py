@@ -5,18 +5,18 @@ from math import gcd
 
 import pytest
 
+from classt.arith import hj_evaluate
 from classt.quotients import (
     QuotientSingularity,
     TriPoly,
     detect_class_T,
     hj_resolution,
-    is_equivalent,
     normalize,
     rdp_data,
 )
 from classt.errors import BadInput, InvalidIndex, NotFree, SmoothPoint
 
-from oracles import milnor_quotient_dim, monomials_independent
+from oracles import is_equivalent, milnor_quotient_dim, monomials_independent
 
 
 def test_constructor_validation():
@@ -71,7 +71,7 @@ def test_hj_resolution_frozen():
     chain = hj_resolution(QuotientSingularity(7, (1, 5)))
     assert chain.entries == (2, 2, 3)
     assert chain.self_intersections() == (-2, -2, -3)
-    assert chain.value() == Fraction(7, 5)
+    assert hj_evaluate(chain.entries) == Fraction(7, 5)
     with pytest.raises(SmoothPoint):
         hj_resolution(QuotientSingularity(1, (1, 1)))
 

