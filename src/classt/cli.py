@@ -147,7 +147,7 @@ def run_command(argv: list[str]) -> int:
         if args.format == "dot":
             if report.dot is None:
                 raise BadInput(_DOTLESS)
-            payload = report.dot
+            payload = report.dot()
         elif args.format == "json":
             payload = reports.render_json(report.data)
         else:

@@ -396,7 +396,13 @@ def build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> C
     failed condition, where a ``c`` sharing a factor with ``n`` fails
     "div" ahead of every other tag.
     """
-    hom, action, div, man = weight_conditions(d, n, m, c, a, roots)
+    return _build_cyclic(d, n, m, c, a, roots, weight_conditions(d, n, m, c, a, roots))
+
+
+def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
+                  conditions: tuple) -> CompactificationModel:
+    """build_cyclic on the already evaluated ``weight_conditions`` records."""
+    hom, action, div, man = conditions
     # div quotes gcd(c, n) as values[3]; action quotes m mod n as values[1].
     for cond in (div,) if div.values[3] != 1 else (hom, action, div, man):
         if not cond.passed:

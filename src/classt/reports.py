@@ -17,14 +17,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .arith import as_fraction, hj_evaluate
 from .birational import blowup_at_R2, blowup_description, plane_points, roundtrip_check
 from .compactify import (
     CompactificationModel,
     RootConfig,
-    build_cyclic,
+    _build_cyclic,
     build_rdp,
     enumerate_weights,
     minimal_resolution,
@@ -40,7 +40,7 @@ from .quotients import (
     normalize,
 )
 from .sweep import run_all
-from .tianyau import check_hypotheses
+from .tianyau import TianYauReport, check_hypotheses
 
 SCHEMA_VERSION = "1.0"
 
@@ -79,9 +79,11 @@ def na_diags(*names: str) -> list[dict]:
 
 @dataclass
 class CommandReport:
+    """``dot()`` renders the DOT form on demand; None means no graph form."""
+
     data: dict
     exit_code: int
-    dot: str | None = None
+    dot: Callable[[], str] | None = None
 
 
 def assemble(case_id: str, inputs: dict, outputs: dict, diagnostics: list[dict]) -> dict:
@@ -104,8 +106,8 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
 
     The weight conditions become diagnostics, with "beta>1" and
     "adjunction-residual" added.  When a condition fails the outputs list
-    the failed tags and the exit code is 1; otherwise the model is built
-    and ``finish(model)`` gives the outputs, the exit code and the DOT form.
+    the failed tags and the exit code is 1; otherwise the model is built and
+    ``finish(model, its TianYauReport)`` gives the outputs, exit code and DOT.
     """
     d, n, m, c, a, roots = params
     conditions = weight_conditions(d, n, m, c, a, roots)
@@ -113,9 +115,10 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
     beta = Fraction(c + n, n)
     diags.append(diag("beta>1", beta > 1, f"beta = (c + n)/n = {rational_str(beta)}"))
     if all(x.passed for x in conditions):
-        model = build_cyclic(d, n, m, c, a, roots)
-        diags.append(_residual_diag(model))
-        outputs, exit_code, dot = finish(model)
+        model = _build_cyclic(d, n, m, c, a, roots, conditions)
+        report = check_hypotheses(model)
+        diags.append(_residual_diag(report))
+        outputs, exit_code, dot = finish(model, report)
     else:
         diags.append(diag("adjunction-residual", False, "model not constructed"))
         outputs = {"conditions_failed": [x["name"] for x in diags if not x["passed"]]}
@@ -125,8 +128,8 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
     return CommandReport(data=data, exit_code=exit_code, dot=dot)
 
 
-def _residual_diag(model: CompactificationModel) -> dict:
-    res = check_hypotheses(model).adjunction_residual
+def _residual_diag(report: TianYauReport) -> dict:
+    res = report.adjunction_residual
     return diag("adjunction-residual", res == 0, f"K.C + C^2 - orbifold Euler side = {rational_str(res)}")
 
 
@@ -185,17 +188,17 @@ def classify_report(order: int, weights: tuple[int, int]) -> CommandReport:
             "label": found.label(),
         }
         outputs["solutions"] = [list(t) for t in found.solutions]
-    diags = na_diags(*DIAGNOSTIC_TAGS)
     data = assemble(
         f"classify-{order}-{weights[0]}-{weights[1]}",
         {"order": order, "weights": list(weights)},
         outputs,
-        diags,
+        na_diags(*DIAGNOSTIC_TAGS),
     )
-    if std.order > 1:
-        dot = render_chain_dot(std.label(), hj_resolution(std).entries)
-    else:
-        dot = "graph resolution_chain {\n}\n"
+
+    def dot() -> str:
+        if std.order == 1:
+            return "graph resolution_chain {\n}\n"
+        return render_chain_dot(std.label(), hj_resolution(std).entries)
     return CommandReport(data=data, exit_code=0, dot=dot)
 
 
@@ -225,7 +228,7 @@ def enumerate_report(d: int, n: int, m: int, c: int) -> CommandReport:
 def build_cyclic_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CommandReport:
     return _cyclic_report(
         "build-cyclic", (d, n, m, c, a, roots), {},
-        lambda model: (_model_outputs(model), 0, render_model_dot(model)),
+        lambda model, _: (_model_outputs(model), 0, lambda: render_model_dot(model)),
     )
 
 
@@ -235,22 +238,21 @@ def build_rdp_report(ade: str, index: int, coeffs: list | None) -> CommandReport
     model = build_rdp(ade, index, coeffs)
     diags = na_diags("hom", "action", "div", "man-cond")
     diags.append(diag("beta>1", model.beta > 1, f"beta = {rational_str(model.beta)}"))
-    residual = _residual_diag(model)
+    residual = _residual_diag(check_hypotheses(model))
     diags.append(residual)
     inputs = {"type": ade, "index": index}
     if coeffs is not None:
         inputs["coeffs"] = [rational_str(v) for v in model.coefficients]
     data = assemble(f"build-rdp-{ade}{index}", inputs, _model_outputs(model), diags)
     ok = model.beta > 1 and residual["passed"]
-    return CommandReport(data=data, exit_code=0 if ok else 1, dot=render_model_dot(model))
+    return CommandReport(data=data, exit_code=0 if ok else 1, dot=lambda: render_model_dot(model))
 
 
 def check_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CommandReport:
     return _cyclic_report("check", (d, n, m, c, a, roots), {}, _check_outputs)
 
 
-def _check_outputs(model: CompactificationModel) -> tuple[dict, int, str]:
-    report = check_hypotheses(model)
+def _check_outputs(model: CompactificationModel, report: TianYauReport) -> tuple:
     resolved_report = check_hypotheses(minimal_resolution(model))
     outputs = {
         "model": model.label(),
@@ -265,7 +267,7 @@ def _check_outputs(model: CompactificationModel) -> tuple[dict, int, str]:
         "all_satisfied": report.all_satisfied,
         "after_resolution_all_satisfied": resolved_report.all_satisfied,
     }
-    return outputs, 0 if report.all_satisfied else 1, render_model_dot(model)
+    return outputs, 0 if report.all_satisfied else 1, lambda: render_model_dot(model)
 
 
 def birational_report(
@@ -273,7 +275,7 @@ def birational_report(
 ) -> CommandReport:
     _check_range("samples", samples, 1, _MAX_SAMPLES)
 
-    def finish(model: CompactificationModel) -> tuple[dict, int, str]:
+    def finish(model: CompactificationModel, _: TianYauReport) -> tuple:
         blow = blowup_at_R2(model)
         desc = blowup_description(model)
         points_match = blow.new_singularities == plane_points(model)
@@ -301,7 +303,7 @@ def birational_report(
             "roundtrip": {"samples": samples, "seed": seed, "passed": rt_ok},
         }
         ok = points_match and euler_ok and rt_ok
-        return outputs, 0 if ok else 1, render_blowup_dot(desc)
+        return outputs, 0 if ok else 1, lambda: render_blowup_dot(desc)
 
     return _cyclic_report(
         "birational", (d, n, m, c, a, roots), {"samples": samples, "seed": seed}, finish
@@ -334,7 +336,7 @@ def resolve_report(order: int, weights: tuple[int, int]) -> CommandReport:
     return CommandReport(
         data=data,
         exit_code=0 if matches else 1,
-        dot=render_chain_dot(std.label(), chain.entries),
+        dot=lambda: render_chain_dot(std.label(), chain.entries),
     )
 
 

@@ -12,13 +12,14 @@ the invariants together is the orbifold adjunction formula on ``D``:
     K.D + D^2 = -2 + sum_i (1 - 1/r_i)
 
 over the orbifold points of ``D``, which must vanish identically for
-every model this package constructs.
+every model this package constructs; its residual is summed on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Union
 
 from .compactify import CompactificationModel, ResolvedModel
@@ -76,14 +77,15 @@ def orbifold_adjunction_residual(model: AnyModel) -> Fraction:
 
     Uses ``K.C = -beta * C^2`` and the recorded orbifold point orders
     of the boundary curve; zero for every correctly assembled model.
+    Summed on integers over the denominator ``den(beta) den(C^2) prod r_i``.
     """
     base = _base(model)
-    csq = base.curve.self_intersection
-    kc = -base.beta * csq
-    target = Fraction(-2)
-    for r in base.curve.orbifold_points:
-        target += 1 - Fraction(1, r)
-    return kc + csq - target
+    beta, csq, orders = base.beta, base.curve.self_intersection, base.curve.orbifold_points
+    r_prod = prod(orders)
+    scale = beta.denominator * csq.denominator
+    total = (beta.denominator - beta.numerator) * csq.numerator * r_prod
+    total += scale * ((2 - len(orders)) * r_prod + sum(r_prod // r for r in orders))
+    return Fraction(total, scale * r_prod)
 
 
 def check_hypotheses(model: AnyModel) -> TianYauReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from classt.compactify import ResolvedModel
 from classt.quotients import QuotientSingularity, TriPoly, normalize
 from classt.wps import WeightedProjectiveSpace
 
@@ -204,3 +205,15 @@ def is_well_formed(space: WeightedProjectiveSpace) -> bool:
         if g > 1:
             return False
     return True
+
+
+def fraction_adjunction_residual(model) -> Fraction:
+    """``K.C + C^2 - (-2 + sum (1 - 1/r_i))`` with ``K.C = -beta C^2``,
+    built up one Fraction operation at a time."""
+    base = model.base if isinstance(model, ResolvedModel) else model
+    csq = base.curve.self_intersection
+    kc = -base.beta * csq
+    target = Fraction(-2)
+    for r in base.curve.orbifold_points:
+        target += 1 - Fraction(1, r)
+    return kc + csq - target

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -255,6 +256,41 @@ def test_hj_roundtrip_property(pair):
     entries = hj_expand(r, q)
     assert all(b >= 2 for b in entries)
     assert hj_evaluate(entries) == Fraction(r, q)
+
+
+_NONZERO = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 6))
+_RATIONALS = st.just(Fraction(0)) | _NONZERO
+
+
+@st.composite
+def _factored_polys(draw):
+    """A nonzero constant times rational linear and quadratic factors,
+    each raised to a multiplicity from 1 to 4."""
+    p = UniPoly.constant(draw(_NONZERO))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        lower = [draw(_RATIONALS) for _ in range(draw(st.sampled_from((1, 2))))]
+        factor = UniPoly.of(lower + [draw(_NONZERO)])
+        p = p * factor ** draw(st.integers(min_value=1, max_value=4))
+    return p
+
+
+def _sympy_fraction(value) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_factored_polys())
+def test_squarefree_decomposition_matches_sympy(p):
+    z = sympy.Symbol("z")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    lead, factors = sympy.Poly(coeffs, z, domain=sympy.QQ).sqf_list()
+    expected = {
+        k: tuple(_sympy_fraction(c) for c in reversed(f.monic().all_coeffs())) for f, k in factors
+    }
+    got = squarefree_decomposition(p)
+    assert {k: f.coeffs for f, k in got} == expected
+    assert len(got) == len(expected)
+    assert _sympy_fraction(lead) == p.leading()
 
 
 def _nested_fraction_evaluate(entries):

@@ -3,6 +3,7 @@
 import json
 import re
 
+from classt import compactify, reports
 from classt.cli import run_command
 from classt.reports import DIAGNOSTIC_TAGS
 
@@ -300,6 +301,58 @@ def test_model_dot(capsys):
     assert "R2: 1/3(1,2)" in out
 
 
+# Exact DOT bytes of every graph command, as rendered before DOT became lazy.
+PINNED_DOT = [
+    (
+        ["classify", "--order", "18", "--weights", "1,5"],
+        0,
+        'graph resolution_chain {\n  rankdir=LR;\n  label="1/18(1,5)";\n'
+        '  e1 [shape=circle, label="-4"];\n  e2 [shape=circle, label="-3"];\n'
+        '  e3 [shape=circle, label="-2"];\n  e1 -- e2;\n  e2 -- e3;\n}\n',
+    ),
+    (
+        ["classify", "--order", "7", "--weights", "1,3"],
+        0,
+        'graph resolution_chain {\n  rankdir=LR;\n  label="1/7(1,3)";\n'
+        '  e1 [shape=circle, label="-3"];\n  e2 [shape=circle, label="-2"];\n'
+        '  e3 [shape=circle, label="-2"];\n  e1 -- e2;\n  e2 -- e3;\n}\n',
+    ),
+    (["classify", "--order", "1", "--weights", "1,1"], 0, "graph resolution_chain {\n}\n"),
+    (
+        ["check", "-d", "3", "-n", "2", "-m", "1", "-a", "1", "--roots", "1:3"],
+        1,
+        'graph model {\n  rankdir=LR;\n  C [shape=box, label="C  C^2=12/5  beta=3/2"];\n'
+        '  R2 [shape=circle, label="R2: 1/5(1,2)"];\n  C -- R2;\n'
+        '  S_1_1 [shape=circle, label="-2"];\n  S_1_2 [shape=circle, label="-2"];\n'
+        "  S_1_1 -- S_1_2;\n}\n",
+    ),
+    (
+        ["birational", "-d", "2", "-n", "3", "-m", "2", "-c", "2", "-a", "7", "--roots", "1:1,2:1",
+         "--seed", "4"],
+        0,
+        'graph blowup_surface {\n  rankdir=TB;\n  plane [shape=box, label="P(7,2,3)"];\n'
+        '  Lx [shape=box, label="(x=0) proper transform, removed"];\n'
+        '  Lw [shape=box, label="(w=0) proper transform, removed"];\n'
+        "  plane -- Lx;\n  plane -- Lw;\n"
+        '  s1_1 [shape=circle, label="-1"];\n  Lx -- s1_1;\n'
+        '  s2_1 [shape=circle, label="-1"];\n  Lx -- s2_1;\n}\n',
+    ),
+    (
+        ["build", "rdp", "--type", "E", "--index", "7"],
+        0,
+        'graph model {\n  rankdir=LR;\n  C [shape=box, label="C  C^2=1/12  beta=2/1"];\n'
+        '  P1 [shape=circle, label="P1: 1/2(1,1)"];\n  C -- P1;\n'
+        '  P2 [shape=circle, label="P2: 1/3(1,1)"];\n  C -- P2;\n'
+        '  P3 [shape=circle, label="P3: 1/4(1,1)"];\n  C -- P3;\n}\n',
+    ),
+]
+
+
+def test_dot_bytes_pinned(capsys):
+    for argv, exit_code, dot in PINNED_DOT:
+        assert run(capsys, argv + ["--format", "dot"]) == (exit_code, dot, ""), argv
+
+
 def test_dot_rejected_without_graph_form(capsys):
     code, out, err = run(capsys, ["sweep", "--max-d", "1", "--max-n", "1", "--max-c", "1", "--format", "dot"])
     assert code == 1
@@ -307,6 +360,47 @@ def test_dot_rejected_without_graph_form(capsys):
     assert "no graph form" in err
     code, _, err = run(capsys, ["enumerate", "-d", "2", "-n", "2", "-m", "1", "--format", "dot"])
     assert code == 1 and "no graph form" in err
+
+
+# ------------------------------------------------------------ work counts
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_check_does_each_piece_of_work_once(capsys, monkeypatch):
+    calls = {"check_hypotheses": 0, "weight_conditions": 0, "dot": 0}
+    monkeypatch.setattr(
+        reports, "check_hypotheses", _counting(calls, "check_hypotheses", reports.check_hypotheses)
+    )
+    conditions = _counting(calls, "weight_conditions", compactify.weight_conditions)
+    monkeypatch.setattr(reports, "weight_conditions", conditions)
+    monkeypatch.setattr(compactify, "weight_conditions", conditions)
+    for name in ("render_chain_dot", "render_model_dot", "render_blowup_dot"):
+        monkeypatch.setattr(reports, name, _counting(calls, "dot", getattr(reports, name)))
+    argv = ["check", "-d", "3", "-n", "2", "-m", "1", "-a", "1", "--roots", "1:3"]
+    code, data, _ = run_json(capsys, argv)
+    assert code == 1 and data["outputs"]["after_resolution_all_satisfied"]
+    # One report for the model and one for its resolution; no DOT for JSON.
+    assert calls == {"check_hypotheses": 2, "weight_conditions": 1, "dot": 0}
+    run(capsys, argv + ["--format", "dot"])
+    assert calls["dot"] == 1
+
+
+def test_classify_json_renders_no_chain(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("DOT work on a JSON report")
+
+    monkeypatch.setattr(reports, "render_chain_dot", boom)
+    monkeypatch.setattr(reports, "hj_resolution", boom)
+    for order, weights, class_t in (("18", "1,5", True), ("7", "1,3", False), ("1", "1,1", True)):
+        code, data, err = run_json(capsys, ["classify", "--order", order, "--weights", weights])
+        assert (code, err, data["outputs"]["is_class_t"]) == (0, "", class_t)
 
 
 # ------------------------------------------------------------ determinism

@@ -1,5 +1,6 @@
 """Tests for the numerical hypothesis checks and the adjunction identity."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -14,6 +15,9 @@ from classt import (
     minimal_resolution,
     orbifold_adjunction_residual,
 )
+from classt.compactify import ResolvedModel
+
+from oracles import fraction_adjunction_residual
 
 
 def test_check_d2_n2_model():
@@ -113,3 +117,46 @@ def test_decay_exponent_formula():
         a = enum.pairs[0].a
         model = build_cyclic(2, n, m, c, a, RootConfig.simple([1, 2]))
         assert check_hypotheses(model).decay_rhs == Fraction(2 * n, c)
+
+
+def _random_roots(rng, d):
+    """Distinct nonzero rational roots whose multiplicities sum to ``d``."""
+    cuts = sorted(rng.sample(range(1, d), rng.randint(0, d - 1)))
+    mults = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, d])]
+    values = rng.sample(sorted({Fraction(p, q) for p in range(-6, 7) if p for q in range(1, 5)}), len(mults))
+    return RootConfig.of(zip(values, mults))
+
+
+def test_residual_matches_fraction_reference():
+    rng = random.Random(20131)
+    models = [build_rdp(ade, k) for ade, k in [("D", k) for k in range(4, 13)] + [("E", 6), ("E", 7), ("E", 8)]]
+    for d in range(1, 4):
+        for n in range(1, 5):
+            for m in range(1, max(n, 2)):
+                for c in range(1, 4):
+                    if gcd(m, n) != 1 or gcd(c, n) != 1:
+                        continue
+                    for a, _ in enumerate_weights(d, n, m, c).pair_tuples():
+                        models.append(build_cyclic(d, n, m, c, a, _random_roots(rng, d)))
+    models += [minimal_resolution(model) for model in models[::2]]
+    assert any(isinstance(model, ResolvedModel) and model.exceptional_chains for model in models)
+    nonzero = 0
+    for model in models:
+        assert orbifold_adjunction_residual(model) == fraction_adjunction_residual(model) == 0
+        base = model.base if isinstance(model, ResolvedModel) else model
+        for wrong in ("beta", "C^2", "orders", "all"):
+            beta, csq, orders = base.beta, base.curve.self_intersection, base.curve.orbifold_points
+            if wrong in ("beta", "all"):
+                beta = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+            if wrong in ("C^2", "all"):
+                csq = Fraction(rng.randint(1, 80), rng.randint(1, 30))
+            if wrong in ("orders", "all"):
+                orders = tuple(sorted(rng.randint(2, 40) for _ in range(rng.randint(0, 4))))
+            broken = replace(base, beta=beta, curve=CurveAtInfinity(csq, orders))
+            if isinstance(model, ResolvedModel):
+                broken = replace(model, base=broken)
+            residual = orbifold_adjunction_residual(broken)
+            assert type(residual) is Fraction
+            assert residual == fraction_adjunction_residual(broken), (model, wrong)
+            nonzero += residual != 0
+    assert len(models) > 150 and nonzero > 3 * len(models)

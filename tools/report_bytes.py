@@ -14,7 +14,11 @@ over:
 * ``build cyclic``, ``check`` and ``birational`` over ``d <= 3``,
   ``n <= 4``, ``0 <= m <= n + 1``, ``c <= 3``, ``-1 <= a <= d*n*c + 1``
   with the roots ``1,...,d``, ``1:d+1`` and ``1/2:d``, in JSON, text and DOT;
-* ``build rdp --type D`` for the indices 4 to 12, in JSON, text and DOT.
+* ``build rdp --type D`` for the indices 4 to 12, and ``build rdp --type E``
+  for the indices 6 to 8 with and without ``--coeffs``, in JSON, text and DOT;
+* ``classify`` and ``resolve`` for the orders 1 to 40 with the weights
+  ``(q1, q2)``, ``0 <= q1 <= r`` and ``q2`` in ``{1, r - 1, 5}``, in JSON,
+  text and DOT.
 
 Each run prints one line: the arguments, the exit code and the SHA-256 of
 stdout and of stderr.  Each grid input also prints the exception type and
@@ -81,9 +85,20 @@ def main() -> None:
         runs.append(["--corpus", str(corpus), "--format", fmt])
         runs.append(["sweep", "--max-d", "5", "--max-n", "6", "--max-c", "4", "--seed", "3", "--format", fmt])
         runs.append(["sweep", "--format", fmt])
-    for index in range(4, 13):
-        for fmt in ("json", "text", "dot"):
-            runs.append(["build", "rdp", "--type", "D", "--index", str(index), "--format", fmt])
+    rdp = [["--type", "D", "--index", str(index)] for index in range(4, 13)]
+    for index in range(6, 9):
+        coeffs = ",".join(f"{(-1) ** i * (i + 1)}/{i + 2}" for i in range(index))
+        rdp += [["--type", "E", "--index", str(index)], ["--type", "E", "--index", str(index), "--coeffs", coeffs]]
+    germs = [
+        ["--order", str(r), "--weights", f"{q1},{q2}"]
+        for r in range(1, 41)
+        for q1 in range(0, r + 1)
+        for q2 in dict.fromkeys((1, r - 1, 5))
+    ]
+    for fmt in ("json", "text", "dot"):
+        runs.extend(["build", "rdp", *args, "--format", fmt] for args in rdp)
+        for command in ("classify", "resolve"):
+            runs.extend([command, *args, "--format", fmt] for args in germs)
     for argv in runs:
         print(run(run_command, argv))
 
