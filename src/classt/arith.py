@@ -138,9 +138,6 @@ class UniPoly:
                 out[i + j] += a * b
         return UniPoly.of(out)
 
-    def __rmul__(self, other: RationalLike) -> "UniPoly":
-        return self * other
-
     def __pow__(self, exponent: int) -> "UniPoly":
         if exponent < 0:
             raise BadInput(f"negative exponent {exponent}")
@@ -216,22 +213,6 @@ class UniPoly:
             qpow *= q
             value = value * p + ints[i] * qpow
         return Fraction(value, den * qpow)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("z" if c == 1 else f"{c}*z")
-            else:
-                parts.append(f"z^{i}" if c == 1 else f"{c}*z^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:

@@ -131,7 +131,7 @@ def surface_residue(model: CompactificationModel, coords: tuple[Fraction, ...]) 
     zp, zq = z.numerator ** model.n, z.denominator ** model.n
     wp, wq = w.numerator ** model.c, w.denominator ** model.c
     num = den = 1
-    for root, k in model.roots.pairs():
+    for root, k in model.roots.pairs:
         aq = root.denominator
         num *= (zp * aq * wq - root.numerator * wp * zq) ** k
         den *= (zq * aq * wq) ** k
@@ -157,28 +157,22 @@ def project_pi(model: CompactificationModel, point: WPoint) -> WPoint:
 
 
 @dataclass(frozen=True)
-class ExceptionalCurve:
-    """Exceptional rational curve with its orbifold point orders."""
-
-    label: str
-    orbifold_orders: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class BlowupModel:
     """Weighted blow-up of the model at ``R2``.
 
-    The two new quotient points sit on the exceptional curve; their
-    chart actions ``1/c(b, -n)`` and ``1/n(b, -c)`` are recorded as
+    The two new quotient points sit on the exceptional rational curve;
+    their chart actions ``1/c(b, -n)`` and ``1/n(b, -c)`` are recorded as
     given and in normalized form (``b == -a`` modulo both ``c`` and
     ``n``, so they normalize to ``1/c(a, n)`` and ``1/n(a, c)``, the
-    coordinate points of the target plane).
+    coordinate points of the target plane).  ``exceptional_orders`` are
+    the orbifold point orders on that curve, ``c`` and ``n`` where they
+    exceed one.
     """
 
     base: CompactificationModel
     chart_actions: tuple[tuple[int, tuple[int, int]], ...]
     new_singularities: tuple[QuotientSingularity, QuotientSingularity]
-    exceptional_curve: ExceptionalCurve
+    exceptional_orders: tuple[int, ...]
 
 
 def blowup_at_R2(model: CompactificationModel) -> BlowupModel:
@@ -189,12 +183,11 @@ def blowup_at_R2(model: CompactificationModel) -> BlowupModel:
     new = tuple(
         normalize(QuotientSingularity(order, weights)) for order, weights in actions
     )
-    orders = tuple(o for o in (c, n) if o > 1)
     return BlowupModel(
         base=model,
         chart_actions=actions,
         new_singularities=new,
-        exceptional_curve=ExceptionalCurve(label="E-hat", orbifold_orders=orders),
+        exceptional_orders=tuple(o for o in (c, n) if o > 1),
     )
 
 
@@ -222,11 +215,11 @@ def evaluate_pi_chart(
     s, t = map(as_fraction, coords)
     plane = target_plane(model)
     if chart == "T":
-        value = model.fiber_polynomial()(t**model.n)
+        value = model.roots.polynomial(t**model.n)
         return WPoint(plane, (s * value, t, _ONE))
     if chart == "S":
         q = Fraction(1)
-        for root, k in model.roots.pairs():
+        for root, k in model.roots.pairs:
             q *= (1 - root * t**model.c) ** k
         return WPoint(plane, (s * q, _ONE, t))
     raise BadInput(f"chart must be 'T' or 'S', got {chart!r}")
@@ -244,7 +237,7 @@ class BlowupSurfaceDescription:
 
     base_plane: WeightedProjectiveSpace
     centers: tuple[tuple[Fraction, int], ...]
-    removed_divisors: tuple[str, str]
+    removed_divisors = ("x=0", "w=0")
 
     @property
     def total_blowups(self) -> int:
@@ -261,8 +254,7 @@ def blowup_description(model: CompactificationModel) -> BlowupSurfaceDescription
     _require_cyclic(model)
     return BlowupSurfaceDescription(
         base_plane=target_plane(model),
-        centers=model.roots.pairs(),
-        removed_divisors=("x=0", "w=0"),
+        centers=model.roots.pairs,
     )
 
 

@@ -47,7 +47,6 @@ from .quotients import (
     HJChain,
     QuotientSingularity,
     RDPData,
-    RdpDescriptor,
     TriPoly,
     hj_resolution,
     normalize,
@@ -88,19 +87,18 @@ class RootConfig:
     @staticmethod
     def parse(text: str) -> "RootConfig":
         """Parse ``"a1:k1,a2:k2,..."``; a bare ``a`` means multiplicity one."""
-        pairs = []
+        roots, mults = [], []
         for chunk in text.split(","):
             chunk = chunk.strip()
             if not chunk:
                 raise BadInput("empty root entry")
             root, _, mult = chunk.partition(":")
             try:
-                r = as_fraction(root.strip())
-                k = int(mult.strip()) if mult.strip() else 1
+                roots.append(as_fraction(root.strip()))
+                mults.append(int(mult.strip()) if mult.strip() else 1)
             except (ValueError, ZeroDivisionError) as exc:
                 raise BadInput(f"cannot parse root entry {chunk!r}") from exc
-            pairs.append((r, k))
-        return RootConfig.of(pairs)
+        return RootConfig(tuple(roots), tuple(mults))
 
     @property
     def total(self) -> int:
@@ -108,22 +106,16 @@ class RootConfig:
         return sum(self.multiplicities)
 
     @cached_property
-    def _pair_tuple(self) -> tuple[tuple[Fraction, int], ...]:
+    def pairs(self) -> tuple[tuple[Fraction, int], ...]:
         return tuple(zip(self.roots, self.multiplicities))
 
-    def pairs(self) -> tuple[tuple[Fraction, int], ...]:
-        return self._pair_tuple
-
     @cached_property
-    def _expanded(self) -> UniPoly:
-        return UniPoly.from_roots(self.pairs())
-
     def polynomial(self) -> UniPoly:
         """The monic polynomial ``P(z) = prod (z - a_j)^(k_j)``."""
-        return self._expanded
+        return UniPoly.from_roots(self.pairs)
 
     def as_text(self) -> str:
-        return ",".join(f"{r}:{k}" for r, k in self.pairs())
+        return ",".join(f"{r}:{k}" for r, k in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,7 @@ class CurveAtInfinity:
 
     self_intersection: Fraction
     orbifold_points: tuple[int, ...]
-    genus: int = 0
+    genus = 0
 
     def __post_init__(self):
         if self.self_intersection <= 0:
@@ -143,68 +135,72 @@ class CurveAtInfinity:
 
 @dataclass(frozen=True)
 class TopologyInvariants:
+    """Fundamental group order and second Betti number of the fibre ``M``.
+
+    ``M`` has ``b_1 = b_3 = 0``, so ``chi_M = 1 + b2_M``; capping it with
+    the rational boundary curve gives ``Mbar`` with ``b2_Mbar = b2_M + 1``
+    and ``chi_Mbar = chi_M + 2``.  All three are derived from ``b2_M``.
+    """
+
     pi1_order_M: int
     b2_M: int
-    b2_Mbar: int
-    chi_M: int
-    chi_Mbar: int
+
+    @property
+    def b2_Mbar(self) -> int:
+        return self.b2_M + 1
+
+    @property
+    def chi_M(self) -> int:
+        return self.b2_M + 1
+
+    @property
+    def chi_Mbar(self) -> int:
+        return self.b2_M + 3
 
 
 @dataclass(frozen=True)
 class CompactificationModel:
     """A compactified smoothing, either cyclic-variant or a D/E model.
 
-    ``weights_abc`` are the first three ambient weights ``(a, b, c)``;
-    the fourth is ``n`` (cyclic) or ``1`` (D/E).  Interior singularities
-    are pairs ``(label, k)`` meaning an ``A_k`` point; for D/E models
-    the list is empty (generic fibres are smooth inside, and locating
-    double points of special coefficient choices is not attempted).
+    A cyclic model carries its ``roots`` and a CyclicTDescriptor; a D/E
+    model carries its RDPData as ``descriptor`` and the deformation
+    ``coefficients``, and ``roots`` is None.  ``a``, ``b``, ``c`` and
+    ``n`` read the ambient weights ``(a, b, c, n)``, where ``n`` is 1
+    for D/E.  Interior singularities are pairs ``(label, k)`` meaning an
+    ``A_k`` point; for D/E models the list is empty (generic fibres are
+    smooth inside, and locating double points of special coefficient
+    choices is not attempted).
     """
 
-    kind: str
-    descriptor: Union[CyclicTDescriptor, RdpDescriptor]
+    descriptor: Union[CyclicTDescriptor, RDPData]
     ambient: WeightedProjectiveSpace
     degree: int
-    weights_abc: tuple[int, int, int]
     beta: Fraction
     curve: CurveAtInfinity
     infinity_singularities: tuple[tuple[str, QuotientSingularity], ...]
     interior_singularities: tuple[tuple[str, int], ...]
     roots: RootConfig | None = None
-    rdp: RDPData | None = None
     coefficients: tuple[Fraction, ...] | None = None
-    deformed_poly: TriPoly | None = None
 
     @property
     def is_cyclic(self) -> bool:
-        return self.kind == "cyclic"
+        return self.roots is not None
 
     @property
     def a(self) -> int:
-        return self.weights_abc[0]
+        return self.ambient.weights[0]
 
     @property
     def b(self) -> int:
-        return self.weights_abc[1]
+        return self.ambient.weights[1]
 
     @property
     def c(self) -> int:
-        return self.weights_abc[2]
+        return self.ambient.weights[2]
 
     @property
     def n(self) -> int:
         return self.ambient.weights[3]
-
-    @property
-    def d(self) -> int:
-        if self.is_cyclic:
-            return self.descriptor.d
-        raise NotCyclicVariant("d is a cyclic-variant parameter")
-
-    def fiber_polynomial(self) -> UniPoly:
-        if self.roots is None:
-            raise NotCyclicVariant("only cyclic-variant models carry a root polynomial")
-        return self.roots.polynomial()
 
     def label(self) -> str:
         if self.is_cyclic:
@@ -215,7 +211,7 @@ class CompactificationModel:
     def equation_str(self) -> str:
         if self.is_cyclic:
             factors = []
-            for r, k in self.roots.pairs():
+            for r, k in self.roots.pairs:
                 zc = f"z^{self.n}" if self.n > 1 else "z"
                 wc = f"w^{self.c}" if self.c > 1 else "w"
                 coef = "" if r == 1 else f"{r}*"
@@ -235,12 +231,16 @@ class CompactificationModel:
 
     def homogenized_terms(self) -> tuple[tuple[tuple[int, int, int, int], Fraction], ...]:
         """Terms of the degree-``N`` equation of a D/E model, as
-        ``((i, j, k, l), coeff)`` for ``x^i y^j z^k w^l``."""
+        ``((i, j, k, l), coeff)`` for ``x^i y^j z^k w^l``: the normal form
+        minus the coefficients times the Milnor basis monomials."""
         if self.is_cyclic:
             raise NotCyclicVariant("cyclic models use the root-product form")
-        a, b, c = self.weights_abc
+        deformed = self.descriptor.defining_poly
+        for coeff, exps in zip(self.coefficients, self.descriptor.milnor_basis):
+            deformed = deformed - TriPoly.monomial(coeff, *exps)
+        a, b, c = self.a, self.b, self.c
         out = []
-        for (i, j, k), coeff in sorted(self.deformed_poly.terms.items(), reverse=True):
+        for (i, j, k), coeff in sorted(deformed.terms.items(), reverse=True):
             l = self.degree - (i * a + j * b + k * c)
             if l < 0:
                 raise BadInput(f"term x^{i} y^{j} z^{k} exceeds degree {self.degree}")
@@ -412,7 +412,6 @@ def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
     m_c = action.values[1]
     degree = d * n * c
     b = degree - a
-    u = mod_inverse(m_c, n)
     ambient = WeightedProjectiveSpace((a, b, c, n))
     X = HypersurfaceClass(ambient, degree)
     # beta and C^2 are read off the ambient intersection theory rather
@@ -423,21 +422,16 @@ def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
     r1 = normalize(QuotientSingularity(a, (c, n)))
     r2 = normalize(QuotientSingularity(b, (c, n)))
     interior = tuple(
-        (f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(roots.pairs()) if k >= 2
+        (f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(roots.pairs) if k >= 2
     )
     curve = CurveAtInfinity(
         self_intersection=csq,
         orbifold_points=tuple(sorted(o for o in (a, b) if o > 1)),
     )
-    descriptor = CyclicTDescriptor(
-        d=d, n=n, m=m_c, u=u, solutions=((d, n, m_c),)
-    )
     return CompactificationModel(
-        kind="cyclic",
-        descriptor=descriptor,
+        descriptor=CyclicTDescriptor(d=d, n=n, m=m_c, solutions=((d, n, m_c),)),
         ambient=ambient,
         degree=degree,
-        weights_abc=(a, b, c),
         beta=beta,
         curve=curve,
         infinity_singularities=(("R1", r1), ("R2", r2)),
@@ -497,9 +491,6 @@ def build_rdp(
             raise CoefficientCountMismatch(
                 f"{data.label()} needs {data.milnor_number} coefficients, got {len(coeffs)}"
             )
-    deformed = data.defining_poly
-    for coeff, exps in zip(coeffs, data.milnor_basis):
-        deformed = deformed - TriPoly.monomial(coeff, *exps)
     ambient = WeightedProjectiveSpace((a, b, c, 1))
     X = HypersurfaceClass(ambient, degree)
     beta = Fraction(-adjunction_class(X), 1)
@@ -513,18 +504,14 @@ def build_rdp(
         orbifold_points=tuple(sorted(orders)),
     )
     return CompactificationModel(
-        kind="rdp",
-        descriptor=RdpDescriptor(ade=ade, index=index),
+        descriptor=data,
         ambient=ambient,
         degree=degree,
-        weights_abc=(a, b, c),
         beta=beta,
         curve=curve,
         infinity_singularities=infinity,
         interior_singularities=(),
-        rdp=data,
         coefficients=coeffs,
-        deformed_poly=deformed,
     )
 
 
@@ -532,8 +519,11 @@ def build_rdp(
 class FiberStatus:
     """Interior smoothness of a cyclic-variant fibre."""
 
-    smooth: bool
     a_indices: tuple[int, ...]
+
+    @property
+    def smooth(self) -> bool:
+        return not self.a_indices
 
 
 def smoothness_status(roots: RootConfig) -> FiberStatus:
@@ -545,11 +535,11 @@ def smoothness_status(roots: RootConfig) -> FiberStatus:
     list the configuration was built from.
     """
     indices: list[int] = []
-    for deg, mult in multiplicity_profile(roots.polynomial()):
+    for deg, mult in multiplicity_profile(roots.polynomial):
         if mult >= 2:
             indices.extend([mult - 1] * deg)
     indices.sort()
-    return FiberStatus(smooth=not indices, a_indices=tuple(indices))
+    return FiberStatus(a_indices=tuple(indices))
 
 
 def topology(model: CompactificationModel) -> TopologyInvariants:
@@ -563,22 +553,8 @@ def topology(model: CompactificationModel) -> TopologyInvariants:
     fibre is simply connected with ``b_2 = k``.
     """
     if model.is_cyclic:
-        d = model.descriptor.d
-        return TopologyInvariants(
-            pi1_order_M=model.descriptor.n,
-            b2_M=d - 1,
-            b2_Mbar=d,
-            chi_M=d,
-            chi_Mbar=d + 2,
-        )
-    k = model.descriptor.index
-    return TopologyInvariants(
-        pi1_order_M=1,
-        b2_M=k,
-        b2_Mbar=k + 1,
-        chi_M=k + 1,
-        chi_Mbar=k + 3,
-    )
+        return TopologyInvariants(pi1_order_M=model.descriptor.n, b2_M=model.descriptor.d - 1)
+    return TopologyInvariants(pi1_order_M=1, b2_M=model.descriptor.index)
 
 
 @dataclass(frozen=True)
@@ -587,18 +563,6 @@ class ResolvedModel:
 
     base: CompactificationModel
     exceptional_chains: tuple[tuple[str, HJChain], ...]
-
-    @property
-    def beta(self) -> Fraction:
-        return self.base.beta
-
-    @property
-    def curve(self) -> CurveAtInfinity:
-        return self.base.curve
-
-    @property
-    def infinity_singularities(self) -> tuple[tuple[str, QuotientSingularity], ...]:
-        return self.base.infinity_singularities
 
     @property
     def interior_singularities(self) -> tuple[tuple[str, int], ...]:

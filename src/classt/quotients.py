@@ -102,17 +102,21 @@ def hj_resolution(s: QuotientSingularity) -> HJChain:
 class CyclicTDescriptor:
     """Reading of a germ as ``1/(d*n^2)(1, d*n*m - 1)`` with gcd(m, n) = 1.
 
-    ``u`` is the inverse of ``m`` modulo ``n`` (zero when ``n == 1``).
-    ``solutions`` lists every valid ``(d, n, m)`` reading, largest ``n``
-    first; the descriptor's own parameters are the first entry.  The
-    ``n == 1`` reading exists exactly for the double point ``A_(d-1)``.
+    ``u``, derived from ``m`` and ``n``, is the inverse of ``m`` modulo
+    ``n`` (zero when ``n == 1``).  ``solutions`` lists every valid
+    ``(d, n, m)`` reading, largest ``n`` first; the descriptor's own
+    parameters are the first entry.  The ``n == 1`` reading exists
+    exactly for the double point ``A_(d-1)``.
     """
 
     d: int
     n: int
     m: int
-    u: int
     solutions: tuple[tuple[int, int, int], ...]
+
+    @property
+    def u(self) -> int:
+        return mod_inverse(self.m, self.n)
 
     @property
     def order(self) -> int:
@@ -126,20 +130,6 @@ class CyclicTDescriptor:
         if self.is_a_type:
             return f"A_{self.d - 1}"
         return f"1/{self.order}(1,{self.d * self.n * self.m - 1})"
-
-
-@dataclass(frozen=True)
-class RdpDescriptor:
-    """ADE label of a rational double point."""
-
-    ade: str
-    index: int
-
-    def __post_init__(self):
-        _validate_ade(self.ade, self.index)
-
-    def label(self) -> str:
-        return f"{self.ade}_{self.index}" if self.ade != "E" else f"E{self.index}"
 
 
 def class_t_solutions(r: int, q: int) -> list[tuple[int, int, int]]:
@@ -180,8 +170,7 @@ def detect_class_T(s: QuotientSingularity) -> CyclicTDescriptor | None:
     if not sols:
         return None
     d, n, m = sols[0]
-    u = mod_inverse(m, n)
-    return CyclicTDescriptor(d=d, n=n, m=m, u=u, solutions=tuple(sols))
+    return CyclicTDescriptor(d=d, n=n, m=m, solutions=tuple(sols))
 
 
 class TriPoly:
@@ -234,9 +223,6 @@ class TriPoly:
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return TriPoly(out)
 
-    def __rmul__(self, other: RationalLike) -> "TriPoly":
-        return self * other
-
     def diff(self, var: int) -> "TriPoly":
         """Partial derivative with respect to variable 0, 1, or 2."""
         out: dict[tuple[int, int, int], Fraction] = {}
@@ -270,9 +256,6 @@ class TriPoly:
         return " + ".join(
             _term_str(exps, c) for exps, c in sorted(self.terms.items(), reverse=True)
         ).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"TriPoly({self})"
 
 
 def _term_str(exps: tuple[int, int, int], coeff: Fraction) -> str:

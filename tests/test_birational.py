@@ -122,7 +122,7 @@ def test_surface_residue_values():
 def _direct_residue(model, coords):
     x, y, z, w = coords
     product = Fraction(1)
-    for root, k in model.roots.pairs():
+    for root, k in model.roots.pairs:
         product *= (z**model.n - root * w**model.c) ** k
     return x * y - product
 
@@ -160,7 +160,7 @@ def test_blowup_frozen_c2_model():
     s1, s2 = blown.new_singularities
     assert (s1.order, s1.weights) == (2, (1, 1))
     assert (s2.order, s2.weights) == (3, (1, 2))
-    assert blown.exceptional_curve.orbifold_orders == (2, 3)
+    assert blown.exceptional_orders == (2, 3)
 
 
 def test_blowup_d2_model():
@@ -169,7 +169,7 @@ def test_blowup_d2_model():
     s1, s2 = blown.new_singularities
     assert s1.is_smooth()
     assert (s2.order, s2.weights) == (2, (1, 1))
-    assert blown.exceptional_curve.orbifold_orders == (2,)
+    assert blown.exceptional_orders == (2,)
 
 
 def test_blowup_matches_plane_coordinate_points():

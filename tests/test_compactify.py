@@ -1,6 +1,7 @@
 """Tests for weight enumeration and compactified-model construction."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -24,6 +25,7 @@ from classt import (
     topology,
 )
 from classt.compactify import weight_conditions
+from classt.wps import WeightedProjectiveSpace
 
 
 # ---------------------------------------------------------------- roots
@@ -44,7 +46,7 @@ def test_root_config_validation():
 
 def test_root_config_parse_and_text():
     rc = RootConfig.parse("3:2, 5")
-    assert rc.pairs() == ((Fraction(3), 2), (Fraction(5), 1))
+    assert rc.pairs == ((Fraction(3), 2), (Fraction(5), 1))
     assert rc.total == 3
     assert rc.as_text() == "3:2,5:1"
     assert RootConfig.parse(rc.as_text()) == rc
@@ -59,7 +61,7 @@ def test_root_config_parse_errors():
 
 def test_root_polynomial():
     rc = RootConfig.of([(1, 2), (2, 1)])
-    p = rc.polynomial()
+    p = rc.polynomial
     assert p.degree == 3
     assert p(1) == 0 and p(2) == 0 and p(0) == -2
 
@@ -132,7 +134,7 @@ def test_build_cyclic_d2_n2():
     assert model.is_cyclic
     assert model.ambient.weights == (1, 3, 1, 2)
     assert model.degree == 4
-    assert (model.a, model.b, model.c, model.n, model.d) == (1, 3, 1, 2, 2)
+    assert (model.a, model.b, model.c, model.n, model.descriptor.d) == (1, 3, 1, 2, 2)
     assert model.beta == Fraction(3, 2)
     assert model.curve.self_intersection == Fraction(8, 3)
     assert model.curve.orbifold_points == (3,)
@@ -167,7 +169,7 @@ def test_build_cyclic_d2_n3_c2():
 def test_build_cyclic_repeated_roots_interior():
     model = build_cyclic(3, 2, 1, 1, 1, RootConfig.of([(1, 2), (2, 1)]))
     assert model.interior_singularities == (("S_1", 1),)
-    assert model.fiber_polynomial()(1) == 0
+    assert model.roots.polynomial(1) == 0
     assert model.equation_str() == "x*y - (z^2 - w)^2*(z^2 - 2*w)"
 
 
@@ -208,7 +210,7 @@ def test_build_cyclic_condition_tags():
         for tag in failed:
             failures[tag] += 1
         if not failed:
-            assert build_cyclic(d, n, m, c, a, roots).weights_abc == (a, d * n * c - a, c)
+            assert build_cyclic(d, n, m, c, a, roots).ambient.weights == (a, d * n * c - a, c, n)
             continue
         with pytest.raises((ConditionViolated, RootsInvalid)) as err:
             build_cyclic(d, n, m, c, a, roots)
@@ -268,8 +270,8 @@ def test_build_rdp_table():
     for (ade, index), (abc, degree, csq, orders) in RDP_TABLE.items():
         model = build_rdp(ade, index)
         assert not model.is_cyclic
-        assert model.weights_abc == abc
         assert model.ambient.weights == abc + (1,)
+        assert (model.a, model.b, model.c, model.n) == abc + (1,)
         assert model.degree == degree
         assert model.beta == 2
         assert model.curve.self_intersection == csq
@@ -277,7 +279,7 @@ def test_build_rdp_table():
         assert tuple(sorted(s.order for _, s in model.infinity_singularities)) == orders
         assert all(s.weights == (1, 1) for _, s in model.infinity_singularities)
         assert model.interior_singularities == ()
-        assert model.coefficients == (Fraction(0),) * model.rdp.milnor_number
+        assert model.coefficients == (Fraction(0),) * model.descriptor.milnor_number
 
 
 def test_build_rdp_degree_formula_d_series():
@@ -289,7 +291,7 @@ def test_build_rdp_degree_formula_d_series():
 
 def test_build_rdp_homogeneous_terms():
     model = build_rdp("D", 4, [1, 2, 3, 4])
-    a, b, c = model.weights_abc
+    a, b, c = model.ambient.weights[:3]
     terms = model.homogenized_terms()
     assert len(terms) == 3 + 4
     for (i, j, k, l), coeff in terms:
@@ -315,11 +317,6 @@ def test_build_rdp_errors():
 
 
 def test_rdp_model_rejects_cyclic_accessors():
-    model = build_rdp("E", 6)
-    with pytest.raises(NotCyclicVariant):
-        model.fiber_polynomial()
-    with pytest.raises(NotCyclicVariant):
-        _ = model.d
     cyclic = build_cyclic(2, 2, 1, 1, 1, RootConfig.simple([1, 2]))
     with pytest.raises(NotCyclicVariant):
         cyclic.homogenized_terms()
@@ -369,6 +366,18 @@ def test_topology_rdp():
     assert (inv.b2_M, inv.chi_Mbar) == (8, 11)
 
 
+def test_derived_values_follow_their_source():
+    status = smoothness_status(RootConfig.simple([1, 2]))
+    assert status.smooth
+    assert not replace(status, a_indices=(9,)).smooth
+    inv = replace(topology(build_cyclic(2, 3, 1, 1, 1, RootConfig.simple([1, 2]))), b2_M=5)
+    assert (inv.b2_Mbar, inv.chi_M, inv.chi_Mbar) == (6, 6, 8)
+    model = build_cyclic(2, 3, 1, 1, 1, RootConfig.simple([1, 2]))
+    assert model.descriptor.u == 1 and replace(model.descriptor, m=2).u == 2
+    moved = replace(model, ambient=WeightedProjectiveSpace((5, 1, 1, 3)))
+    assert (moved.a, moved.b, moved.c, moved.n) == (5, 1, 1, 3)
+
+
 # ------------------------------------------------------------ resolution
 
 
@@ -382,9 +391,6 @@ def test_minimal_resolution_chains():
     assert chain.entries == (2, 2)
     assert chain.self_intersections() == (-2, -2)
     assert resolved.interior_singularities == ()
-    assert resolved.beta == model.beta
-    assert resolved.curve == model.curve
-    assert resolved.infinity_singularities == model.infinity_singularities
 
 
 def test_minimal_resolution_no_interior():

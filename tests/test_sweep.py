@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import classt.sweep
-from classt.compactify import build_cyclic, smoothness_status
+from classt.compactify import build_cyclic, enumerate_weights, smoothness_status
 from classt.sweep import (
     SuiteResult,
     blowup_suite,
@@ -63,9 +63,9 @@ def test_iter_models_and_rdp_models():
 
 def test_iter_models_use_default_roots():
     models = list(iter_models(2, 3, 2))
-    assert {m.d for m in models} == {1, 2}
+    assert {m.descriptor.d for m in models} == {1, 2}
     for model in models:
-        assert model.roots == default_roots(model.d)
+        assert model.roots == default_roots(model.descriptor.d)
 
 
 def test_sweep_box_case_counts():
@@ -92,6 +92,20 @@ def test_topology_status_reaches_every_case(monkeypatch):
     assert len(suite.failures) == d2_cases
     for message in suite.failures:
         assert message.startswith("cyclic(d=2,") and "fibre status" in message
+
+
+def test_weight_family_counts_a_short_pair_list_once(monkeypatch):
+    def one_pair_short(d, n, m, c):
+        enum = enumerate_weights(d, n, m, c)
+        if (d, n, m) == (3, 4, 3):
+            return replace(enum, pairs=enum.pairs[:-1])
+        return enum
+
+    assert weight_family_suite(3, 4).passed
+    monkeypatch.setattr(classt.sweep, "enumerate_weights", one_pair_short)
+    suite = weight_family_suite(3, 4)
+    assert suite.failure_count == 1
+    assert suite.failures[0].startswith("(d,n,m)=(3,4,3): pairs ")
 
 
 def test_blowup_suite_builds_only_the_sampled_models(monkeypatch):

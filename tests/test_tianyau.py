@@ -5,6 +5,9 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from classt import (
     CurveAtInfinity,
     RootConfig,
@@ -160,3 +163,32 @@ def test_residual_matches_fraction_reference():
             assert residual == fraction_adjunction_residual(broken), (model, wrong)
             nonzero += residual != 0
     assert len(models) > 150 and nonzero > 3 * len(models)
+
+
+_ROOT = st.builds(Fraction, st.integers(1, 20) | st.integers(-20, -1), st.integers(1, 9))
+
+
+@st.composite
+def _cyclic_families(draw):
+    """``(d, n, m, c, roots)`` with ``gcd(m, n) = gcd(c, n) = 1`` and
+    distinct nonzero rational roots whose multiplicities sum to ``d``."""
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    roots = draw(st.lists(_ROOT, min_size=len(mults), max_size=len(mults), unique=True))
+    n = draw(st.integers(1, 6))
+    m = draw(st.sampled_from([m for m in range(1, n + 1) if gcd(m, n) == 1]))
+    c = draw(st.sampled_from([c for c in range(1, 6) if gcd(c, n) == 1]))
+    return sum(mults), n, m, c, RootConfig(tuple(roots), tuple(mults))
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_cyclic_families())
+def test_every_enumerated_pair_satisfies_the_hypotheses(family):
+    d, n, m, c, roots = family
+    enum = enumerate_weights(d, n, m, c)
+    for pair in enum.pairs + enum.reduced:
+        model = build_cyclic(d, n, m, pair.c, pair.a, roots)
+        assert model.b == pair.b
+        assert orbifold_adjunction_residual(model) == 0
+        # Repeated roots leave interior points, which only resolution removes.
+        assert check_hypotheses(model).all_satisfied == (not model.interior_singularities)
+        assert check_hypotheses(minimal_resolution(model)).all_satisfied

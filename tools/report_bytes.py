@@ -30,7 +30,8 @@ Two source trees give the same bytes when their digests are equal:
     diff before.txt after.txt
 
 Use the same ``WORKDIR`` for both runs: the corpus path is part of the
-corpus report.
+corpus report.  ``tools/bytes_diff.sh REV`` runs both against a git
+revision and exits with the status of ``diff``.
 """
 
 from __future__ import annotations
