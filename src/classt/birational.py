@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .arith import RationalLike, as_fraction
 from .compactify import CompactificationModel
@@ -46,6 +47,44 @@ from .wps import WeightedProjectiveSpace
 
 # Shared unit coordinate, so chart images need no coercion in WPoint.
 _ONE = Fraction(1)
+
+# A rational coordinate as integers (numerator, nonzero denominator), not
+# necessarily reduced; the roundtrip loop works on these, and the Fraction
+# functions below are adapters over the same helpers.
+_Pair = tuple[int, int]
+
+
+def _pairs(coords: tuple[Fraction, ...]) -> tuple[_Pair, ...]:
+    return tuple((c.numerator, c.denominator) for c in coords)
+
+
+def _same_orbit(weights: tuple[int, ...], p: tuple[_Pair, ...], q: tuple[_Pair, ...]) -> bool:
+    """Weighted equality of two coordinate tuples of integer pairs.
+
+    The supports must agree, and against the first nonzero coordinate
+    ``i`` every nonzero ``j`` must satisfy
+    ``p_j^(w_i) q_i^(w_j) = q_j^(w_i) p_i^(w_j)``.  Cleared of
+    denominators this reads ``A_j^(w_i) B_i^(w_j) = B_j^(w_i) A_i^(w_j)``
+    with ``A_k / B_k = (pn_k * qd_k) / (qn_k * pd_k)`` in lowest terms.
+    For points of one orbit that ratio is ``t^(-w_k)``, so the powers
+    stay as small as the scaling however large the coordinates are.
+    """
+    pivot = None
+    for w, (pn, pd), (qn, qd) in zip(weights, p, q):
+        if not pn or not qn:
+            if pn or qn:
+                return False
+            continue
+        a, b = pn * qd, qn * pd
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if pivot is None:
+            pivot = w, a, b
+            continue
+        wi, ai, bi = pivot
+        if a**wi * bi**w != b**wi * ai**w:
+            return False
+    return True
 
 
 class WPoint:
@@ -82,20 +121,7 @@ class WPoint:
         if self.ambient != other.ambient:
             return False
         p, q = self.coords, other.coords
-        if p == q:
-            return True
-        support = tuple(c != 0 for c in p)
-        if support != tuple(c != 0 for c in q):
-            return False
-        ws = self.ambient.weights
-        pivot = support.index(True)
-        wi = ws[pivot]
-        for j in range(len(p)):
-            if j == pivot or not support[j]:
-                continue
-            if p[j] ** wi * q[pivot] ** ws[j] != q[j] ** wi * p[pivot] ** ws[j]:
-                return False
-        return True
+        return p == q or _same_orbit(self.ambient.weights, _pairs(p), _pairs(q))
 
     __hash__ = None
 
@@ -119,24 +145,42 @@ def target_plane(model: CompactificationModel) -> WeightedProjectiveSpace:
     return _plane((model.a, model.c, model.n))
 
 
-def surface_residue(model: CompactificationModel, coords: tuple[Fraction, ...]) -> Fraction:
-    """``x*y`` minus the root product, evaluated at affine coordinates.
+def _residue(model: CompactificationModel, coords: tuple[_Pair, ...]) -> _Pair:
+    """``x*y`` minus the root product at integer-pair coordinates.
 
-    The product runs on integers: with ``z^n = zp/zq``, ``w^c = wp/wq``
-    and ``a_j = ap/aq`` each factor is ``(zp*aq*wq - ap*wp*zq) / (zq*aq*wq)``,
-    so only the returned Fraction is built.
+    With ``z^n / w^c = Z/W`` (``Z = zn^n wd^c``, ``W = wn^c zd^n``) and
+    ``a_j = ap/aq`` each factor ``z^n - a_j w^c`` is
+    ``(Z*aq - ap*W) / (zd^n wd^c aq)``; the result is the pair
+    ``(num, den)``, and the point is on the surface iff ``num == 0``.
     """
-    _require_cyclic(model)
-    x, y, z, w = coords
-    zp, zq = z.numerator ** model.n, z.denominator ** model.n
-    wp, wq = w.numerator ** model.c, w.denominator ** model.c
+    (xn, xd), (yn, yd), (zn, zd), (wn, wd) = coords
+    _, _, c, n = model.ambient.weights
+    zq, wq = zd**n, wd**c
+    big_z, big_w, zw = zn**n * wq, wn**c * zq, zq * wq
     num = den = 1
     for root, k in model.roots.pairs:
         aq = root.denominator
-        num *= (zp * aq * wq - root.numerator * wp * zq) ** k
-        den *= (zq * aq * wq) ** k
-    xy_den = x.denominator * y.denominator
-    return Fraction(x.numerator * y.numerator * den - num * xy_den, xy_den * den)
+        num *= (big_z * aq - root.numerator * big_w) ** k
+        den *= (zw * aq) ** k
+    xy_den = xd * yd
+    return xn * yn * den - num * xy_den, xy_den * den
+
+
+def surface_residue(model: CompactificationModel, coords: tuple[Fraction, ...]) -> Fraction:
+    """``x*y`` minus the root product, evaluated at affine coordinates."""
+    _require_cyclic(model)
+    return Fraction(*_residue(model, _pairs(coords)))
+
+
+def _project(model: CompactificationModel, coords: tuple[_Pair, ...]) -> tuple[_Pair, ...] | None:
+    """Plane image ``(x, z, w)`` of integer-pair coordinates, or None off
+    the surface; raises IndeterminateAtR2 at ``[0:1:0:0]``."""
+    if _residue(model, coords)[0]:
+        return None
+    x, _, z, w = coords
+    if not (x[0] or z[0] or w[0]):
+        raise IndeterminateAtR2("the projection has no value at [0:1:0:0]")
+    return x, z, w
 
 
 def project_pi(model: CompactificationModel, point: WPoint) -> WPoint:
@@ -148,12 +192,10 @@ def project_pi(model: CompactificationModel, point: WPoint) -> WPoint:
     _require_cyclic(model)
     if point.ambient != model.ambient:
         raise BadInput(f"point lives in {point.ambient.label()}, not {model.ambient.label()}")
-    if surface_residue(model, point.coords) != 0:
+    image = _project(model, _pairs(point.coords))
+    if image is None:
         raise NotOnSurface(f"{point!r} does not satisfy the defining equation")
-    x, _, z, w = point.coords
-    if x == 0 and z == 0 and w == 0:
-        raise IndeterminateAtR2("the projection has no value at [0:1:0:0]")
-    return WPoint(target_plane(model), (x, z, w))
+    return WPoint(target_plane(model), tuple(Fraction(*c) for c in image))
 
 
 @dataclass(frozen=True)
@@ -201,6 +243,13 @@ def plane_points(model: CompactificationModel) -> tuple[QuotientSingularity, Quo
     )
 
 
+def _chart_T(model: CompactificationModel, w1: _Pair, r: _Pair) -> tuple[_Pair, _Pair, _Pair]:
+    """Chart T image ``[w' * P(r^n) : r : 1]`` on integer pairs."""
+    n = model.n
+    pn, pd = model.roots.polynomial._value_pair(r[0] ** n, r[1] ** n)
+    return (w1[0] * pn, w1[1] * pd), r, (1, 1)
+
+
 def evaluate_pi_chart(
     model: CompactificationModel, chart: str, coords: tuple[RationalLike, RationalLike]
 ) -> WPoint:
@@ -215,8 +264,8 @@ def evaluate_pi_chart(
     s, t = map(as_fraction, coords)
     plane = target_plane(model)
     if chart == "T":
-        value = model.roots.polynomial(t**model.n)
-        return WPoint(plane, (s * value, t, _ONE))
+        image = _chart_T(model, *_pairs((s, t)))
+        return WPoint(plane, tuple(Fraction(*c) for c in image))
     if chart == "S":
         q = Fraction(1)
         for root, k in model.roots.pairs:
@@ -258,53 +307,52 @@ def blowup_description(model: CompactificationModel) -> BlowupSurfaceDescription
     )
 
 
-_SAMPLE_POOL = tuple(
-    Fraction(num, den) for num in range(-6, 7) for den in (1, 2, 3)
-)
-
-
-def _random_fraction(rng: random.Random) -> Fraction:
-    return rng.choice(_SAMPLE_POOL)
+# Chart coordinates are drawn from the numerators -6..6 over 1, 2 and 3.
+_SAMPLE_POOL = tuple((num, den) for num in range(-6, 7) for den in (1, 2, 3))
+# Scalings t of the lift; the powers 2^w already separate every weight.
+_SCALES = ((2, 1), (-2, 1), (1, 2), (-3, 2), (3, 1))
 
 
 def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) -> bool:
-    """Sample chart T, lift to the surface, and compare projections.
+    """Sample chart T, lift each point to the surface, rescale, project,
+    and compare with the chart image.
 
     Each sample draws ``(w', r)`` with ``w' != 0`` and ``P(r^n) != 0``
-    (rejected draws are not counted), takes ``x = w' * P(r^n)`` from the
-    chart image and reconstructs ``y = P(r^n) / x`` on the ``w = 1``
-    slice.  project_pi then verifies the defining
-    equation exactly (a violation fails the sample) and its image must
-    equal the chart image ``[x : r : 1]`` as weighted-projective
-    points.
+    (rejected draws are not counted).  Its chart image is
+    ``[x : r : 1]`` with ``x = w' * P(r^n)``, which lifts to
+    ``[x : 1/w' : r : 1]`` on the ``w = 1`` slice.  The lift is rescaled
+    by ``t^(a, b, c, n)``, with ``t`` running through ``_SCALES``; the sample
+    fails unless the rescaled lift satisfies the defining equation
+    (``P`` is the expanded polynomial, the equation uses the root
+    factors) and its projection equals the chart image in the plane
+    ``P(a, c, n)``.  Everything runs on integer pairs; no Fraction or
+    WPoint is built.
     """
     _require_cyclic(model)
     if sample_count < 1:
         raise BadInput("sample_count must be positive")
     rng = random.Random(seed)
-    plane = target_plane(model)
+    plane_weights = target_plane(model).weights
+    scales = [tuple((tn**w, td**w) for w in model.ambient.weights) for tn, td in _SCALES]
     done = 0
     attempts = 0
     while done < sample_count:
         attempts += 1
         if attempts > 200 * sample_count:
             raise BadInput("rejection sampling failed to produce enough chart points")
-        w1 = _random_fraction(rng)
-        r = _random_fraction(rng)
-        if w1 == 0:
+        w1 = rng.choice(_SAMPLE_POOL)
+        r = rng.choice(_SAMPLE_POOL)
+        if not w1[0]:
             continue
-        chart_image = evaluate_pi_chart(model, "T", (w1, r))
-        x = chart_image.coords[0]
-        if x == 0:
+        chart_image = _chart_T(model, w1, r)
+        (xn, xd), _, _ = chart_image
+        if not xn:
             continue
+        (ta, sa), (tb, sb), (tc, sc), (tn, sn) = scales[done % len(scales)]
         # x = w' * P(r^n), so y = P(r^n) / x = 1 / w'.
-        point = WPoint(model.ambient, (x, 1 / w1, r, _ONE))
-        try:
-            image = project_pi(model, point)
-        except NotOnSurface:
-            return False
-        expected = WPoint(plane, (x, r, _ONE))
-        if image != expected or chart_image != expected:
+        lift = ((xn * ta, xd * sa), (w1[1] * tb, w1[0] * sb), (r[0] * tc, r[1] * sc), (tn, sn))
+        image = _project(model, lift)
+        if image is None or not _same_orbit(plane_weights, image, chart_image):
             return False
         done += 1
     return True

@@ -53,6 +53,10 @@ _NA = "not applicable to this command"
 _MAX_BOX = 10
 _MAX_D_INDEX = 100
 _MAX_SAMPLES = 1000
+# The roundtrip rescales each lift by t^(a, b, c, n), so its integers grow
+# with the degree d*n*c; 1000 samples at this degree take about a second
+# on a 2-CPU Xeon VM.
+_MAX_DEGREE = 400
 
 
 def _check_range(name: str, value: int, low: int, high: int) -> None:
@@ -276,6 +280,7 @@ def birational_report(
     _check_range("samples", samples, 1, _MAX_SAMPLES)
 
     def finish(model: CompactificationModel, _: TianYauReport) -> tuple:
+        _check_range("degree d*n*c", model.degree, 1, _MAX_DEGREE)
         blow = blowup_at_R2(model)
         desc = blowup_description(model)
         points_match = blow.new_singularities == plane_points(model)

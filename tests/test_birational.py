@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from classt import (
     BadInput,
@@ -24,8 +26,11 @@ from classt import (
     roundtrip_check,
     target_plane,
     topology,
+    UniPoly,
 )
+from classt import birational
 from classt.birational import surface_residue
+from classt.sweep import iter_models
 
 
 def d1_model():
@@ -67,6 +72,33 @@ def test_wpoint_equality_weighted():
     assert WPoint(cubic, (1, 1)) == WPoint(cubic, (4, 8))
     assert WPoint(cubic, (1, 1)) == WPoint(cubic, (4, -8))
     assert WPoint(cubic, (Fraction(1, 4), Fraction(1, 8))) == WPoint(cubic, (1, 1))
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.data())
+def test_wpoint_equality_is_weighted_scaling(data):
+    weights = tuple(data.draw(st.lists(st.integers(1, 7), min_size=2, max_size=4), label="weights"))
+    size = len(weights)
+    coords = data.draw(st.lists(_RATIONALS, min_size=size, max_size=size).filter(any), label="coords")
+    t = data.draw(_RATIONALS.filter(bool), label="t")
+    space = WeightedProjectiveSpace(weights)
+    p = WPoint(space, coords)
+    q = WPoint(space, [x * t**w for x, w in zip(coords, weights)])
+    assert p == q and q == p
+
+    # Moving one nonzero coordinate of q to any v other than +-q_j breaks
+    # one cross product, unless q has a single nonzero coordinate.
+    nonzero = [i for i, x in enumerate(coords) if x]
+    assume(len(nonzero) >= 2)
+    j = data.draw(st.sampled_from(nonzero), label="j")
+    v = data.draw(_RATIONALS, label="v")
+    assume(v != q.coords[j] and v != -q.coords[j])
+    bent = list(q.coords)
+    bent[j] = v
+    assert p != WPoint(space, bent) and WPoint(space, bent) != p
 
 
 def test_wpoint_distinct_ambients_and_hash():
@@ -260,6 +292,35 @@ def test_roundtrip_is_true_and_deterministic():
 def test_roundtrip_repeated_roots():
     model = build_cyclic(3, 2, 1, 1, 1, RootConfig.of([(1, 2), (2, 1)]))
     assert roundtrip_check(model, 8, seed=3)
+
+
+def test_roundtrip_fails_on_a_wrong_expansion(monkeypatch):
+    # The lift's y comes from the expanded P; the defining equation uses
+    # the root factors, so an expansion that disagrees with them must fail.
+    roots = RootConfig.simple([1, 2])
+    model = build_cyclic(2, 2, 1, 1, 1, roots)
+    assert roundtrip_check(model, 10, seed=7)
+    monkeypatch.setitem(roots.__dict__, "polynomial", UniPoly.from_roots([(1, 1), (3, 1)]))
+    assert not roundtrip_check(model, 10, seed=7)
+
+
+def test_roundtrip_detects_reversed_equality_weights(monkeypatch):
+    # Under a rescaling by t = 2 the reversed plane weights (n, c, a) agree
+    # with (a, c, n) only when a == n, and the first sample uses t = 2.
+    same_orbit = birational._same_orbit
+    monkeypatch.setattr(birational, "_same_orbit", lambda ws, p, q: same_orbit(ws[::-1], p, q))
+    models = list(iter_models(5, 6, 4))
+    passed = [roundtrip_check(model, 10, i) for i, model in enumerate(models)]
+    assert passed == [model.a == model.n for model in models]
+    assert passed.count(False) > 700
+
+
+def test_roundtrip_detects_a_wrong_plane_weight(monkeypatch):
+    monkeypatch.setattr(
+        birational, "target_plane", lambda m: WeightedProjectiveSpace((m.a, m.c, m.n + 1))
+    )
+    for i, model in enumerate(iter_models(5, 6, 4)):
+        assert not roundtrip_check(model, 10, i), model.label()
 
 
 def test_roundtrip_validation():

@@ -54,6 +54,11 @@ def test_out_of_range_inputs_exit_one(capsys, tmp_path):
             ["build", "rdp", "--type", "D", "--index", "101"],
             "error: D-type index must be between 4 and 100, got 101\n",
         ),
+        (
+            # Rescaled roundtrip lifts grow with d*n*c; uncapped, this input ran for tens of seconds.
+            ["birational", "-d", "1", "-n", "1000", "-m", "1", "-c", "999", "-a", "1999", "--roots", "1"],
+            "error: degree d*n*c must be between 1 and 400, got 999000\n",
+        ),
     ]
     for argv, message in cases:
         for fmt in ("text", "json"):
@@ -61,6 +66,8 @@ def test_out_of_range_inputs_exit_one(capsys, tmp_path):
     # The caps sit above the acceptance box and the largest tested D index.
     assert run(capsys, ["sweep", "--max-d", "1", "--max-n", "1", "--max-c", "1"])[0] == 0
     assert run(capsys, ["build", "rdp", "--type", "D", "--index", "12"])[0] == 0
+    at_cap = ["-d", "1", "-n", "1", "-m", "1", "-c", "400", "-a", "1", "--roots", "1"]
+    assert run(capsys, ["birational"] + at_cap)[0] == 0
 
     bir = {"d": 1, "n": 2, "m": 1, "a": 1, "roots": "1"}
     rows = [
@@ -68,15 +75,17 @@ def test_out_of_range_inputs_exit_one(capsys, tmp_path):
         {"id": "many", "kind": "birational", "parameters": {**bir, "samples": 1001}},
         {"id": "none", "kind": "birational", "parameters": {**bir, "samples": 0}},
         {"id": "deep", "kind": "build-rdp", "parameters": {"type": "D", "index": 101}},
+        {"id": "wide", "kind": "birational", "parameters": {**bir, "n": 1, "c": 401, "samples": 1}},
     ]
     code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
     assert code == 1
-    assert data["outputs"]["failed_ids"] == ["many", "none", "deep"]
+    assert data["outputs"]["failed_ids"] == ["many", "none", "deep", "wide"]
     assert [r["mismatches"] for r in data["outputs"]["results"]] == [
         [],
         ["error: samples must be between 1 and 1000, got 1001"],
         ["error: samples must be between 1 and 1000, got 0"],
         ["error: D-type index must be between 4 and 100, got 101"],
+        ["error: degree d*n*c must be between 1 and 400, got 401"],
     ]
 
 
