@@ -58,31 +58,38 @@ def _pairs(coords: tuple[Fraction, ...]) -> tuple[_Pair, ...]:
     return tuple((c.numerator, c.denominator) for c in coords)
 
 
+@lru_cache(maxsize=256)
+def _exponent_pairs(weights: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """``(i, j, w_j/g, w_i/g)`` with ``g = gcd(w_i, w_j)``, for every ``i < j``."""
+    return tuple(
+        (i, j, wj // gcd(wi, wj), wi // gcd(wi, wj))
+        for j, wj in enumerate(weights)
+        for i, wi in enumerate(weights[:j])
+    )
+
+
 def _same_orbit(weights: tuple[int, ...], p: tuple[_Pair, ...], q: tuple[_Pair, ...]) -> bool:
     """Weighted equality of two coordinate tuples of integer pairs.
 
-    The supports must agree, and against the first nonzero coordinate
-    ``i`` every nonzero ``j`` must satisfy
-    ``p_j^(w_i) q_i^(w_j) = q_j^(w_i) p_i^(w_j)``.  Cleared of
-    denominators this reads ``A_j^(w_i) B_i^(w_j) = B_j^(w_i) A_i^(w_j)``
-    with ``A_k / B_k = (pn_k * qd_k) / (qn_k * pd_k)`` in lowest terms.
-    For points of one orbit that ratio is ``t^(-w_k)``, so the powers
-    stay as small as the scaling however large the coordinates are.
+    The supports must agree, and every two nonzero coordinates ``i, j``
+    must satisfy ``l_i^(w_j/g) = l_j^(w_i/g)`` with ``g = gcd(w_i, w_j)``
+    for the ratios ``l_k = A_k / B_k = (pn_k * qd_k) / (qn_k * pd_k)`` in
+    lowest terms.  For points of one orbit ``l_k = t^(-w_k)``, so the
+    powers stay as small as the scaling however large the coordinates are.
     """
-    pivot = None
-    for w, (pn, pd), (qn, qd) in zip(weights, p, q):
+    ratios: list[_Pair | None] = []
+    for (pn, pd), (qn, qd) in zip(p, q):
         if not pn or not qn:
             if pn or qn:
                 return False
+            ratios.append(None)
             continue
         a, b = pn * qd, qn * pd
         g = gcd(a, b)
-        a, b = a // g, b // g
-        if pivot is None:
-            pivot = w, a, b
-            continue
-        wi, ai, bi = pivot
-        if a**wi * bi**w != b**wi * ai**w:
+        ratios.append((a // g, b // g))
+    for i, j, ei, ej in _exponent_pairs(weights):
+        ri, rj = ratios[i], ratios[j]
+        if ri and rj and ri[0] ** ei * rj[1] ** ej != ri[1] ** ei * rj[0] ** ej:
             return False
     return True
 
@@ -90,12 +97,12 @@ def _same_orbit(weights: tuple[int, ...], p: tuple[_Pair, ...], q: tuple[_Pair, 
 class WPoint:
     """Point of a weighted projective space with exact coordinates.
 
-    Equality is equality of orbits: coordinatewise agreement up to a
-    rational scaling ``x_i -> t^(w_i) x_i``.  Two points with the same
-    support agree iff all the weight-balanced cross products
-    ``p_j^(w_i) q_i^(w_j) = q_j^(w_i) p_i^(w_j)`` hold against a fixed
-    nonzero pivot ``i``; scaling by rationals can never change the
-    support, so differing supports mean distinct points.
+    Equality is equality of points of the complex weighted projective
+    space: ``q = p`` iff ``q_k = t^(w_k) p_k`` for some complex ``t != 0``.
+    Such a ``t`` exists iff the supports agree and, on the support, every
+    pair of ratios ``l_k = q_k / p_k`` has ``l_i^(w_j/g) = l_j^(w_i/g)``
+    with ``g = gcd(w_i, w_j)``; so ``[1:1:1] != [1:1:-1]`` in ``P(2, 1, 1)``
+    but ``[1:1] == [-1:-1]`` in ``P(2, 2)`` (``t = i``).
     """
 
     __slots__ = ("ambient", "coords")

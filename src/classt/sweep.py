@@ -2,20 +2,22 @@
 
 Each suite walks a bounded region of the ``(d, n, m, c, a)`` parameter
 space (plus the D/E catalogue where it applies), re-derives an invariant
-by an independent route, and records any mismatch.  The suites are what
-the command line ``sweep`` subcommand runs and what the acceptance
-tests call directly.
+by a route other than the one that built the model, and records any
+mismatch; what the builders guarantee by construction is not re-checked.
+The suites are what the command line ``sweep`` subcommand runs and what
+the acceptance tests call directly.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd, isqrt
 from typing import Iterator
 
 from .arith import hj_evaluate, mod_inverse
-from .birational import blowup_at_R2, blowup_description, plane_points, roundtrip_check
+from .birational import blowup_at_R2, plane_points, roundtrip_check
 from .compactify import (
     CompactificationModel,
     FiberStatus,
@@ -25,12 +27,17 @@ from .compactify import (
     enumerate_weights,
     minimal_resolution,
     smoothness_status,
-    topology,
 )
 from .quotients import QuotientSingularity, detect_class_T, hj_resolution
-from .tianyau import check_hypotheses, orbifold_adjunction_residual
+from .tianyau import orbifold_adjunction_residual
 
 _MAX_RECORDED = 12
+# Sizes the command line does not set: roundtrip samples per model, blow-up
+# models sampled, largest germ order (class T and chains), largest D index.
+_SAMPLES = 10
+_BLOWUP_COUNT = 20
+_MAX_R = 80
+_MAX_DK = 12
 
 
 @dataclass
@@ -95,8 +102,8 @@ def iter_models(max_d: int, max_n: int, max_c: int) -> Iterator[Compactification
         yield build_cyclic(*params)
 
 
-def rdp_models(max_dk: int = 12):
-    for k in range(4, max_dk + 1):
+def rdp_models() -> Iterator[CompactificationModel]:
+    for k in range(4, _MAX_DK + 1):
         yield build_rdp("D", k)
     for k in (6, 7, 8):
         yield build_rdp("E", k)
@@ -120,43 +127,27 @@ def weight_family_suite(max_d: int, max_n: int) -> SuiteResult:
     return out
 
 
-def residual_suite(max_d: int, max_n: int, max_c: int, max_dk: int = 12) -> SuiteResult:
-    """Weight conditions and the orbifold adjunction residual, every model."""
+def residual_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
+    """The orbifold adjunction residual of every box model and D/E model:
+    ``K.C + C^2`` from ``beta`` and ``C^2``, read off the ambient
+    intersection theory, against the orbifold Euler side, read off the
+    boundary point orders."""
     out = SuiteResult("adjunction-residual")
-    for model in iter_models(max_d, max_n, max_c):
-        out.tick()
-        a, b, c = model.a, model.b, model.c
-        d, n, m = model.descriptor.d, model.descriptor.n, model.descriptor.m
-        if a + b != d * n * c:
-            out.fail(f"{model.label()}: a+b != dnc")
-        if (a * m - c) % n:
-            out.fail(f"{model.label()}: action congruence fails")
-        if gcd(c, n) != 1 or gcd(a, c) != 1:
-            out.fail(f"{model.label()}: divisibility condition fails")
-        res = orbifold_adjunction_residual(model)
-        if res != 0:
-            out.fail(f"{model.label()}: residual {res}")
-        report = check_hypotheses(minimal_resolution(model))
-        if not report.all_satisfied:
-            out.fail(f"{model.label()}: hypotheses fail after resolution")
-    for model in rdp_models(max_dk):
+    for model in chain(iter_models(max_d, max_n, max_c), rdp_models()):
         out.tick()
         res = orbifold_adjunction_residual(model)
         if res != 0:
             out.fail(f"{model.label()}: residual {res}")
-        if not check_hypotheses(model).all_satisfied:
-            out.fail(f"{model.label()}: hypotheses fail")
     return out
 
 
 def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
-    """Euler characteristics, Betti numbers, fundamental group order,
-    and the blow-up Euler count, for simple roots and for one fully
-    degenerate root configuration per parameter tuple.
-
-    The two root configurations and their squarefree ``smoothness_status``
-    are built once per ``d`` in each call; every case still compares
-    that status with its own model's interior singularities.
+    """Interior ``A_k`` points, for simple roots and for one fully
+    degenerate root configuration per parameter tuple: the model's, read
+    off the root multiplicities, must match ``smoothness_status``, read
+    off the squarefree decomposition of the expanded polynomial, and the
+    minimal resolution must replace each by ``(-2)``-curves.  The two
+    root configurations and their status are built once per ``d``.
     """
     out = SuiteResult("topology")
     configs_by_d: dict[int, tuple[tuple[RootConfig, FiberStatus], ...]] = {}
@@ -174,18 +165,7 @@ def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
         for roots, status in configs:
             out.tick()
             model = build_cyclic(d, n, m, c, a, roots)
-            t = topology(model)
             label = model.label()
-            if t.chi_Mbar != d + 2 or t.b2_Mbar != d:
-                out.fail(f"{label}: compact invariants ({t.chi_Mbar}, {t.b2_Mbar})")
-            if t.pi1_order_M != n:
-                out.fail(f"{label}: pi1 order {t.pi1_order_M} != {n}")
-            desc = blowup_description(model)
-            if desc.euler_characteristic != t.chi_Mbar + 1:
-                out.fail(
-                    f"{label}: blow-up Euler count {desc.euler_characteristic} "
-                    f"!= chi + 1 = {t.chi_Mbar + 1}"
-                )
             model_indices = tuple(sorted(k for _, k in model.interior_singularities))
             if status.a_indices != model_indices:
                 out.fail(f"{label}: fibre status {status.a_indices} != {model_indices}")
@@ -198,6 +178,8 @@ def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
 def roundtrip_suite(
     max_d: int, max_n: int, max_c: int, samples: int, seed: int
 ) -> SuiteResult:
+    """Chart samples of every model, lifted, rescaled and projected back
+    to the plane ``P(a, c, n)`` by ``roundtrip_check``."""
     out = SuiteResult("projection-roundtrip")
     for index, model in enumerate(iter_models(max_d, max_n, max_c)):
         out.tick()
@@ -207,8 +189,10 @@ def roundtrip_suite(
 
 
 def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> SuiteResult:
-    """Blow-up chart actions must normalize to the plane's coordinate
-    quotient points ``1/c(a, n)`` and ``1/n(a, c)``."""
+    """``count`` models sampled from the box: the chart actions
+    ``1/c(b, -n)`` and ``1/n(b, -c)`` of the blow-up at ``R2``, built
+    from ``b``, must normalize to the plane's coordinate points
+    ``1/c(a, n)`` and ``1/n(a, c)``, built from ``a``."""
     out = SuiteResult("blowup-singularities")
     params = list(model_params(max_d, max_n, max_c))
     rng = random.Random(seed)
@@ -218,9 +202,6 @@ def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> S
         blow = blowup_at_R2(model)
         if blow.new_singularities != plane_points(model):
             out.fail(f"{model.label()}: blow-up points {blow.new_singularities}")
-        orders = tuple(o for o in (model.c, model.n) if o > 1)
-        if blow.exceptional_orders != orders:
-            out.fail(f"{model.label()}: exceptional orders")
     return out
 
 
@@ -281,21 +262,13 @@ def hj_suite(max_r: int) -> SuiteResult:
     return out
 
 
-def run_all(
-    max_d: int = 4,
-    max_n: int = 4,
-    max_c: int = 3,
-    samples: int = 10,
-    seed: int = 0,
-    max_r: int = 80,
-    blowup_count: int = 20,
-) -> list[SuiteResult]:
+def run_all(max_d: int = 4, max_n: int = 4, max_c: int = 3, seed: int = 0) -> list[SuiteResult]:
     return [
         weight_family_suite(max_d, max_n),
         residual_suite(max_d, max_n, max_c),
         topology_suite(max_d, max_n, max_c),
-        roundtrip_suite(max_d, max_n, max_c, samples, seed),
-        blowup_suite(max_d, max_n, max_c, blowup_count, seed),
-        class_t_suite(max_r),
-        hj_suite(max_r),
+        roundtrip_suite(max_d, max_n, max_c, _SAMPLES, seed),
+        blowup_suite(max_d, max_n, max_c, _BLOWUP_COUNT, seed),
+        class_t_suite(_MAX_R),
+        hj_suite(_MAX_R),
     ]

@@ -46,26 +46,8 @@ class TianYauReport:
         return Fraction(2) / (self.beta - 1) if self.beta > 1 else None
 
     @property
-    def divisor_almost_ample(self) -> bool:
-        """``C^2 > 0``; every CurveAtInfinity has it, so this is always true."""
-        return self.C_squared > 0
-
-    @property
-    def divisor_admissible(self) -> bool:
-        """Smooth uniformized neighbourhoods of the singular points: the
-        quotient points at infinity have them tautologically, so this is
-        ``singularities_on_divisor``."""
-        return self.singularities_on_divisor
-
-    @property
     def all_satisfied(self) -> bool:
-        return (
-            self.beta_gt_one
-            and self.singularities_on_divisor
-            and self.divisor_almost_ample
-            and self.divisor_admissible
-            and self.adjunction_residual == 0
-        )
+        return self.beta_gt_one and self.singularities_on_divisor and self.adjunction_residual == 0
 
 
 def _base(model: AnyModel) -> CompactificationModel:
@@ -93,11 +75,10 @@ def check_hypotheses(model: AnyModel) -> TianYauReport:
 
     ``singularities_on_divisor`` is true when no interior singular
     point remains (all quotient points then lie on the boundary curve
-    by construction).  Admissibility and almost ampleness are derived
-    from it and from ``C^2`` on the report: the quotient points at
-    infinity have smooth uniformized neighbourhoods tautologically, and
-    the boundary curve has positive self-intersection and moves in the
-    anticanonical system.
+    by construction).  Almost ampleness and admissibility are not
+    separate checks: CurveAtInfinity rejects ``C^2 <= 0``, and the
+    quotient points at infinity have smooth uniformized neighbourhoods
+    tautologically.
     """
     base = _base(model)
     return TianYauReport(

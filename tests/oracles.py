@@ -10,7 +10,7 @@ sparse polynomial arithmetic type is reused.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from classt.compactify import ResolvedModel
 from classt.quotients import QuotientSingularity, TriPoly, normalize
@@ -217,3 +217,35 @@ def fraction_adjunction_residual(model) -> Fraction:
     for r in base.curve.orbifold_points:
         target += 1 - Fraction(1, r)
     return kc + csq - target
+
+
+def _bezout(values: list[int]) -> tuple[int, list[int]]:
+    """``g = gcd(values)`` and integers ``c`` with ``sum c_k v_k = g``."""
+    g, coeffs = 0, []
+    for v in values:
+        # Extended Euclid on (g, v): x*g + y*v = gcd(g, v).
+        r0, r1, x0, x1, y0, y1 = g, v, 1, 0, 0, 1
+        while r1:
+            k = r0 // r1
+            r0, r1, x0, x1, y0, y1 = r1, r0 - k * r1, x1, x0 - k * x1, y1, y0 - k * y1
+        g, coeffs = r0, [c * x0 for c in coeffs] + [y0]
+    return g, coeffs
+
+
+def same_weighted_point(weights, p, q) -> bool:
+    """Whether the rational points ``p`` and ``q`` are one point of the
+    complex weighted projective space with these weights.
+
+    On the common support put ``l_k = q_k / p_k``, ``g = gcd(w_k)`` and
+    ``mu = prod l_k^(c_k)`` for Bezout coefficients ``sum c_k w_k = g``.
+    A ``t`` with ``t^(w_k) = l_k`` has ``t^g = mu``, and any ``g``-th root
+    of ``mu`` is such a ``t`` iff ``l_k = mu^(w_k / g)`` for every ``k``.
+    """
+    support = [k for k, x in enumerate(p) if x]
+    if support != [k for k, x in enumerate(q) if x]:
+        return False
+    ratios = [Fraction(q[k]) / Fraction(p[k]) for k in support]
+    ws = [weights[k] for k in support]
+    g, coeffs = _bezout(ws)
+    mu = prod(l**c for l, c in zip(ratios, coeffs))
+    return all(l == mu ** (w // g) for l, w in zip(ratios, ws))

@@ -62,7 +62,7 @@ def test_criterion_1_weight_families():
 
 def test_criterion_2_adjunction_residual():
     def body():
-        suite = residual_suite(*SWEEP_BOX, max_dk=12)
+        suite = residual_suite(*SWEEP_BOX)
         assert suite.cases > 700
         assert suite.failure_count == 0, suite.failures
 

@@ -32,6 +32,8 @@ from classt import birational
 from classt.birational import surface_residue
 from classt.sweep import iter_models
 
+from oracles import same_weighted_point
+
 
 def d1_model():
     return build_cyclic(1, 2, 1, 1, 1, RootConfig.simple([1]))
@@ -99,6 +101,41 @@ def test_wpoint_equality_is_weighted_scaling(data):
     bent = list(q.coords)
     bent[j] = v
     assert p != WPoint(space, bent) and WPoint(space, bent) != p
+
+
+def test_wpoint_equality_needs_one_scaling_for_every_pair():
+    # t^2 = 1 and t = 1 force t^3 = 1, so the last coordinate cannot flip.
+    for weights in ((2, 1, 1), (2, 3, 1)):
+        space = WeightedProjectiveSpace(weights)
+        assert WPoint(space, (1, 1, 1)) != WPoint(space, (1, 1, -1))
+        assert WPoint(space, (1, -1, -1)) != WPoint(space, (1, 1, -1))
+    space = WeightedProjectiveSpace((2, 3, 1))
+    assert WPoint(space, (1, 1, 1)) == WPoint(space, (1, -1, -1))  # t = -1
+    # Complex scalings count: t = i, then t = sqrt(2).
+    space = WeightedProjectiveSpace((2, 2))
+    assert WPoint(space, (1, 1)) == WPoint(space, (-1, -1))
+    space = WeightedProjectiveSpace((2, 1))
+    assert WPoint(space, (1, 0)) == WPoint(space, (2, 0))
+
+
+# Coordinates and coordinatewise factors small enough that the two points
+# of a pair are often one orbit, or miss it by a sign or a square.
+_SMALL = st.sampled_from([Fraction(v) for v in (0, 1, -1, 2, -2, 4, -8, "1/2", "-1/4")])
+_FACTORS = st.sampled_from([Fraction(v) for v in (1, -1, 2, -2, 4, -4, 8, 16, "1/2", "1/4")])
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(st.data())
+def test_wpoint_equality_matches_the_bezout_oracle(data):
+    weights = tuple(data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4), label="weights"))
+    size = len(weights)
+    p = data.draw(st.lists(_SMALL, min_size=size, max_size=size).filter(any), label="p")
+    factors = data.draw(st.lists(_FACTORS, min_size=size, max_size=size), label="factors")
+    q = [x * f for x, f in zip(p, factors)]
+    space = WeightedProjectiveSpace(weights)
+    expected = same_weighted_point(weights, p, q)
+    assert (WPoint(space, p) == WPoint(space, q)) == expected
+    assert (WPoint(space, q) == WPoint(space, p)) == expected
 
 
 def test_wpoint_distinct_ambients_and_hash():

@@ -2,9 +2,18 @@
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import classt.sweep
-from classt.compactify import build_cyclic, enumerate_weights, smoothness_status
+from classt import birational
+from classt.compactify import (
+    ResolvedModel,
+    build_cyclic,
+    build_rdp,
+    enumerate_weights,
+    smoothness_status,
+)
+from classt.quotients import QuotientSingularity, hj_resolution
 from classt.sweep import (
     SuiteResult,
     blowup_suite,
@@ -14,6 +23,7 @@ from classt.sweep import (
     default_roots,
     hj_suite,
     iter_models,
+    model_params,
     rdp_models,
     residual_suite,
     roundtrip_suite,
@@ -57,8 +67,8 @@ def test_iter_models_and_rdp_models():
     models = list(iter_models(2, 2, 1))
     assert len(models) > 0
     assert all(m.is_cyclic for m in models)
-    des = list(rdp_models(6))
-    assert [m.descriptor.label() for m in des] == ["D_4", "D_5", "D_6", "E6", "E7", "E8"]
+    des = list(rdp_models())
+    assert [m.descriptor.label() for m in des] == [f"D_{k}" for k in range(4, 13)] + ["E6", "E7", "E8"]
 
 
 def test_iter_models_use_default_roots():
@@ -92,6 +102,80 @@ def test_topology_status_reaches_every_case(monkeypatch):
     assert len(suite.failures) == d2_cases
     for message in suite.failures:
         assert message.startswith("cyclic(d=2,") and "fibre status" in message
+
+
+def test_residual_suite_reports_a_wrong_beta(monkeypatch):
+    # beta = (c + n)/c instead of (c + n)/n is off unless c = n = 1, and
+    # E7 with beta = 3 leaves the residual -1/12.
+    def wrong_beta(*params):
+        model = build_cyclic(*params)
+        return replace(model, beta=Fraction(model.c + model.n, model.c))
+
+    def wrong_e7(ade, index):
+        model = build_rdp(ade, index)
+        return replace(model, beta=Fraction(3)) if (ade, index) == ("E", 7) else model
+
+    box = (2, 2, 2)
+    expected = [m.label() for m in iter_models(*box) if (m.c, m.n) != (1, 1)]
+    assert 0 < len(expected) < 12 and residual_suite(*box).passed
+    monkeypatch.setattr(classt.sweep, "build_cyclic", wrong_beta)
+    monkeypatch.setattr(classt.sweep, "build_rdp", wrong_e7)
+    suite = residual_suite(*box)
+    assert suite.failure_count == len(expected) + 1
+    assert [msg.partition(": residual ")[0] for msg in suite.failures] == expected + ["rdp(E7)"]
+    assert all(msg.rpartition(" ")[2] != "0" for msg in suite.failures)
+    assert suite.failures[-1] == "rdp(E7): residual -1/12"
+
+
+def test_topology_suite_reports_a_chain_off_minus_two(monkeypatch):
+    # Resolving A_k as 1/(k+1)(1, 1) gives the single curve -(k+1), which
+    # is a (-2)-curve only for k = 1.
+    def wrong_resolution(model):
+        chains = tuple(
+            (lbl, hj_resolution(QuotientSingularity(k + 1, (1, 1))))
+            for lbl, k in model.interior_singularities
+        )
+        return ResolvedModel(base=model, exceptional_chains=chains)
+
+    box = (3, 2, 2)
+    expected = [
+        build_cyclic(*params).label()
+        for params in model_params(*box)
+        if params[0] == 3 and enumerate_weights(*params[:4]).pairs[0].a == params[4]
+    ]
+    assert 0 < len(expected) <= 12 and topology_suite(*box).passed
+    monkeypatch.setattr(classt.sweep, "minimal_resolution", wrong_resolution)
+    suite = topology_suite(*box)
+    assert suite.failure_count == len(expected)
+    assert suite.failures == [f"{label}: chain at S_1 not all (-2)" for label in expected]
+
+
+def test_blowup_suite_reports_swapped_plane_points(monkeypatch):
+    # Swapping 1/c(a, n) and 1/n(a, c) changes the pair unless c = n = 1.
+    box, count, seed = (3, 2, 2), 12, 4
+    sampled = random.Random(seed).sample(list(model_params(*box)), count)
+    expected = [build_cyclic(*p).label() for p in sampled if (p[3], p[1]) != (1, 1)]
+    assert 0 < len(expected) < count and blowup_suite(*box, count, seed).passed
+    plane_points = classt.sweep.plane_points
+    monkeypatch.setattr(classt.sweep, "plane_points", lambda m: plane_points(m)[::-1])
+    suite = blowup_suite(*box, count, seed)
+    assert suite.cases == count and suite.failure_count == len(expected)
+    assert [msg.partition(": blow-up points ")[0] for msg in suite.failures] == expected
+
+
+def test_roundtrip_suite_reports_a_mismatch(monkeypatch):
+    # The reversed plane weights (n, c, a) agree with (a, c, n) only when
+    # a == n (see test_birational.py).
+    same_orbit = birational._same_orbit
+    box = (2, 2, 2)
+    assert roundtrip_suite(*box, samples=10, seed=0).passed
+    monkeypatch.setattr(birational, "_same_orbit", lambda ws, p, q: same_orbit(ws[::-1], p, q))
+    models = list(iter_models(*box))
+    expected = [m.label() for m in models if m.a != m.n]
+    assert 0 < len(expected) <= 12 and len(expected) < len(models)
+    suite = roundtrip_suite(*box, samples=10, seed=0)
+    assert suite.failure_count == len(expected)
+    assert suite.failures == [f"{label}: roundtrip mismatch" for label in expected]
 
 
 def test_weight_family_counts_a_short_pair_list_once(monkeypatch):
@@ -137,7 +221,7 @@ def test_brute_force_class_t_examples():
 
 def test_individual_suites_pass():
     assert weight_family_suite(3, 4).passed
-    assert residual_suite(2, 3, 2, max_dk=8).passed
+    assert residual_suite(2, 3, 2).passed
     assert topology_suite(2, 3, 2).passed
     assert roundtrip_suite(2, 2, 1, samples=4, seed=1).passed
     assert class_t_suite(40).passed
@@ -145,7 +229,7 @@ def test_individual_suites_pass():
 
 
 def test_run_all_small_box():
-    results = run_all(max_d=2, max_n=3, max_c=2, samples=3, seed=5, max_r=30, blowup_count=6)
+    results = run_all(max_d=2, max_n=3, max_c=2, seed=5)
     names = [r.name for r in results]
     assert names == [
         "weight-family",

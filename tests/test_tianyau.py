@@ -32,8 +32,6 @@ def test_check_d2_n2_model():
     assert report.decay_rhs == Fraction(4)
     assert report.adjunction_residual == 0
     assert report.singularities_on_divisor
-    assert report.divisor_almost_ample
-    assert report.divisor_admissible
     assert report.all_satisfied
 
 
@@ -50,10 +48,9 @@ def test_interior_points_block_hypotheses_until_resolved():
     model = build_cyclic(2, 2, 1, 1, 1, RootConfig.of([(1, 2)]))
     report = check_hypotheses(model)
     assert not report.singularities_on_divisor
-    assert not report.divisor_admissible
     assert not report.all_satisfied
     # the failing flags are exactly the interior ones
-    assert report.beta_gt_one and report.divisor_almost_ample
+    assert report.beta_gt_one
     assert report.adjunction_residual == 0
 
     resolved = check_hypotheses(minimal_resolution(model))

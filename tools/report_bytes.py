@@ -14,6 +14,8 @@ over:
 * ``build cyclic``, ``check`` and ``birational`` over ``d <= 3``,
   ``n <= 4``, ``0 <= m <= n + 1``, ``c <= 3``, ``-1 <= a <= d*n*c + 1``
   with the roots ``1,...,d``, ``1:d+1`` and ``1/2:d``, in JSON, text and DOT;
+* ``enumerate`` over the ``(d, n, m, c)`` of that grid, ``gcd(m, n) > 1``
+  and ``gcd(c, n) > 1`` included, in JSON, text and DOT;
 * ``build rdp --type D`` for the indices 4 to 12, and ``build rdp --type E``
   for the indices 6 to 8 with and without ``--coeffs``, in JSON, text and DOT;
 * ``classify`` and ``resolve`` for the orders 1 to 40 with the weights
@@ -59,14 +61,19 @@ def run(run_command, argv: list[str]) -> str:
     return f"{' '.join(argv)} | {code} {digest(out.getvalue())} {digest(err.getvalue())}"
 
 
-def grid():
+def grid_dnmc():
     for d in range(1, 4):
         for n in range(1, 5):
             for m in range(0, n + 2):
                 for c in range(1, 4):
-                    for a in range(-1, d * n * c + 2):
-                        for roots in (",".join(map(str, range(1, d + 1))), f"1:{d + 1}", f"1/2:{d}"):
-                            yield d, n, m, c, a, roots
+                    yield d, n, m, c
+
+
+def grid():
+    for d, n, m, c in grid_dnmc():
+        for a in range(-1, d * n * c + 2):
+            for roots in (",".join(map(str, range(1, d + 1))), f"1:{d + 1}", f"1/2:{d}"):
+                yield d, n, m, c, a, roots
 
 
 def main() -> None:
@@ -100,6 +107,9 @@ def main() -> None:
         runs.extend(["build", "rdp", *args, "--format", fmt] for args in rdp)
         for command in ("classify", "resolve"):
             runs.extend([command, *args, "--format", fmt] for args in germs)
+    for d, n, m, c in grid_dnmc():
+        args = ["-d", str(d), "-n", str(n), "-m", str(m), "-c", str(c)]
+        runs.extend(["enumerate", *args, "--format", fmt] for fmt in ("json", "text", "dot"))
     for argv in runs:
         print(run(run_command, argv))
 
