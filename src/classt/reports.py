@@ -54,13 +54,29 @@ _MAX_D_INDEX = 100
 _MAX_SAMPLES = 1000
 # The roundtrip rescales each lift by t^(a, b, c, n), so its integers grow
 # with the degree d*n*c; 1000 samples at this degree take about a second
-# on a 2-CPU Xeon VM.
+# on a 2-CPU Xeon VM.  The weight enumeration and the A_k chains of the
+# interior points grow with the degree too.
 _MAX_DEGREE = 400
+# A resolution chain has up to order - 1 entries; the DOT form of the
+# longest at this order is about 6 MB.
+_MAX_ORDER = 100_000
 
 
 def _check_range(name: str, value: int, low: int, high: int) -> None:
     if not low <= value <= high:
         raise BadInput(f"{name} must be between {low} and {high}, got {value}")
+
+
+def _check_order(order: int) -> None:
+    # A non-positive order is QuotientSingularity's error, with its own message.
+    if order >= 1:
+        _check_range("order", order, 1, _MAX_ORDER)
+
+
+def _check_degree(d: int, n: int, c: int) -> None:
+    # A non-positive d, n or c is the library's error, with its own message.
+    if min(d, n, c) >= 1:
+        _check_range("degree d*n*c", d * n * c, 1, _MAX_DEGREE)
 
 
 def rational_str(x: Fraction) -> str:
@@ -82,11 +98,23 @@ def na_diags(*names: str) -> list[dict]:
 
 @dataclass
 class CommandReport:
-    """``dot()`` renders the DOT form on demand; None means no graph form."""
+    """A command's outputs and exit code, with the rest of its report on demand.
 
-    data: dict
+    ``rest()`` gives the report's id, inputs and diagnostics, and ``data``
+    assembles the full report from them, so a corpus row, which compares
+    outputs only, and a DOT run build neither.  ``dot()`` renders the DOT
+    form; None means no graph form.
+    """
+
+    outputs: dict
     exit_code: int
+    rest: Callable[[], tuple[str, dict, list[dict]]]
     dot: Callable[[], str] | None = None
+
+    @property
+    def data(self) -> dict:
+        case_id, inputs, diagnostics = self.rest()
+        return assemble(case_id, inputs, self.outputs, diagnostics)
 
 
 def assemble(case_id: str, inputs: dict, outputs: dict, diagnostics: list[dict]) -> dict:
@@ -113,26 +141,33 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
     ``finish(model, its TianYauReport)`` gives the outputs, exit code and DOT.
     """
     d, n, m, c, a, roots = params
+    _check_degree(d, n, c)
     conditions = weight_conditions(d, n, m, c, a, roots)
-    diags = [diag(x.tag, x.passed, x.detail) for x in conditions]
     beta = Fraction(c + n, n)
-    diags.append(diag("beta>1", beta > 1, f"beta = (c + n)/n = {rational_str(beta)}"))
+    report = None
     if all(x.passed for x in conditions):
         model = _build_cyclic(d, n, m, c, a, roots, conditions)
         report = check_hypotheses(model)
-        diags.append(_residual_diag(report))
         outputs, exit_code, dot = finish(model, report)
     else:
-        diags.append(diag("adjunction-residual", False, "model not constructed"))
-        outputs = {"conditions_failed": [x["name"] for x in diags if not x["passed"]]}
+        passed = [(x.tag, x.passed) for x in conditions]
+        passed += [("beta>1", beta > 1), ("adjunction-residual", False)]
+        outputs = {"conditions_failed": [tag for tag, ok in passed if not ok]}
         exit_code, dot = 1, None
-    inputs = {"d": d, "n": n, "m": m, "c": c, "a": a, "roots": roots.as_text(), **extra_inputs}
-    data = assemble(f"{kind}-{d}-{n}-{m}-{c}-{a}", inputs, outputs, diags)
-    return CommandReport(data=data, exit_code=exit_code, dot=dot)
+
+    def rest() -> tuple:
+        diags = [diag(x.tag, x.passed, x.detail) for x in conditions]
+        diags.append(diag("beta>1", beta > 1, f"beta = (c + n)/n = {rational_str(beta)}"))
+        if report is None:
+            diags.append(diag("adjunction-residual", False, "model not constructed"))
+        else:
+            diags.append(_residual_diag(report.adjunction_residual))
+        inputs = {"d": d, "n": n, "m": m, "c": c, "a": a, "roots": roots.as_text(), **extra_inputs}
+        return f"{kind}-{d}-{n}-{m}-{c}-{a}", inputs, diags
+    return CommandReport(outputs, exit_code, rest, dot)
 
 
-def _residual_diag(report: TianYauReport) -> dict:
-    res = report.adjunction_residual
+def _residual_diag(res: Fraction) -> dict:
     return diag("adjunction-residual", res == 0, f"K.C + C^2 - orbifold Euler side = {rational_str(res)}")
 
 
@@ -168,6 +203,7 @@ def _model_outputs(model: CompactificationModel) -> dict:
 
 
 def classify_report(order: int, weights: tuple[int, int]) -> CommandReport:
+    _check_order(order)
     s = QuotientSingularity(order, tuple(weights))
     std = normalize(s)
     found = detect_class_T(std)
@@ -191,21 +227,25 @@ def classify_report(order: int, weights: tuple[int, int]) -> CommandReport:
             "label": found.label(),
         }
         outputs["solutions"] = [list(t) for t in found.solutions]
-    data = assemble(
-        f"classify-{order}-{weights[0]}-{weights[1]}",
-        {"order": order, "weights": list(weights)},
-        outputs,
-        na_diags(*DIAGNOSTIC_TAGS),
-    )
 
     def dot() -> str:
         if std.order == 1:
             return "graph resolution_chain {\n}\n"
         return render_chain_dot(std.label(), hj_resolution(std).entries)
-    return CommandReport(data=data, exit_code=0, dot=dot)
+    return CommandReport(outputs, 0, _germ_rest("classify", order, weights), dot)
+
+
+def _germ_rest(kind: str, order: int, weights: tuple[int, int]) -> Callable[[], tuple]:
+    """``rest`` of the reports on the germ ``1/order(weights)``."""
+    return lambda: (
+        f"{kind}-{order}-{weights[0]}-{weights[1]}",
+        {"order": order, "weights": list(weights)},
+        na_diags(*DIAGNOSTIC_TAGS),
+    )
 
 
 def enumerate_report(d: int, n: int, m: int, c: int) -> CommandReport:
+    _check_degree(d, n, c)
     enum = enumerate_weights(d, n, m, c)
     outputs = {
         "u": enum.u,
@@ -217,15 +257,12 @@ def enumerate_report(d: int, n: int, m: int, c: int) -> CommandReport:
         ],
         "raw_count": enum.raw_count,
     }
-    diags = na_diags("hom", "action", "man-cond", "beta>1", "adjunction-residual")
-    diags.append(diag("div", True, f"gcd(m, n) = gcd({m}, {n}) = 1, gcd(c, n) = gcd({c}, {n}) = 1"))
-    data = assemble(
-        f"enumerate-{d}-{n}-{m}-{c}",
-        {"d": d, "n": n, "m": m, "c": c},
-        outputs,
-        diags,
-    )
-    return CommandReport(data=data, exit_code=0)
+
+    def rest() -> tuple:
+        diags = na_diags("hom", "action", "man-cond", "beta>1", "adjunction-residual")
+        diags.append(diag("div", True, f"gcd(m, n) = gcd({m}, {n}) = 1, gcd(c, n) = gcd({c}, {n}) = 1"))
+        return f"enumerate-{d}-{n}-{m}-{c}", {"d": d, "n": n, "m": m, "c": c}, diags
+    return CommandReport(outputs, 0, rest)
 
 
 def build_cyclic_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CommandReport:
@@ -239,16 +276,18 @@ def build_rdp_report(ade: str, index: int, coeffs: list | None) -> CommandReport
     if ade == "D":
         _check_range("D-type index", index, 4, _MAX_D_INDEX)
     model = build_rdp(ade, index, coeffs)
-    diags = na_diags("hom", "action", "div", "man-cond")
-    diags.append(diag("beta>1", model.beta > 1, f"beta = {rational_str(model.beta)}"))
-    residual = _residual_diag(check_hypotheses(model))
-    diags.append(residual)
-    inputs = {"type": ade, "index": index}
-    if coeffs is not None:
-        inputs["coeffs"] = [rational_str(v) for v in model.coefficients]
-    data = assemble(f"build-rdp-{ade}{index}", inputs, _model_outputs(model), diags)
-    ok = residual["passed"]
-    return CommandReport(data=data, exit_code=0 if ok else 1, dot=lambda: render_model_dot(model))
+    residual = check_hypotheses(model).adjunction_residual
+
+    def rest() -> tuple:
+        diags = na_diags("hom", "action", "div", "man-cond")
+        diags.append(diag("beta>1", model.beta > 1, f"beta = {rational_str(model.beta)}"))
+        diags.append(_residual_diag(residual))
+        inputs = {"type": ade, "index": index}
+        if coeffs is not None:
+            inputs["coeffs"] = [rational_str(v) for v in model.coefficients]
+        return f"build-rdp-{ade}{index}", inputs, diags
+    exit_code = 0 if residual == 0 else 1
+    return CommandReport(_model_outputs(model), exit_code, rest, lambda: render_model_dot(model))
 
 
 def check_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CommandReport:
@@ -281,7 +320,6 @@ def birational_report(
     _check_range("samples", samples, 1, _MAX_SAMPLES)
 
     def finish(model: CompactificationModel, _: TianYauReport) -> tuple:
-        _check_range("degree d*n*c", model.degree, 1, _MAX_DEGREE)
         blow = blowup_at_R2(model)
         desc = blowup_description(model)
         points_match = blow.new_singularities == plane_points(model)
@@ -317,6 +355,7 @@ def birational_report(
 
 
 def resolve_report(order: int, weights: tuple[int, int]) -> CommandReport:
+    _check_order(order)
     s = QuotientSingularity(order, tuple(weights))
     std = normalize(s)
     # A smooth germ raises SmoothPoint under the weights it was given.
@@ -332,17 +371,11 @@ def resolve_report(order: int, weights: tuple[int, int]) -> CommandReport:
         "evaluates_to": rational_str(value),
         "value_matches": matches,
     }
-    diags = na_diags(*DIAGNOSTIC_TAGS)
-    data = assemble(
-        f"resolve-{order}-{weights[0]}-{weights[1]}",
-        {"order": order, "weights": list(weights)},
-        outputs,
-        diags,
-    )
     return CommandReport(
-        data=data,
-        exit_code=0 if matches else 1,
-        dot=lambda: render_chain_dot(std.label(), chain.entries),
+        outputs,
+        0 if matches else 1,
+        _germ_rest("resolve", order, weights),
+        lambda: render_chain_dot(std.label(), chain.entries),
     )
 
 
@@ -364,19 +397,21 @@ def sweep_report(max_d: int, max_n: int, max_c: int, seed: int) -> CommandReport
         ],
         "all_passed": all_passed,
     }
-    by_name = {r.name: r for r in results}
-    cond = by_name["adjunction-residual"]
-    cond_detail = f"{cond.cases} models re-checked, {cond.failure_count} failures"
-    diags = [
-        diag("hom", cond.passed, cond_detail),
-        diag("action", cond.passed, cond_detail),
-        diag("div", cond.passed, cond_detail),
-        diag("man-cond", True, _NA),
-        diag("beta>1", cond.passed, cond_detail),
-        diag("adjunction-residual", cond.passed, cond_detail),
-    ]
-    data = assemble("sweep", outputs["parameters"], outputs, diags)
-    return CommandReport(data=data, exit_code=0 if all_passed else 1)
+
+    def rest() -> tuple:
+        by_name = {r.name: r for r in results}
+        cond = by_name["adjunction-residual"]
+        cond_detail = f"{cond.cases} models re-checked, {cond.failure_count} failures"
+        diags = [
+            diag("hom", cond.passed, cond_detail),
+            diag("action", cond.passed, cond_detail),
+            diag("div", cond.passed, cond_detail),
+            diag("man-cond", True, _NA),
+            diag("beta>1", cond.passed, cond_detail),
+            diag("adjunction-residual", cond.passed, cond_detail),
+        ]
+        return "sweep", outputs["parameters"], diags
+    return CommandReport(outputs, 0 if all_passed else 1, rest)
 
 
 def render_chain_dot(title: str, entries: tuple[int, ...]) -> str:
@@ -516,7 +551,7 @@ def _subset_mismatches(expected: Any, actual: Any, path: str) -> list[str]:
         for k, v in expected.items():
             if k not in actual:
                 out.append(f"{path}.{k}: missing")
-            else:
+            elif v != actual[k]:
                 out.extend(_subset_mismatches(v, actual[k], f"{path}.{k}"))
         return out
     if expected != actual:
@@ -539,13 +574,13 @@ def run_corpus(path: str, seed: int) -> CommandReport:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise BadInput(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise BadInput(f"{path}:{lineno}: a case must be a JSON object, got {type(row).__name__}")
         case_id = str(row.get("id", f"line-{lineno}"))
         try:
             rep = _run_corpus_case(str(row["kind"]), dict(row.get("parameters", {})), seed)
-            mismatches = _subset_mismatches(
-                row.get("expected", {}), rep.data["outputs"], "outputs"
-            )
-        except (ClassTError, KeyError, TypeError, ValueError) as exc:
+            mismatches = _subset_mismatches(row.get("expected", {}), rep.outputs, "outputs")
+        except (ClassTError, KeyError, TypeError, ValueError, OverflowError) as exc:
             mismatches = [f"error: {exc}"]
         ok = not mismatches
         if not ok:
@@ -557,6 +592,7 @@ def run_corpus(path: str, seed: int) -> CommandReport:
         "failed_ids": failed,
         "results": results,
     }
-    diags = na_diags(*DIAGNOSTIC_TAGS)
-    data = assemble(f"corpus-{path}", {"corpus": path}, outputs, diags)
-    return CommandReport(data=data, exit_code=0 if not failed else 1)
+
+    def rest() -> tuple:
+        return f"corpus-{path}", {"corpus": path}, na_diags(*DIAGNOSTIC_TAGS)
+    return CommandReport(outputs, 0 if not failed else 1, rest)

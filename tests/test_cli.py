@@ -89,6 +89,50 @@ def test_out_of_range_inputs_exit_one(capsys, tmp_path):
     ]
 
 
+def test_growing_inputs_are_capped(capsys, tmp_path):
+    # At the caps the largest inputs finish; one past them exits 1 before any work that grows.
+    code, out, err = run(capsys, ["resolve", "--order", "100000", "--weights", "1,99999", "--format", "dot"])
+    assert (code, err) == (0, "") and out.count("[shape=circle") == 99999
+    code, data, _ = run_json(capsys, ["classify", "--order", "100000", "--weights", "1,99999"])
+    assert code == 0 and data["outputs"]["solutions"] == [[100000, 1, 1]]
+    code, data, _ = run_json(capsys, ["enumerate", "-d", "400", "-n", "1", "-m", "1"])
+    assert code == 0 and data["outputs"]["count"] == 399
+    at_cap = ["-d", "400", "-n", "1", "-m", "1", "-a", "1", "--roots", "1:400"]
+    for command, exit_code in ((["build", "cyclic"], 0), (["check"], 1)):
+        code, out, err = run(capsys, command + at_cap + ["--format", "dot"])
+        assert (code, err, out.count('label="-2"')) == (exit_code, "", 399), command
+
+    order_error = "error: order must be between 1 and 100000, got {}\n"
+    degree_error = "error: degree d*n*c must be between 1 and 400, got 401\n"
+    past_cap = ["-d", "401", "-n", "1", "-m", "1", "-a", "1", "--roots", "1:401"]
+    cases = [
+        (["classify", "--order", "100001", "--weights", "1,100000"], order_error.format(100001)),
+        (["resolve", "--order", "100001", "--weights", "1,100000"], order_error.format(100001)),
+        # Uncapped, this ran for more than 10 s in class_t_solutions.
+        (["classify", "--order", str(10**30), "--weights", "1,7"], order_error.format(10**30)),
+        (["enumerate", "-d", "401", "-n", "1", "-m", "1"], degree_error),
+        (["enumerate", "-d", "1", "-n", "1", "-m", "1", "-c", "401"], degree_error),
+        (["build", "cyclic"] + past_cap, degree_error),
+        (["check"] + past_cap, degree_error),
+    ]
+    for argv, message in cases:
+        for fmt in ("text", "json", "dot"):
+            assert run(capsys, argv + ["--format", fmt]) == (1, "", message), (argv, fmt)
+
+    cyclic = {"d": 401, "n": 1, "m": 1, "a": 1, "roots": "1:401"}
+    rows = [
+        {"id": "classify", "kind": "classify", "parameters": {"order": 100001, "weights": [1, 5]}},
+        {"id": "enumerate", "kind": "enumerate", "parameters": {"d": 401, "n": 1, "m": 1}},
+        {"id": "build", "kind": "build-cyclic", "parameters": cyclic},
+        {"id": "check", "kind": "check", "parameters": cyclic},
+    ]
+    code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
+    assert code == 1
+    assert [r["mismatches"] for r in data["outputs"]["results"]] == [
+        [order_error.format(100001).strip()], *[[degree_error.strip()]] * 3,
+    ]
+
+
 def test_rdp_a_type_redirect_exit_one(capsys):
     code, _, err = run(capsys, ["build", "rdp", "--type", "D", "--index", "3"])
     assert code == 1 and "error:" in err
@@ -401,6 +445,29 @@ def test_check_does_each_piece_of_work_once(capsys, monkeypatch):
     assert calls["dot"] == 1
 
 
+def test_reports_are_assembled_only_when_rendered(capsys, monkeypatch, tmp_path):
+    calls = {"assemble": 0}
+    monkeypatch.setattr(reports, "assemble", _counting(calls, "assemble", reports.assemble))
+    rows = PASSING_ROWS + [
+        {"id": "rdp", "kind": "build-rdp", "parameters": {"type": "E", "index": 6},
+         "expected": {"beta": "2/1"}},
+        {"id": "bir", "kind": "birational", "parameters": {"d": 1, "n": 2, "m": 1, "a": 1, "roots": "1"},
+         "expected": {"roundtrip": {"passed": True}}},
+        {"id": "unbuilt", "kind": "build-cyclic",
+         "parameters": {"d": 2, "n": 3, "m": 2, "c": 2, "a": 5, "roots": "1,2"},
+         "expected": {"conditions_failed": ["action", "adjunction-residual"]}},
+    ]
+    code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
+    assert (code, data["outputs"]["passed"]) == (0, len(rows))
+    # Only the corpus report itself; each row compares its outputs alone.
+    assert calls["assemble"] == 1
+    for argv in COMMANDS:
+        if argv[0] not in ("enumerate", "sweep"):
+            code, out, _ = run(capsys, argv + ["--format", "dot"])
+            assert out.startswith("graph "), argv
+    assert calls["assemble"] == 1
+
+
 def test_classify_json_renders_no_chain(capsys, monkeypatch):
     def boom(*args):
         raise AssertionError("DOT work on a JSON report")
@@ -516,6 +583,33 @@ def test_corpus_invalid_json(capsys, tmp_path):
     code, _, err = run(capsys, ["--corpus", str(path)])
     assert code == 1
     assert "invalid JSON" in err
+
+
+def test_corpus_line_that_is_not_an_object(capsys, tmp_path):
+    path = tmp_path / "rows.jsonl"
+    for line, type_name in (("[1, 2]", "list"), ('"x"', "str"), ("3", "int")):
+        path.write_text(json.dumps(PASSING_ROWS[0]) + "\n" + line + "\n", encoding="utf-8")
+        message = f"error: {path}:2: a case must be a JSON object, got {type_name}\n"
+        assert run(capsys, ["--corpus", str(path)]) == (1, "", message)
+
+
+def test_corpus_number_overflowing_int_is_a_case_error(capsys, tmp_path):
+    path = tmp_path / "big.jsonl"
+    path.write_text(
+        '{"id": "samples", "kind": "birational", "parameters": '
+        '{"d": 1, "n": 2, "m": 1, "a": 1, "roots": "1", "samples": 1e400}}\n'
+        '{"id": "order", "kind": "classify", "parameters": {"order": 1e400, "weights": [1, 1]}}\n'
+        + json.dumps(PASSING_ROWS[0]) + "\n",
+        encoding="utf-8",
+    )
+    code, data, err = run_json(capsys, ["--corpus", str(path)])
+    assert (code, err) == (1, "")
+    assert data["outputs"]["failed_ids"] == ["samples", "order"]
+    assert [r["mismatches"] for r in data["outputs"]["results"]] == [
+        ["error: cannot convert float infinity to integer"],
+        ["error: cannot convert float infinity to integer"],
+        [],
+    ]
 
 
 def test_corpus_tolerates_blank_lines(capsys, tmp_path):
