@@ -5,14 +5,15 @@ space (plus the D/E catalogue where it applies), re-derives an invariant
 by a route other than the one that built the model, and records any
 mismatch; what the builders guarantee by construction is not re-checked.
 The suites are what the command line ``sweep`` subcommand runs and what
-the acceptance tests call directly.
+the acceptance tests call directly.  The five suites over the ``(d, n, m,
+c, a)`` box share one walker, so ``run_all`` enumerates each weight tuple
+and builds each box model once for all of them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -22,6 +23,7 @@ from .compactify import (
     CompactificationModel,
     FiberStatus,
     RootConfig,
+    WeightEnumeration,
     build_cyclic,
     build_rdp,
     enumerate_weights,
@@ -77,11 +79,11 @@ def default_roots(d: int) -> RootConfig:
     return RootConfig.simple(range(1, d + 1))
 
 
-def model_params(
+def _weighted_tuples(
     max_d: int, max_n: int, max_c: int
-) -> Iterator[tuple[int, int, int, int, int, RootConfig]]:
-    """``(d, n, m, c, a, roots)`` for every model with simple roots ``1..d``
-    over the admissible weights.
+) -> Iterator[tuple[int, int, int, int, WeightEnumeration, RootConfig]]:
+    """Each tuple of ``cyclic_tuples`` with its weight enumeration and
+    ``default_roots(d)``.
 
     One ``default_roots(d)`` is built per ``d`` and shared by every
     model of that ``d``, so its fibre polynomial is expanded once per
@@ -92,7 +94,16 @@ def model_params(
         roots = roots_by_d.get(d)
         if roots is None:
             roots = roots_by_d[d] = default_roots(d)
-        for pair in enumerate_weights(d, n, m, c).pairs:
+        yield d, n, m, c, enumerate_weights(d, n, m, c), roots
+
+
+def model_params(
+    max_d: int, max_n: int, max_c: int
+) -> Iterator[tuple[int, int, int, int, int, RootConfig]]:
+    """``(d, n, m, c, a, roots)`` for every model with simple roots ``1..d``
+    over the admissible weights."""
+    for d, n, m, c, enum, roots in _weighted_tuples(max_d, max_n, max_c):
+        for pair in enum.pairs:
             yield d, n, m, c, pair.a, roots
 
 
@@ -109,22 +120,111 @@ def rdp_models() -> Iterator[CompactificationModel]:
         yield build_rdp("E", k)
 
 
+def _check_family(out: SuiteResult, d: int, n: int, m: int, enum: WeightEnumeration) -> None:
+    out.tick()
+    u = mod_inverse(m, n)
+    expected = [(u + k * n, (d - k) * n - u) for k in range(d)]
+    got = enum.pair_tuples()
+    if got != expected:
+        out.fail(f"(d,n,m)=({d},{n},{m}): pairs {got} != {expected}")
+
+
+def _check_residual(out: SuiteResult, model: CompactificationModel) -> None:
+    out.tick()
+    res = orbifold_adjunction_residual(model)
+    if res != 0:
+        out.fail(f"{model.label()}: residual {res}")
+
+
+def _check_topology(out: SuiteResult, model: CompactificationModel, status: FiberStatus) -> None:
+    out.tick()
+    label = model.label()
+    model_indices = tuple(sorted(k for _, k in model.interior_singularities))
+    if status.a_indices != model_indices:
+        out.fail(f"{label}: fibre status {status.a_indices} != {model_indices}")
+    for lbl, chain in minimal_resolution(model).exceptional_chains:
+        if any(e != 2 for e in chain.entries):
+            out.fail(f"{label}: chain at {lbl} not all (-2)")
+
+
+def _check_roundtrip(out: SuiteResult, model: CompactificationModel, samples: int, seed: int) -> None:
+    out.tick()
+    if not roundtrip_check(model, samples, seed):
+        out.fail(f"{model.label()}: roundtrip mismatch")
+
+
+def _check_blowup(out: SuiteResult, model: CompactificationModel) -> None:
+    out.tick()
+    blow = blowup_at_R2(model)
+    if blow.new_singularities != plane_points(model):
+        out.fail(f"{model.label()}: blow-up points {blow.new_singularities}")
+
+
+def _walk_box(
+    max_d: int, max_n: int, max_c: int, *, family: bool = False, residual: bool = False,
+    topology: bool = False, roundtrip: tuple[int, int] | None = None,
+    blowup: tuple[int, int] | None = None,
+) -> list[SuiteResult]:
+    """Walk ``cyclic_tuples`` once and run the chosen per-box suites.
+
+    ``roundtrip`` is ``(samples, seed)`` and ``blowup`` is ``(count,
+    seed)``.  Each tuple's weights are enumerated once and each model of
+    ``model_params`` is built at most once, and only when a chosen suite
+    reads it; the blow-up suite keeps the box's parameters, not its
+    models, and builds its sample after the walk.  The results come in
+    keyword order.
+    """
+    fam = SuiteResult("weight-family") if family else None
+    res = SuiteResult("adjunction-residual") if residual else None
+    top = SuiteResult("topology") if topology else None
+    rt = SuiteResult("projection-roundtrip") if roundtrip is not None else None
+    blo = SuiteResult("blowup-singularities") if blowup is not None else None
+    every_model = residual or roundtrip is not None
+    box: list[tuple[int, int, int, int, int, RootConfig]] = []
+    # Per d for topology: the simple roots' status, the fully degenerate
+    # roots and theirs.
+    configs_by_d: dict[int, tuple[FiberStatus, RootConfig, FiberStatus]] = {}
+    index = 0
+    for d, n, m, c, enum, roots in _weighted_tuples(max_d, max_n, max_c):
+        if family and c == 1 and n >= 2:
+            _check_family(fam, d, n, m, enum)
+        for k, pair in enumerate(enum.pairs):
+            params = (d, n, m, c, pair.a, roots)
+            if blo is not None:
+                box.append(params)
+            first = topology and k == 0
+            if every_model or first:
+                model = build_cyclic(*params)
+                if res is not None:
+                    _check_residual(res, model)
+                if first:
+                    configs = configs_by_d.get(d)
+                    if configs is None:
+                        degenerate = RootConfig.of([(1, d)])
+                        configs = configs_by_d[d] = (
+                            smoothness_status(roots), degenerate, smoothness_status(degenerate)
+                        )
+                    status, degenerate, degenerate_status = configs
+                    _check_topology(top, model, status)
+                    _check_topology(top, build_cyclic(d, n, m, c, pair.a, degenerate), degenerate_status)
+                if rt is not None:
+                    samples, seed = roundtrip
+                    _check_roundtrip(rt, model, samples, seed + index)
+            index += 1
+    if res is not None:
+        for model in rdp_models():
+            _check_residual(res, model)
+    if blo is not None:
+        count, seed = blowup
+        for chosen in random.Random(seed).sample(box, min(count, len(box))):
+            _check_blowup(blo, build_cyclic(*chosen))
+    return [s for s in (fam, res, top, rt, blo) if s is not None]
+
+
 def weight_family_suite(max_d: int, max_n: int) -> SuiteResult:
     """At ``c = 1`` and ``n >= 2`` the admissible weights must be exactly
     the ``d`` pairs ``(u + k*n, (d - k)*n - u)`` for ``k = 0..d-1``."""
-    out = SuiteResult("weight-family")
-    for d in range(1, max_d + 1):
-        for n in range(2, max_n + 1):
-            for m in range(1, n + 1):
-                if gcd(m, n) != 1:
-                    continue
-                out.tick()
-                u = mod_inverse(m, n)
-                expected = [(u + k * n, (d - k) * n - u) for k in range(d)]
-                got = enumerate_weights(d, n, m, 1).pair_tuples()
-                if got != expected:
-                    out.fail(f"(d,n,m)=({d},{n},{m}): pairs {got} != {expected}")
-    return out
+    return _walk_box(max_d, max_n, 1, family=True)[0]
 
 
 def residual_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
@@ -132,60 +232,28 @@ def residual_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
     ``K.C + C^2`` from ``beta`` and ``C^2``, read off the ambient
     intersection theory, against the orbifold Euler side, read off the
     boundary point orders."""
-    out = SuiteResult("adjunction-residual")
-    for model in chain(iter_models(max_d, max_n, max_c), rdp_models()):
-        out.tick()
-        res = orbifold_adjunction_residual(model)
-        if res != 0:
-            out.fail(f"{model.label()}: residual {res}")
-    return out
+    return _walk_box(max_d, max_n, max_c, residual=True)[0]
 
 
 def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
     """Interior ``A_k`` points, for simple roots and for one fully
-    degenerate root configuration per parameter tuple: the model's, read
-    off the root multiplicities, must match ``smoothness_status``, read
-    off the squarefree decomposition of the expanded polynomial, and the
-    minimal resolution must replace each by ``(-2)``-curves.  The two
-    root configurations and their status are built once per ``d``.
+    degenerate root configuration per parameter tuple (on its first
+    weight pair): the model's, read off the root multiplicities, must
+    match ``smoothness_status``, read off the squarefree decomposition of
+    the expanded polynomial, and the minimal resolution must replace each
+    by ``(-2)``-curves.  The two root configurations and their status are
+    built once per ``d``.
     """
-    out = SuiteResult("topology")
-    configs_by_d: dict[int, tuple[tuple[RootConfig, FiberStatus], ...]] = {}
-    for d, n, m, c in cyclic_tuples(max_d, max_n, max_c):
-        enum = enumerate_weights(d, n, m, c)
-        if not enum.pairs:
-            continue
-        a = enum.pairs[0].a
-        configs = configs_by_d.get(d)
-        if configs is None:
-            configs = configs_by_d[d] = tuple(
-                (roots, smoothness_status(roots))
-                for roots in (default_roots(d), RootConfig.of([(1, d)]))
-            )
-        for roots, status in configs:
-            out.tick()
-            model = build_cyclic(d, n, m, c, a, roots)
-            label = model.label()
-            model_indices = tuple(sorted(k for _, k in model.interior_singularities))
-            if status.a_indices != model_indices:
-                out.fail(f"{label}: fibre status {status.a_indices} != {model_indices}")
-            for lbl, chain in minimal_resolution(model).exceptional_chains:
-                if any(e != 2 for e in chain.entries):
-                    out.fail(f"{label}: chain at {lbl} not all (-2)")
-    return out
+    return _walk_box(max_d, max_n, max_c, topology=True)[0]
 
 
 def roundtrip_suite(
     max_d: int, max_n: int, max_c: int, samples: int, seed: int
 ) -> SuiteResult:
     """Chart samples of every model, lifted, rescaled and projected back
-    to the plane ``P(a, c, n)`` by ``roundtrip_check``."""
-    out = SuiteResult("projection-roundtrip")
-    for index, model in enumerate(iter_models(max_d, max_n, max_c)):
-        out.tick()
-        if not roundtrip_check(model, samples, seed + index):
-            out.fail(f"{model.label()}: roundtrip mismatch")
-    return out
+    to the plane ``P(a, c, n)`` by ``roundtrip_check``, with seed ``seed +
+    index`` for the model's index in ``model_params`` order."""
+    return _walk_box(max_d, max_n, max_c, roundtrip=(samples, seed))[0]
 
 
 def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> SuiteResult:
@@ -193,16 +261,7 @@ def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> S
     ``1/c(b, -n)`` and ``1/n(b, -c)`` of the blow-up at ``R2``, built
     from ``b``, must normalize to the plane's coordinate points
     ``1/c(a, n)`` and ``1/n(a, c)``, built from ``a``."""
-    out = SuiteResult("blowup-singularities")
-    params = list(model_params(max_d, max_n, max_c))
-    rng = random.Random(seed)
-    for chosen in rng.sample(params, min(count, len(params))):
-        model = build_cyclic(*chosen)
-        out.tick()
-        blow = blowup_at_R2(model)
-        if blow.new_singularities != plane_points(model):
-            out.fail(f"{model.label()}: blow-up points {blow.new_singularities}")
-    return out
+    return _walk_box(max_d, max_n, max_c, blowup=(count, seed))[0]
 
 
 def brute_force_class_t(r: int, q: int) -> list[tuple[int, int, int]]:
@@ -263,12 +322,9 @@ def hj_suite(max_r: int) -> SuiteResult:
 
 
 def run_all(max_d: int = 4, max_n: int = 4, max_c: int = 3, seed: int = 0) -> list[SuiteResult]:
-    return [
-        weight_family_suite(max_d, max_n),
-        residual_suite(max_d, max_n, max_c),
-        topology_suite(max_d, max_n, max_c),
-        roundtrip_suite(max_d, max_n, max_c, _SAMPLES, seed),
-        blowup_suite(max_d, max_n, max_c, _BLOWUP_COUNT, seed),
-        class_t_suite(_MAX_R),
-        hj_suite(_MAX_R),
-    ]
+    """Every suite, with one walk of the box for the five per-box suites."""
+    box = _walk_box(
+        max_d, max_n, max_c, family=True, residual=True, topology=True,
+        roundtrip=(_SAMPLES, seed), blowup=(_BLOWUP_COUNT, seed),
+    )
+    return [*box, class_t_suite(_MAX_R), hj_suite(_MAX_R)]

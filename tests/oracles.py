@@ -249,3 +249,37 @@ def same_weighted_point(weights, p, q) -> bool:
     g, coeffs = _bezout(ws)
     mu = prod(l**c for l, c in zip(ratios, coeffs))
     return all(l == mu ** (w // g) for l, w in zip(ratios, ws))
+
+
+def _hj_chain(r: int, q: int) -> list[int]:
+    """Entries ``b_i`` of ``r/q = b_1 - 1/(b_2 - ...)`` for ``0 < q < r``."""
+    chain = []
+    while q:
+        b = -(-r // q)
+        chain.append(b)
+        r, q = q, b * q - r
+    return chain
+
+
+def noether_euler(model) -> Fraction:
+    """``e(Mbar)`` from Noether's formula on the minimal resolution.
+
+    The resolution ``Y`` is a smooth rational surface, so ``K_Y^2 + e(Y)
+    = 12``.  With ``K = -beta C`` on ``Mbar``, each boundary germ
+    ``1/r(1, q)`` with chain ``b`` of length ``l`` and ``q' = q^-1 mod r``
+    changes ``K^2`` by ``2 - (2 + q + q')/r - sum(b_i - 2)`` and ``e`` by
+    ``l``; the interior ``A_k`` points change neither sum.  So
+    ``e(Mbar) = 12 - beta^2 C^2 - sum_p (2 - (2 + q + q')/r - sum(b_i - 2) + l)``.
+    """
+    total = 12 - model.beta**2 * model.curve.self_intersection
+    for _, germ in model.infinity_singularities:
+        r, (w1, w2) = germ.order, germ.weights
+        if r == 1:
+            continue
+        if gcd(w1, r) != 1:
+            w1, w2 = w2, w1
+        q = w2 * pow(w1, -1, r) % r
+        chain = _hj_chain(r, q)
+        q_inv = pow(q, -1, r)
+        total -= 2 - Fraction(2 + q + q_inv, r) - sum(b - 2 for b in chain) + len(chain)
+    return total

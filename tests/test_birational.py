@@ -1,6 +1,7 @@
 """Tests for the projection, blow-up, charts, and point equality."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from classt import birational
 from classt.birational import surface_residue
 from classt.sweep import iter_models
 
-from oracles import same_weighted_point
+from oracles import noether_euler, same_weighted_point
 
 
 def d1_model():
@@ -311,9 +312,25 @@ def test_blowup_description():
 
 
 def test_euler_count_matches_topology():
-    for model in (d1_model(), d2_model(), c2_model()):
-        desc = blowup_description(model)
-        assert desc.euler_characteristic == topology(model).chi_Mbar + 1
+    # Noether's formula on the minimal resolution is the second side of
+    # both the closed form and the blow-up count.
+    for model in (d1_model(), d2_model(), c2_model(), *iter_models(5, 6, 4)):
+        euler = noether_euler(model)
+        assert euler == topology(model).chi_Mbar, model.label()
+        assert euler == blowup_description(model).euler_characteristic - 1, model.label()
+
+
+def test_noether_euler_fails_on_a_wrong_beta():
+    # beta = (c + n)/c instead of (c + n)/n moves K^2 unless c = n.
+    models = list(iter_models(5, 6, 4))
+    wrong = [
+        model.label()
+        for model in models
+        if noether_euler(replace(model, beta=Fraction(model.c + model.n, model.c)))
+        != topology(model).chi_Mbar
+    ]
+    assert wrong == [model.label() for model in models if model.c != model.n]
+    assert len(wrong) == 720
 
 
 # -------------------------------------------------------------- roundtrip

@@ -133,6 +133,31 @@ def test_growing_inputs_are_capped(capsys, tmp_path):
     ]
 
 
+def test_root_size_is_capped(capsys, tmp_path):
+    # The roundtrip's integers grow with the roots' numerators and
+    # denominators as well as with the degree.
+    model = ["-d", "2", "-n", "2", "-m", "1", "-a", "1"]
+    commands = (["build", "cyclic"], ["check"], ["birational"])
+    for roots in ("1000,-1/1000", "-1000,999/1000"):
+        for command in commands:
+            code, out, err = run(capsys, command + model + [f"--roots={roots}"])
+            assert (code, err) == (0, ""), (command, roots)
+    message = "error: largest root numerator or denominator must be between 1 and 1000, got 1001\n"
+    for roots in ("1001,1", "-1001,1", "1,1/1001", "-1001/1000:2"):
+        for command in commands:
+            for fmt in ("text", "json"):
+                argv = command + model + [f"--roots={roots}", "--format", fmt]
+                assert run(capsys, argv) == (1, "", message), argv
+
+    rows = [
+        {"id": "at", "kind": "birational", "parameters": {"d": 2, "n": 2, "m": 1, "a": 1, "roots": "1000,-1/1000"}},
+        {"id": "past", "kind": "check", "parameters": {"d": 2, "n": 2, "m": 1, "a": 1, "roots": "1,1/1001"}},
+    ]
+    code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
+    assert code == 1
+    assert [r["mismatches"] for r in data["outputs"]["results"]] == [[], [message.strip()]]
+
+
 def test_rdp_a_type_redirect_exit_one(capsys):
     code, _, err = run(capsys, ["build", "rdp", "--type", "D", "--index", "3"])
     assert code == 1 and "error:" in err

@@ -35,6 +35,25 @@ from classt.sweep import (
 SWEEP_BOX = (5, 6, 4)  # the acceptance box
 
 
+def box_suites(box, seed):
+    """The five per-box suites, each run on its own, with run_all's sizes."""
+    return [
+        weight_family_suite(*box[:2]),
+        residual_suite(*box),
+        topology_suite(*box),
+        roundtrip_suite(*box, classt.sweep._SAMPLES, seed),
+        blowup_suite(*box, classt.sweep._BLOWUP_COUNT, seed),
+    ]
+
+
+def assert_one_walk_matches_the_suites(box, seed):
+    """run_all's single walk gives every per-box suite exactly as the
+    suite gives it alone."""
+    tally = [(r.name, r.cases, r.failure_count, r.failures) for r in run_all(*box, seed=seed)]
+    alone = [(r.name, r.cases, r.failure_count, r.failures) for r in box_suites(box, seed)]
+    assert tally[:5] == alone
+
+
 def test_suite_result_tally():
     s = SuiteResult("demo")
     assert s.passed and s.cases == 0
@@ -125,6 +144,7 @@ def test_residual_suite_reports_a_wrong_beta(monkeypatch):
     assert [msg.partition(": residual ")[0] for msg in suite.failures] == expected + ["rdp(E7)"]
     assert all(msg.rpartition(" ")[2] != "0" for msg in suite.failures)
     assert suite.failures[-1] == "rdp(E7): residual -1/12"
+    assert_one_walk_matches_the_suites(box, seed=0)
 
 
 def test_topology_suite_reports_a_chain_off_minus_two(monkeypatch):
@@ -148,6 +168,7 @@ def test_topology_suite_reports_a_chain_off_minus_two(monkeypatch):
     suite = topology_suite(*box)
     assert suite.failure_count == len(expected)
     assert suite.failures == [f"{label}: chain at S_1 not all (-2)" for label in expected]
+    assert_one_walk_matches_the_suites(box, seed=0)
 
 
 def test_blowup_suite_reports_swapped_plane_points(monkeypatch):
@@ -161,6 +182,7 @@ def test_blowup_suite_reports_swapped_plane_points(monkeypatch):
     suite = blowup_suite(*box, count, seed)
     assert suite.cases == count and suite.failure_count == len(expected)
     assert [msg.partition(": blow-up points ")[0] for msg in suite.failures] == expected
+    assert_one_walk_matches_the_suites(box, seed)
 
 
 def test_roundtrip_suite_reports_a_mismatch(monkeypatch):
@@ -176,6 +198,7 @@ def test_roundtrip_suite_reports_a_mismatch(monkeypatch):
     suite = roundtrip_suite(*box, samples=10, seed=0)
     assert suite.failure_count == len(expected)
     assert suite.failures == [f"{label}: roundtrip mismatch" for label in expected]
+    assert_one_walk_matches_the_suites(box, seed=0)
 
 
 def test_weight_family_counts_a_short_pair_list_once(monkeypatch):
@@ -209,6 +232,42 @@ def test_blowup_suite_builds_only_the_sampled_models(monkeypatch):
         monkeypatch.undo()
         assert built == expected
         assert suite.cases == 20 and suite.passed
+
+
+def test_run_all_walks_the_box_once(monkeypatch):
+    # Walking the box once per suite built 1,818 models and enumerated 735
+    # weight tuples; one walk builds the 730 box models, one fully
+    # degenerate model per tuple with weights (169) and the 20 blow-up
+    # samples, and enumerates each of the 170 tuples once.
+    counts = {"build": 0, "enumerate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(classt.sweep, "build_cyclic", counted("build", build_cyclic))
+    monkeypatch.setattr(classt.sweep, "enumerate_weights", counted("enumerate", enumerate_weights))
+    for seed in (0, 7):
+        counts.update(build=0, enumerate=0)
+        run_all(*SWEEP_BOX, seed=seed)
+        assert counts == {"build": 919, "enumerate": 170}
+    assert len(list(cyclic_tuples(*SWEEP_BOX))) == 170
+
+    # The walk keeps the roundtrip's seed + index in model order.
+    seen = []
+
+    def recording_roundtrip(model, samples, seed):
+        seen.append((model.label(), samples, seed))
+        return True
+
+    monkeypatch.setattr(classt.sweep, "roundtrip_check", recording_roundtrip)
+    run_all(*SWEEP_BOX, seed=3)
+    walked, seen[:] = seen[:], []
+    roundtrip_suite(*SWEEP_BOX, samples=classt.sweep._SAMPLES, seed=3)
+    assert walked == seen
+    assert [seed for _, _, seed in seen] == list(range(3, 3 + 730))
 
 
 def test_brute_force_class_t_examples():
