@@ -194,27 +194,27 @@ class UniPoly:
             den = lcm(den, c.denominator)
         return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
 
-    def _value_pair(self, p: int, q: int) -> tuple[int, int]:
-        """The value at ``p/q`` (``q != 0``) as integers ``(num, den)``.
-
-        With the cleared coefficients ``N_i / D`` the value is
-        ``sum_i N_i p^i q^(deg-i) / (D q^deg)``; the numerator is a
-        homogeneous Horner recurrence on integers.
-        """
-        ints, den = self._cleared
-        if not ints:
-            return 0, 1
-        value = ints[-1]
-        qpow = 1
-        for i in range(len(ints) - 2, -1, -1):
-            qpow *= q
-            value = value * p + ints[i] * qpow
-        return value, den * qpow
-
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact value at ``x``; one Fraction is built, at the end."""
         xf = as_fraction(x)
-        return Fraction(*self._value_pair(xf.numerator, xf.denominator))
+        return Fraction(*_cleared_value(*self._cleared, xf.numerator, xf.denominator))
+
+
+def _cleared_value(ints: tuple[int, ...], den: int, p: int, q: int) -> tuple[int, int]:
+    """Value at ``p/q`` (``q != 0``) of the polynomial with coefficients
+    ``ints[i] / den``, as integers ``(num, den)``.
+
+    The value is ``sum_i N_i p^i q^(deg-i) / (D q^deg)``; the numerator is
+    a homogeneous Horner recurrence on integers.
+    """
+    if not ints:
+        return 0, 1
+    value = ints[-1]
+    qpow = 1
+    for i in range(len(ints) - 2, -1, -1):
+        qpow *= q
+        value = value * p + ints[i] * qpow
+    return value, den * qpow
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:

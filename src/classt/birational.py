@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import RationalLike, as_fraction
+from .arith import RationalLike, _cleared_value, as_fraction
 from .compactify import CompactificationModel
 from .errors import (
     BadInput,
@@ -56,6 +56,11 @@ _Pair = tuple[int, int]
 
 def _pairs(coords: tuple[Fraction, ...]) -> tuple[_Pair, ...]:
     return tuple((c.numerator, c.denominator) for c in coords)
+
+
+def _flat(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The pairs of ``coords`` laid end to end: ``(n_0, d_0, n_1, d_1, ...)``."""
+    return tuple(v for c in coords for v in (c.numerator, c.denominator))
 
 
 @lru_cache(maxsize=256)
@@ -152,23 +157,28 @@ def target_plane(model: CompactificationModel) -> WeightedProjectiveSpace:
     return _plane((model.a, model.c, model.n))
 
 
-def _residue(model: CompactificationModel, coords: tuple[_Pair, ...]) -> _Pair:
+def _root_triples(model: CompactificationModel) -> tuple[tuple[int, int, int], ...]:
+    """``(p, q, k)`` for each root ``p/q`` of multiplicity ``k``."""
+    return tuple((root.numerator, root.denominator, k) for root, k in model.roots.pairs)
+
+
+def _residue(
+    c: int, n: int, roots: tuple[tuple[int, int, int], ...],
+    xn: int, xd: int, yn: int, yd: int, zn: int, zd: int, wn: int, wd: int,
+) -> _Pair:
     """``x*y`` minus the root product at integer-pair coordinates.
 
-    With ``z^n / w^c = Z/W`` (``Z = zn^n wd^c``, ``W = wn^c zd^n``) and
-    ``a_j = ap/aq`` each factor ``z^n - a_j w^c`` is
-    ``(Z*aq - ap*W) / (zd^n wd^c aq)``; the result is the pair
-    ``(num, den)``, and the point is on the surface iff ``num == 0``.
+    ``roots`` are the model's ``_root_triples``.  With ``z^n / w^c = Z/W``
+    (``Z = zn^n wd^c``, ``W = wn^c zd^n``) each factor ``z^n - (p/q) w^c``
+    is ``(Z*q - p*W) / (zd^n wd^c q)``; the result is the pair ``(num,
+    den)``, and the point is on the surface iff ``num == 0``.
     """
-    (xn, xd), (yn, yd), (zn, zd), (wn, wd) = coords
-    _, _, c, n = model.ambient.weights
     zq, wq = zd**n, wd**c
     big_z, big_w, zw = zn**n * wq, wn**c * zq, zq * wq
     num = den = 1
-    for root, k in model.roots.pairs:
-        aq = root.denominator
-        num *= (big_z * aq - root.numerator * big_w) ** k
-        den *= (zw * aq) ** k
+    for p, q, k in roots:
+        num *= (big_z * q - p * big_w) ** k
+        den *= (zw * q) ** k
     xy_den = xd * yd
     return xn * yn * den - num * xy_den, xy_den * den
 
@@ -176,18 +186,20 @@ def _residue(model: CompactificationModel, coords: tuple[_Pair, ...]) -> _Pair:
 def surface_residue(model: CompactificationModel, coords: tuple[Fraction, ...]) -> Fraction:
     """``x*y`` minus the root product, evaluated at affine coordinates."""
     _require_cyclic(model)
-    return Fraction(*_residue(model, _pairs(coords)))
+    return Fraction(*_residue(model.c, model.n, _root_triples(model), *_flat(coords)))
 
 
-def _project(model: CompactificationModel, coords: tuple[_Pair, ...]) -> tuple[_Pair, ...] | None:
+def _project(
+    c: int, n: int, roots: tuple[tuple[int, int, int], ...],
+    xn: int, xd: int, yn: int, yd: int, zn: int, zd: int, wn: int, wd: int,
+) -> tuple[_Pair, _Pair, _Pair] | None:
     """Plane image ``(x, z, w)`` of integer-pair coordinates, or None off
     the surface; raises IndeterminateAtR2 at ``[0:1:0:0]``."""
-    if _residue(model, coords)[0]:
+    if _residue(c, n, roots, xn, xd, yn, yd, zn, zd, wn, wd)[0]:
         return None
-    x, _, z, w = coords
-    if not (x[0] or z[0] or w[0]):
+    if not (xn or zn or wn):
         raise IndeterminateAtR2("the projection has no value at [0:1:0:0]")
-    return x, z, w
+    return (xn, xd), (zn, zd), (wn, wd)
 
 
 def project_pi(model: CompactificationModel, point: WPoint) -> WPoint:
@@ -199,7 +211,7 @@ def project_pi(model: CompactificationModel, point: WPoint) -> WPoint:
     _require_cyclic(model)
     if point.ambient != model.ambient:
         raise BadInput(f"point lives in {point.ambient.label()}, not {model.ambient.label()}")
-    image = _project(model, _pairs(point.coords))
+    image = _project(model.c, model.n, _root_triples(model), *_flat(point.coords))
     if image is None:
         raise NotOnSurface(f"{point!r} does not satisfy the defining equation")
     return WPoint(target_plane(model), tuple(Fraction(*c) for c in image))
@@ -250,11 +262,11 @@ def plane_points(model: CompactificationModel) -> tuple[QuotientSingularity, Quo
     )
 
 
-def _chart_T(model: CompactificationModel, w1: _Pair, r: _Pair) -> tuple[_Pair, _Pair, _Pair]:
-    """Chart T image ``[w' * P(r^n) : r : 1]`` on integer pairs."""
-    n = model.n
-    pn, pd = model.roots.polynomial._value_pair(r[0] ** n, r[1] ** n)
-    return (w1[0] * pn, w1[1] * pd), r, (1, 1)
+def _chart_T(n: int, ints: tuple[int, ...], den: int, wn: int, wd: int, rn: int, rd: int) -> _Pair:
+    """``x = w' * P(r^n)`` of the chart T image ``[x : r : 1]`` on integers,
+    with ``(ints, den)`` the cleared coefficients of ``P``."""
+    pn, pd = _cleared_value(ints, den, rn**n, rd**n)
+    return wn * pn, wd * pd
 
 
 def evaluate_pi_chart(
@@ -271,8 +283,8 @@ def evaluate_pi_chart(
     s, t = map(as_fraction, coords)
     plane = target_plane(model)
     if chart == "T":
-        image = _chart_T(model, *_pairs((s, t)))
-        return WPoint(plane, tuple(Fraction(*c) for c in image))
+        x = _chart_T(model.n, *model.roots.polynomial._cleared, *_flat((s, t)))
+        return WPoint(plane, (Fraction(*x), t, _ONE))
     if chart == "S":
         q = Fraction(1)
         for root, k in model.roots.pairs:
@@ -332,34 +344,37 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     fails unless the rescaled lift satisfies the defining equation
     (``P`` is the expanded polynomial, the equation uses the root
     factors) and its projection equals the chart image in the plane
-    ``P(a, c, n)``.  Everything runs on integer pairs; no Fraction or
-    WPoint is built.
+    ``P(a, c, n)``.  Everything runs on integers; no Fraction or WPoint
+    is built.  The model's integers (its weights, the cleared
+    coefficients of ``P``, the ``_root_triples`` and the five scalings
+    ``t^w`` as flat tuples) are read once per call, not once per sample.
     """
     _require_cyclic(model)
     if sample_count < 1:
         raise BadInput("sample_count must be positive")
     rng = random.Random(seed)
     plane_weights = target_plane(model).weights
-    scales = [tuple((tn**w, td**w) for w in model.ambient.weights) for tn, td in _SCALES]
+    a, b, c, n = model.ambient.weights
+    ints, den = model.roots.polynomial._cleared
+    roots = _root_triples(model)
+    scales = [(t**a, s**a, t**b, s**b, t**c, s**c, t**n, s**n) for t, s in _SCALES]
     done = 0
     attempts = 0
     while done < sample_count:
         attempts += 1
         if attempts > 200 * sample_count:
             raise BadInput("rejection sampling failed to produce enough chart points")
-        w1 = rng.choice(_SAMPLE_POOL)
-        r = rng.choice(_SAMPLE_POOL)
-        if not w1[0]:
+        wn, wd = rng.choice(_SAMPLE_POOL)
+        rn, rd = rng.choice(_SAMPLE_POOL)
+        if not wn:
             continue
-        chart_image = _chart_T(model, w1, r)
-        (xn, xd), _, _ = chart_image
+        xn, xd = _chart_T(n, ints, den, wn, wd, rn, rd)
         if not xn:
             continue
-        (ta, sa), (tb, sb), (tc, sc), (tn, sn) = scales[done % len(scales)]
+        ta, sa, tb, sb, tc, sc, tn, sn = scales[done % len(scales)]
         # x = w' * P(r^n), so y = P(r^n) / x = 1 / w'.
-        lift = ((xn * ta, xd * sa), (w1[1] * tb, w1[0] * sb), (r[0] * tc, r[1] * sc), (tn, sn))
-        image = _project(model, lift)
-        if image is None or not _same_orbit(plane_weights, image, chart_image):
+        image = _project(c, n, roots, xn * ta, xd * sa, wd * tb, wn * sb, rn * tc, rd * sc, tn, sn)
+        if image is None or not _same_orbit(plane_weights, image, ((xn, xd), (rn, rd), (1, 1))):
             return False
         done += 1
     return True

@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from . import reports
-from .compactify import RootConfig
 from .errors import BadInput, ClassTError
 
 _DOTLESS = "this command has no graph form; use --format text or json"
@@ -119,7 +118,7 @@ def _dispatch(args: argparse.Namespace) -> reports.CommandReport:
     if cmd == "build" and args.variant == "rdp":
         return reports.build_rdp_report(args.ade, args.index, _parse_coeffs(args.coeffs))
     if cmd in ("build", "check", "birational"):
-        model = (args.d, args.n, args.m, args.c, args.a, RootConfig.parse(args.roots))
+        model = (args.d, args.n, args.m, args.c, args.a, reports.parse_roots(args.roots))
         if cmd == "build":
             return reports.build_cyclic_report(*model)
         if cmd == "check":

@@ -15,6 +15,7 @@ fixed order, so identical inputs and seeds give byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -64,6 +65,17 @@ _MAX_ROOT = 1000
 # A resolution chain has up to order - 1 entries; the DOT form of the
 # longest at this order is about 6 MB.
 _MAX_ORDER = 100_000
+# Fraction(str) builds the whole value before any cap above can look at it,
+# and the value's digits grow with the text's exponent as well as with its
+# length: "1e400000000" is 11 characters and 400 million digits (parsing it
+# did not finish in 10 s), and a value past 4300 digits cannot be printed.
+# So a root or coefficient text may spell at most this many digits, counted
+# as its length plus the size of its exponent; every root within _MAX_ROOT
+# needs fewer than 20.
+_MAX_RATIONAL_TEXT = 100
+# An error message quotes at most this many characters of a rejected text.
+_QUOTED_TEXT = 20
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)", re.IGNORECASE)
 
 
 def _check_range(name: str, value: int, low: int, high: int) -> None:
@@ -87,6 +99,28 @@ def _check_roots(roots: RootConfig) -> None:
     # RootConfig holds every root nonzero, so the largest is at least 1.
     largest = max(max(abs(r.numerator), r.denominator) for r in roots.roots)
     _check_range("largest root numerator or denominator", largest, 1, _MAX_ROOT)
+
+
+def _check_rational_text(name: str, text: str) -> None:
+    size = len(text)
+    if size <= _MAX_RATIONAL_TEXT:
+        exponent = _EXPONENT.search(text)
+        if exponent:
+            size += abs(int(exponent.group(1).replace("_", "")))
+    if size > _MAX_RATIONAL_TEXT:
+        quoted = text if len(text) <= _QUOTED_TEXT else text[:_QUOTED_TEXT] + "..."
+        raise BadInput(
+            f"{name} {quoted!r} spells more than {_MAX_RATIONAL_TEXT} digits "
+            "(its length plus its exponent)"
+        )
+
+
+def parse_roots(text: str) -> RootConfig:
+    """``RootConfig.parse`` of command-line or corpus text, each entry
+    checked against the rational text cap first."""
+    for entry in text.split(","):
+        _check_rational_text("root entry", entry.strip())
+    return RootConfig.parse(text)
 
 
 def rational_str(x: Fraction) -> str:
@@ -287,6 +321,9 @@ def build_cyclic_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfi
 def build_rdp_report(ade: str, index: int, coeffs: list | None) -> CommandReport:
     if ade == "D":
         _check_range("D-type index", index, 4, _MAX_D_INDEX)
+    for value in coeffs or ():
+        if isinstance(value, str):
+            _check_rational_text("coefficient", value)
     model = build_rdp(ade, index, coeffs)
     residual = check_hypotheses(model).adjunction_residual
 
@@ -543,7 +580,7 @@ def _run_corpus_case(kind: str, params: dict, seed: int) -> CommandReport:
         model = (
             int(params["d"]), int(params["n"]), int(params["m"]),
             int(params.get("c", 1)), int(params["a"]),
-            RootConfig.parse(str(params["roots"])),
+            parse_roots(str(params["roots"])),
         )
         if kind == "build-cyclic":
             return build_cyclic_report(*model)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator
 
 from .arith import hj_evaluate, mod_inverse
-from .birational import blowup_at_R2, plane_points, roundtrip_check
+from .birational import blowup_at_R2, blowup_description, plane_points, roundtrip_check
 from .compactify import (
     CompactificationModel,
     FiberStatus,
@@ -155,9 +156,24 @@ def _check_roundtrip(out: SuiteResult, model: CompactificationModel, samples: in
 
 def _check_blowup(out: SuiteResult, model: CompactificationModel) -> None:
     out.tick()
+    label = model.label()
     blow = blowup_at_R2(model)
     if blow.new_singularities != plane_points(model):
-        out.fail(f"{model.label()}: blow-up points {blow.new_singularities}")
+        out.fail(f"{label}: blow-up points {blow.new_singularities}")
+    # K^2 of Mbar blown up at R2, two ways.  The description's plane
+    # P(a, c, n) has K^2 = (a + c + n)^2/(acn), less one per blow-up.  On
+    # Mbar, K = -beta C gives beta^2 C^2, and blowing up the centre 1/b(c, n)
+    # with weights (c, n) (E^2 = -b/(cn), discrepancy (c + n)/b - 1)
+    # takes away (c + n - b)^2/(bcn); the centre is read off the charts.
+    desc = blowup_description(model)
+    a, c, n = desc.base_plane.weights
+    plane_side = Fraction((a + c + n) ** 2, a * c * n) - desc.total_blowups
+    (order_c, (b, _)), (order_n, _) = blow.chart_actions
+    centre_side = model.beta**2 * model.curve.self_intersection - Fraction(
+        (order_c + order_n - b) ** 2, b * order_c * order_n
+    )
+    if plane_side != centre_side:
+        out.fail(f"{label}: K^2 {plane_side} from the plane, {centre_side} from the blow-up")
 
 
 def _walk_box(
@@ -260,7 +276,10 @@ def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> S
     """``count`` models sampled from the box: the chart actions
     ``1/c(b, -n)`` and ``1/n(b, -c)`` of the blow-up at ``R2``, built
     from ``b``, must normalize to the plane's coordinate points
-    ``1/c(a, n)`` and ``1/n(a, c)``, built from ``a``."""
+    ``1/c(a, n)`` and ``1/n(a, c)``, built from ``a``; and ``K^2`` of the
+    blow-up must agree from the plane ``P(a, c, n)`` blown up once per
+    root multiplicity, ``(a + c + n)^2/(acn) - d``, and from the model,
+    ``beta^2 C^2 - (c + n - b)^2/(bcn)``."""
     return _walk_box(max_d, max_n, max_c, blowup=(count, seed))[0]
 
 
@@ -306,17 +325,24 @@ def class_t_suite(max_r: int) -> SuiteResult:
 
 
 def hj_suite(max_r: int) -> SuiteResult:
-    """Resolution chains re-evaluate to ``r/q`` with all entries >= 2."""
+    """Resolution chains re-evaluate to ``r/q`` with all entries >= 2.
+
+    ``hj_evaluate`` returns a Fraction in lowest terms with a positive
+    denominator and ``gcd(q, r) = 1``, so the value is ``r/q`` exactly
+    when its numerator and denominator are ``(r, q)``; every chain has an
+    entry, so ``min`` is defined.
+    """
     out = SuiteResult("hj-chains")
     for r in range(2, max_r + 1):
         for q in range(1, r):
             if gcd(q, r) != 1:
                 continue
             out.tick()
-            chain = hj_resolution(QuotientSingularity(r, (1, q)))
-            if any(b < 2 for b in chain.entries):
+            entries = hj_resolution(QuotientSingularity(r, (1, q))).entries
+            if min(entries) < 2:
                 out.fail(f"1/{r}(1,{q}): entry below 2")
-            if hj_evaluate(chain.entries) * q != r:
+            value = hj_evaluate(entries)
+            if (value.numerator, value.denominator) != (r, q):
                 out.fail(f"1/{r}(1,{q}): chain does not evaluate to {r}/{q}")
     return out
 

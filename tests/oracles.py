@@ -9,6 +9,7 @@ sparse polynomial arithmetic type is reused.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -244,11 +245,64 @@ def same_weighted_point(weights, p, q) -> bool:
     support = [k for k, x in enumerate(p) if x]
     if support != [k for k, x in enumerate(q) if x]:
         return False
-    ratios = [Fraction(q[k]) / Fraction(p[k]) for k in support]
+    ratios = [Fraction(q[k]) / p[k] for k in support]
     ws = [weights[k] for k in support]
     g, coeffs = _bezout(ws)
     mu = prod(l**c for l, c in zip(ratios, coeffs))
     return all(l == mu ** (w // g) for l, w in zip(ratios, ws))
+
+
+def product_residue(model, coords) -> Fraction:
+    """``x*y - prod_j (z^n - a_j w^c)^(k_j)`` at Fraction coordinates,
+    one Fraction operation at a time."""
+    x, y, z, w = coords
+    zn, wc = z**model.n, w**model.c
+    product = Fraction(1)
+    for root, k in model.roots.pairs:
+        product *= (zn - root * wc) ** k
+    return x * y - product
+
+
+# The projection roundtrip draws chart coordinates from this pool and
+# rescales its k-th lift by the k-th scaling, cycled.
+_ROUNDTRIP_POOL = tuple((num, den) for num in range(-6, 7) for den in (1, 2, 3))
+_ROUNDTRIP_SCALES = tuple(Fraction(t) for t in ("2", "-2", "1/2", "-3/2", "3"))
+
+
+def roundtrip_oracle(model, sample_count: int, seed: int, plane_weights) -> list[tuple]:
+    """The samples of the projection roundtrip, computed with Fractions.
+
+    Draws ``(w', r)`` from ``random.Random(seed)`` as the roundtrip does,
+    two choices per attempt, and rejects ``w' = 0`` and ``P(r^n) = 0``
+    with ``P(r^n)`` the root product.  The chart image ``[x : r : 1]``,
+    ``x = w' P(r^n)``, lifts to ``[x : 1/w' : r : 1]``, which is rescaled
+    by ``t^(a, b, c, n)``.  Each sample gives ``(image, chart image,
+    verdict)``: the projection ``[x : z : w]`` of the rescaled lift, and
+    whether the lift lies on the surface (``product_residue``) and its
+    image is the chart image in ``P(plane_weights)`` (``same_weighted_point``).
+    The list stops after the first sample whose verdict is False.
+    """
+    rng = random.Random(seed)
+    a, b, c, n = model.ambient.weights
+    scalings = [(t**a, t**b, t**c, t**n) for t in _ROUNDTRIP_SCALES]
+    samples: list[tuple] = []
+    while len(samples) < sample_count:
+        w1 = Fraction(*rng.choice(_ROUNDTRIP_POOL))
+        r = Fraction(*rng.choice(_ROUNDTRIP_POOL))
+        if not w1:
+            continue
+        rn = r**n
+        x = w1 * prod((rn - root) ** k for root, k in model.roots.pairs)
+        if not x:
+            continue
+        ta, tb, tc, tn = scalings[len(samples) % len(scalings)]
+        lift = (x * ta, tb / w1, r * tc, tn)
+        image, chart = (lift[0], lift[2], lift[3]), (x, r, Fraction(1))
+        verdict = product_residue(model, lift) == 0 and same_weighted_point(plane_weights, image, chart)
+        samples.append((image, chart, verdict))
+        if not verdict:
+            break
+    return samples
 
 
 def _hj_chain(r: int, q: int) -> list[int]:

@@ -33,7 +33,7 @@ from classt import birational
 from classt.birational import surface_residue
 from classt.sweep import iter_models
 
-from oracles import noether_euler, same_weighted_point
+from oracles import noether_euler, product_residue, roundtrip_oracle, same_weighted_point
 
 
 def d1_model():
@@ -189,14 +189,6 @@ def test_surface_residue_values():
     assert surface_residue(model, (Fraction(1), Fraction(1), Fraction(0), Fraction(1))) == -1
 
 
-def _direct_residue(model, coords):
-    x, y, z, w = coords
-    product = Fraction(1)
-    for root, k in model.roots.pairs:
-        product *= (z**model.n - root * w**model.c) ** k
-    return x * y - product
-
-
 def test_surface_residue_matches_fraction_product():
     rng = random.Random(23)
     pool = [Fraction(num, den) for num in range(-6, 7) for den in (1, 2, 3, 5)]
@@ -211,12 +203,12 @@ def test_surface_residue_matches_fraction_product():
         for _ in range(150):
             x = rng.choice([p for p in pool if p != 0])
             z, w = rng.choice(pool), rng.choice(pool)
-            on_surface = _direct_residue(model, (x, Fraction(0), z, w)) / -x
+            on_surface = product_residue(model, (x, Fraction(0), z, w)) / -x
             for y in (on_surface, on_surface + 1, rng.choice(pool)):
                 coords = (x, y, z, w)
                 residue = surface_residue(model, coords)
                 assert type(residue) is Fraction
-                assert residue == _direct_residue(model, coords), (model.label(), coords)
+                assert residue == product_residue(model, coords), (model.label(), coords)
             assert surface_residue(model, (x, on_surface, z, w)) == 0
             assert surface_residue(model, (x, on_surface + 1, z, w)) == x
 
@@ -367,6 +359,32 @@ def test_roundtrip_detects_reversed_equality_weights(monkeypatch):
     passed = [roundtrip_check(model, 10, i) for i, model in enumerate(models)]
     assert passed == [model.a == model.n for model in models]
     assert passed.count(False) > 700
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["unchanged", "reversed-weights"])
+def test_roundtrip_matches_the_fraction_oracle(monkeypatch, reverse):
+    # The points the kernel compares and its verdicts, against the same
+    # draws lifted, rescaled and compared with Fractions; under reversed
+    # plane weights the oracle compares in P(n, c, a) too.
+    same_orbit = birational._same_orbit
+    compared = []
+
+    def recording(ws, p, q):
+        verdict = same_orbit(ws[::-1] if reverse else ws, p, q)
+        compared.append((tuple(Fraction(*v) for v in p), tuple(Fraction(*v) for v in q), verdict))
+        return verdict
+
+    monkeypatch.setattr(birational, "_same_orbit", recording)
+    failed = 0
+    for i, model in enumerate(iter_models(5, 6, 4)):
+        compared.clear()
+        plane = (model.a, model.c, model.n)
+        expected = roundtrip_oracle(model, 10, i, plane[::-1] if reverse else plane)
+        passed = roundtrip_check(model, 10, i)
+        assert compared == expected, model.label()
+        assert passed == expected[-1][2], model.label()
+        failed += not passed
+    assert failed == (711 if reverse else 0)
 
 
 def test_roundtrip_detects_a_wrong_plane_weight(monkeypatch):

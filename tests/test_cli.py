@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 from classt import compactify, reports
 from classt.cli import run_command
@@ -156,6 +157,47 @@ def test_root_size_is_capped(capsys, tmp_path):
     code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
     assert code == 1
     assert [r["mismatches"] for r in data["outputs"]["results"]] == [[], [message.strip()]]
+
+
+def test_rational_text_is_capped(capsys, tmp_path):
+    # Fraction(str) builds the value an exponent spells out: uncapped, the
+    # first two printed a traceback, the third took 2 s and the last did not
+    # finish in 10 s.
+    model = ["-d", "2", "-n", "1", "-m", "1", "-a", "1"]
+    suffix = "spells more than 100 digits (its length plus its exponent)"
+    cases = [
+        (["check"] + model + ["--roots", "1e5000"], f"root entry '1e5000' {suffix}"),
+        (["build", "rdp", "--type", "E", "--index", "6", "--coeffs", "1e5000,0,0,0,0,0"],
+         f"coefficient '1e5000' {suffix}"),
+        (["check"] + model + ["--roots", "1e3000000"], f"root entry '1e3000000' {suffix}"),
+        (["build", "rdp", "--type", "D", "--index", "4", "--coeffs", "1e400000000,0,0,0"],
+         f"coefficient '1e400000000' {suffix}"),
+        # A long text is quoted by its first 20 characters.
+        (["birational"] + model + ["--roots", "0" * 97 + "1000"], f"root entry '{'0' * 20}...' {suffix}"),
+    ]
+    for argv, message in cases:
+        for fmt in ("text", "json"):
+            start = time.perf_counter()
+            assert run(capsys, argv + ["--format", fmt]) == (1, "", f"error: {message}\n"), argv
+            assert time.perf_counter() - start < 1.0, argv
+    # At the cap: 100 characters, or a length and an exponent summing to 100.
+    at_cap = ["-d", "2", "-n", "2", "-m", "1", "-a", "1", "--roots", "0" * 96 + "1000,1e2"]
+    assert run(capsys, ["check"] + at_cap)[0] == 0
+    assert run(capsys, ["build", "rdp", "--type", "E", "--index", "6", "--coeffs", "1e96,0,0,0,0,0"])[0] == 0
+
+    rows = [
+        {"id": "roots", "kind": "check", "parameters": {"d": 2, "n": 1, "m": 1, "a": 1, "roots": "1e5000"}},
+        {"id": "coeffs", "kind": "build-rdp", "parameters": {"type": "E", "index": 6, "coeffs": ["1e5000"] + ["0"] * 5}},
+        {"id": "slow", "kind": "birational", "parameters": {"d": 2, "n": 1, "m": 1, "a": 1, "roots": "1e3000000"}},
+        {"id": "hang", "kind": "build-rdp", "parameters": {"type": "D", "index": 4, "coeffs": ["1e400000000", "0", "0", "0"]}},
+    ]
+    start = time.perf_counter()
+    code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert [r["mismatches"] for r in data["outputs"]["results"]] == [
+        [f"error: {message}"] for _, message in cases[:4]
+    ]
 
 
 def test_rdp_a_type_redirect_exit_one(capsys):

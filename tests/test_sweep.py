@@ -185,6 +185,24 @@ def test_blowup_suite_reports_swapped_plane_points(monkeypatch):
     assert_one_walk_matches_the_suites(box, seed)
 
 
+def test_blowup_suite_reports_a_centre_moved_to_R1(monkeypatch):
+    # Blowing up R1 = 1/a(c, n) instead of R2 = 1/b(c, n) leaves the new
+    # points alone but moves K^2 by (c + n - a)^2/(acn) - (c + n - b)^2/(bcn),
+    # which is zero on 20 of the 730 box models (a = b on 8 of them).
+    box_size = len(list(model_params(*SWEEP_BOX)))
+    assert box_size == 730 and blowup_suite(*SWEEP_BOX, box_size, 0).passed
+    blowup_at_R2 = classt.sweep.blowup_at_R2
+
+    def blowup_at_R1(model):
+        a, c, n = model.a, model.c, model.n
+        return replace(blowup_at_R2(model), chart_actions=((c, (a, -n)), (n, (a, -c))))
+
+    monkeypatch.setattr(classt.sweep, "blowup_at_R2", blowup_at_R1)
+    suite = blowup_suite(*SWEEP_BOX, box_size, 0)
+    assert suite.cases == 730 and suite.failure_count == 710
+    assert all(": K^2 " in message for message in suite.failures)
+
+
 def test_roundtrip_suite_reports_a_mismatch(monkeypatch):
     # The reversed plane weights (n, c, a) agree with (a, c, n) only when
     # a == n (see test_birational.py).
