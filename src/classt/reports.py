@@ -621,7 +621,9 @@ def run_corpus(path: str, seed: int) -> CommandReport:
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        # Besides JSONDecodeError, json.loads raises a plain ValueError for
+        # an integer literal past Python's 4300-digit conversion limit.
+        except ValueError as exc:
             raise BadInput(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise BadInput(f"{path}:{lineno}: a case must be a JSON object, got {type(row).__name__}")

@@ -198,6 +198,18 @@ def test_rational_text_is_capped(capsys, tmp_path):
     assert [r["mismatches"] for r in data["outputs"]["results"]] == [
         [f"error: {message}"] for _, message in cases[:4]
     ]
+    # A JSON integer root or coefficient past 4300 digits fails in json.loads,
+    # before any cap sees it: the whole corpus is bad input.
+    big = "1" + "0" * 5000
+    for row in (
+        '{"id": "roots", "kind": "check", "parameters": {"d": 2, "n": 1, "m": 1, "a": 1, "roots": %s}}',
+        '{"id": "coeffs", "kind": "build-rdp", "parameters": {"type": "E", "index": 6, "coeffs": [%s, 0, 0, 0, 0, 0]}}',
+    ):
+        path = tmp_path / "big.jsonl"
+        path.write_text(row % big + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["--corpus", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}:1: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_rdp_a_type_redirect_exit_one(capsys):

@@ -8,14 +8,14 @@ Usage (from anywhere inside the repository):
 
 exports ``src`` and ``perfbench`` of the git revision ``REV`` (the parent)
 with ``git archive``, as ``tools/bytes_diff.sh`` does, and copies those of
-the working tree (the change), or exports ``--change-rev REV2`` instead.
-Each side runs from its own temporary directory, so the repository's
-``perfbench/`` is only read.  For each ``WORKLOAD:PAIRS`` it runs
+the working tree (the change).  Each side runs from its own temporary
+directory, so the repository's ``perfbench/`` is only read.  For each
+``WORKLOAD:PAIRS`` it runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --trace 0
 
-once per side for the seeds ``--first-seed``, ``--first-seed + 1``, ...,
-one run at a time; the parent runs first on odd seeds and the change on
+once per side for the seeds 11, 12, ..., one run at a time, at run.py's
+own run length; the parent runs first on odd seeds and the change on
 even ones.  It writes the medians and quartiles (inclusive method) of each
 end-to-end metric named in ``BENCHMARK.json`` to ``--out``, with the
 change-over-parent ratio of the medians and the number of pairs in which
@@ -41,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "perfbench")
 # Left behind by a run of the benchmark or the tests; not part of a side.
 IGNORED = shutil.ignore_patterns(".work", "__pycache__", ".pytest_cache")
+FIRST_SEED = 11
 
 
 def export_revision(rev: str, dest: Path) -> None:
@@ -57,12 +58,11 @@ def copy_working_tree(dest: Path) -> None:
         shutil.copytree(ROOT / tree, dest / tree, ignore=IGNORED)
 
 
-def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(side: Path, workload: str, seed: int) -> dict:
     """The last stdout line of one benchmark run, as a dict."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
-    done = subprocess.run(argv, cwd=side, capture_output=True, text=True,
-                          timeout=3 * seconds + 300)
+            "--trace", "0"]
+    done = subprocess.run(argv, cwd=side, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(argv)} in {side} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -128,10 +128,7 @@ def cpu_model() -> str:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="paired benchmark runs of a parent revision and a change")
     p.add_argument("rev", help="parent git revision")
-    p.add_argument("--change-rev", help="git revision of the change (default: the working tree)")
     p.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--first-seed", type=int, default=11)
     p.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
     p.add_argument("--change", required=True, help="one-paragraph description of the change")
     p.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
@@ -152,18 +149,15 @@ def main(argv=None) -> int:
     try:
         sides = {"parent": tmp / "parent", "change": tmp / "change"}
         export_revision(args.rev, sides["parent"])
-        if args.change_rev:
-            export_revision(args.change_rev, sides["change"])
-        else:
-            copy_working_tree(sides["change"])
+        copy_working_tree(sides["change"])
         workloads = {}
         for name, pairs in plan:
-            seeds = list(range(args.first_seed, args.first_seed + pairs))
+            seeds = list(range(FIRST_SEED, FIRST_SEED + pairs))
             runs = {"parent": [], "change": []}
             for seed in seeds:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    result = run_once(sides[side], name, seed, args.seconds)
+                    result = run_once(sides[side], name, seed)
                     runs[side].append(result)
                     value = result["metrics"]["items_per_s"]["value"]
                     print(f"{name} seed {seed} {side}: items_per_s {value:.6g}, "
@@ -178,7 +172,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "cpu": cpu_model(),
-        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0",
+        "command": "python3 perfbench/run.py --workload W --seed N --trace 0",
         "method": (
             "parent commit and change run from separate copies, one run at a time, alternating "
             "which side runs first in each pair (odd seeds parent first); "
