@@ -70,7 +70,11 @@ class RootConfig:
         if any(r == 0 for r in self.roots):
             raise RootsInvalid("roots must be nonzero")
         if len(set(self.roots)) != len(self.roots):
-            raise RootsInvalid(f"roots must be distinct, got {self.roots}")
+            seen: set[Fraction] = set()
+            for r in self.roots:
+                if r in seen:
+                    raise RootsInvalid(f"roots must be distinct, got {r} more than once")
+                seen.add(r)
         if any(k < 1 for k in self.multiplicities):
             raise RootsInvalid("multiplicities must be positive")
 
@@ -563,10 +567,6 @@ class ResolvedModel:
 
     base: CompactificationModel
     exceptional_chains: tuple[tuple[str, HJChain], ...]
-
-    @property
-    def interior_singularities(self) -> tuple[tuple[str, int], ...]:
-        return ()
 
 
 def minimal_resolution(model: CompactificationModel) -> ResolvedModel:

@@ -28,7 +28,6 @@ from .compactify import (
     _build_cyclic,
     build_rdp,
     enumerate_weights,
-    minimal_resolution,
     weight_conditions,
 )
 from .errors import BadInput, ClassTError
@@ -121,6 +120,18 @@ def parse_roots(text: str) -> RootConfig:
     for entry in text.split(","):
         _check_rational_text("root entry", entry.strip())
     return RootConfig.parse(text)
+
+
+def _parse_coefficient(value: Any) -> Any:
+    """A coefficient text as a Fraction, checked against the rational text
+    cap first; any other value is left to ``build_rdp``."""
+    if not isinstance(value, str):
+        return value
+    _check_rational_text("coefficient", value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadInput(f"cannot parse coefficient {value!r}") from exc
 
 
 def rational_str(x: Fraction) -> str:
@@ -321,9 +332,8 @@ def build_cyclic_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfi
 def build_rdp_report(ade: str, index: int, coeffs: list | None) -> CommandReport:
     if ade == "D":
         _check_range("D-type index", index, 4, _MAX_D_INDEX)
-    for value in coeffs or ():
-        if isinstance(value, str):
-            _check_rational_text("coefficient", value)
+    if coeffs is not None:
+        coeffs = [_parse_coefficient(value) for value in coeffs]
     model = build_rdp(ade, index, coeffs)
     residual = check_hypotheses(model).adjunction_residual
 
@@ -344,7 +354,6 @@ def check_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> C
 
 
 def _check_outputs(model: CompactificationModel, report: TianYauReport) -> tuple:
-    resolved_report = check_hypotheses(minimal_resolution(model))
     outputs = {
         "model": model.label(),
         "beta": rational_str(report.beta),
@@ -358,7 +367,9 @@ def _check_outputs(model: CompactificationModel, report: TianYauReport) -> tuple
         "decay_rhs": rational_str(report.decay_rhs) if report.decay_rhs is not None else None,
         "adjunction_residual": rational_str(report.adjunction_residual),
         "all_satisfied": report.all_satisfied,
-        "after_resolution_all_satisfied": resolved_report.all_satisfied,
+        # The minimal resolution leaves no interior point and the same beta,
+        # C^2 and boundary curve.
+        "after_resolution_all_satisfied": report.beta_gt_one and report.adjunction_residual == 0,
     }
     return outputs, 0 if report.all_satisfied else 1, lambda: render_model_dot(model)
 
@@ -612,7 +623,7 @@ def run_corpus(path: str, seed: int) -> CommandReport:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadInput(f"cannot read corpus file {path}: {exc}") from exc
     results = []
     failed = []

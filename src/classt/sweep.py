@@ -6,8 +6,11 @@ by a route other than the one that built the model, and records any
 mismatch; what the builders guarantee by construction is not re-checked.
 The suites are what the command line ``sweep`` subcommand runs and what
 the acceptance tests call directly.  The five suites over the ``(d, n, m,
-c, a)`` box share one walker, so ``run_all`` enumerates each weight tuple
-and builds each box model once for all of them.
+c, a)`` box are one walk, which enumerates each weight tuple and builds
+each box model once for all of them.  Each of those suites on its own
+returns its slice of a full walk; the sizes and seed it does not take are
+seed 0, ``run_all``'s blow-up count and, since no other slice reads the
+roundtrip, one roundtrip sample per model.
 """
 
 from __future__ import annotations
@@ -80,40 +83,6 @@ def default_roots(d: int) -> RootConfig:
     return RootConfig.simple(range(1, d + 1))
 
 
-def _weighted_tuples(
-    max_d: int, max_n: int, max_c: int
-) -> Iterator[tuple[int, int, int, int, WeightEnumeration, RootConfig]]:
-    """Each tuple of ``cyclic_tuples`` with its weight enumeration and
-    ``default_roots(d)``.
-
-    One ``default_roots(d)`` is built per ``d`` and shared by every
-    model of that ``d``, so its fibre polynomial is expanded once per
-    call rather than once per model.
-    """
-    roots_by_d: dict[int, RootConfig] = {}
-    for d, n, m, c in cyclic_tuples(max_d, max_n, max_c):
-        roots = roots_by_d.get(d)
-        if roots is None:
-            roots = roots_by_d[d] = default_roots(d)
-        yield d, n, m, c, enumerate_weights(d, n, m, c), roots
-
-
-def model_params(
-    max_d: int, max_n: int, max_c: int
-) -> Iterator[tuple[int, int, int, int, int, RootConfig]]:
-    """``(d, n, m, c, a, roots)`` for every model with simple roots ``1..d``
-    over the admissible weights."""
-    for d, n, m, c, enum, roots in _weighted_tuples(max_d, max_n, max_c):
-        for pair in enum.pairs:
-            yield d, n, m, c, pair.a, roots
-
-
-def iter_models(max_d: int, max_n: int, max_c: int) -> Iterator[CompactificationModel]:
-    """The models of model_params, built in its order."""
-    for params in model_params(max_d, max_n, max_c):
-        yield build_cyclic(*params)
-
-
 def rdp_models() -> Iterator[CompactificationModel]:
     for k in range(4, _MAX_DK + 1):
         yield build_rdp("D", k)
@@ -177,70 +146,55 @@ def _check_blowup(out: SuiteResult, model: CompactificationModel) -> None:
 
 
 def _walk_box(
-    max_d: int, max_n: int, max_c: int, *, family: bool = False, residual: bool = False,
-    topology: bool = False, roundtrip: tuple[int, int] | None = None,
-    blowup: tuple[int, int] | None = None,
+    max_d: int, max_n: int, max_c: int, samples: int, seed: int, count: int
 ) -> list[SuiteResult]:
-    """Walk ``cyclic_tuples`` once and run the chosen per-box suites.
+    """Walk ``cyclic_tuples`` once and run the five per-box suites.
 
-    ``roundtrip`` is ``(samples, seed)`` and ``blowup`` is ``(count,
-    seed)``.  Each tuple's weights are enumerated once and each model of
-    ``model_params`` is built at most once, and only when a chosen suite
-    reads it; the blow-up suite keeps the box's parameters, not its
-    models, and builds its sample after the walk.  The results come in
-    keyword order.
+    Each tuple's weights are enumerated once and each box model is built
+    once; the residual and the roundtrip (seed ``seed + index`` for the
+    model's index in walk order) run on every model, the topology on the
+    first pair of each tuple and its fully degenerate model, and the
+    weight family on the ``c = 1, n >= 2`` tuples.  The D/E residuals and
+    the blow-up suite's ``count`` models, sampled from the box's
+    parameters with ``random.Random(seed)``, run after the walk.
     """
-    fam = SuiteResult("weight-family") if family else None
-    res = SuiteResult("adjunction-residual") if residual else None
-    top = SuiteResult("topology") if topology else None
-    rt = SuiteResult("projection-roundtrip") if roundtrip is not None else None
-    blo = SuiteResult("blowup-singularities") if blowup is not None else None
-    every_model = residual or roundtrip is not None
+    fam, res, top, rt, blo = map(SuiteResult, (
+        "weight-family", "adjunction-residual", "topology", "projection-roundtrip", "blowup-singularities",
+    ))
     box: list[tuple[int, int, int, int, int, RootConfig]] = []
-    # Per d for topology: the simple roots' status, the fully degenerate
-    # roots and theirs.
-    configs_by_d: dict[int, tuple[FiberStatus, RootConfig, FiberStatus]] = {}
-    index = 0
-    for d, n, m, c, enum, roots in _weighted_tuples(max_d, max_n, max_c):
-        if family and c == 1 and n >= 2:
+    # Per d: the simple roots, the fully degenerate roots and each one's
+    # status, so each polynomial is expanded once per walk.
+    configs_by_d: dict[int, list[tuple[RootConfig, FiberStatus]]] = {}
+    for d, n, m, c in cyclic_tuples(max_d, max_n, max_c):
+        configs = configs_by_d.get(d)
+        if configs is None:
+            configs = configs_by_d[d] = [
+                (roots, smoothness_status(roots)) for roots in (default_roots(d), RootConfig.of([(1, d)]))
+            ]
+        (roots, status), (degenerate, degenerate_status) = configs
+        enum = enumerate_weights(d, n, m, c)
+        if c == 1 and n >= 2:
             _check_family(fam, d, n, m, enum)
         for k, pair in enumerate(enum.pairs):
             params = (d, n, m, c, pair.a, roots)
-            if blo is not None:
-                box.append(params)
-            first = topology and k == 0
-            if every_model or first:
-                model = build_cyclic(*params)
-                if res is not None:
-                    _check_residual(res, model)
-                if first:
-                    configs = configs_by_d.get(d)
-                    if configs is None:
-                        degenerate = RootConfig.of([(1, d)])
-                        configs = configs_by_d[d] = (
-                            smoothness_status(roots), degenerate, smoothness_status(degenerate)
-                        )
-                    status, degenerate, degenerate_status = configs
-                    _check_topology(top, model, status)
-                    _check_topology(top, build_cyclic(d, n, m, c, pair.a, degenerate), degenerate_status)
-                if rt is not None:
-                    samples, seed = roundtrip
-                    _check_roundtrip(rt, model, samples, seed + index)
-            index += 1
-    if res is not None:
-        for model in rdp_models():
+            model = build_cyclic(*params)
             _check_residual(res, model)
-    if blo is not None:
-        count, seed = blowup
-        for chosen in random.Random(seed).sample(box, min(count, len(box))):
-            _check_blowup(blo, build_cyclic(*chosen))
-    return [s for s in (fam, res, top, rt, blo) if s is not None]
+            if k == 0:
+                _check_topology(top, model, status)
+                _check_topology(top, build_cyclic(d, n, m, c, pair.a, degenerate), degenerate_status)
+            _check_roundtrip(rt, model, samples, seed + len(box))
+            box.append(params)
+    for model in rdp_models():
+        _check_residual(res, model)
+    for chosen in random.Random(seed).sample(box, min(count, len(box))):
+        _check_blowup(blo, build_cyclic(*chosen))
+    return [fam, res, top, rt, blo]
 
 
 def weight_family_suite(max_d: int, max_n: int) -> SuiteResult:
     """At ``c = 1`` and ``n >= 2`` the admissible weights must be exactly
     the ``d`` pairs ``(u + k*n, (d - k)*n - u)`` for ``k = 0..d-1``."""
-    return _walk_box(max_d, max_n, 1, family=True)[0]
+    return _walk_box(max_d, max_n, 1, 1, 0, _BLOWUP_COUNT)[0]
 
 
 def residual_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
@@ -248,7 +202,7 @@ def residual_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
     ``K.C + C^2`` from ``beta`` and ``C^2``, read off the ambient
     intersection theory, against the orbifold Euler side, read off the
     boundary point orders."""
-    return _walk_box(max_d, max_n, max_c, residual=True)[0]
+    return _walk_box(max_d, max_n, max_c, 1, 0, _BLOWUP_COUNT)[1]
 
 
 def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
@@ -260,7 +214,7 @@ def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
     by ``(-2)``-curves.  The two root configurations and their status are
     built once per ``d``.
     """
-    return _walk_box(max_d, max_n, max_c, topology=True)[0]
+    return _walk_box(max_d, max_n, max_c, 1, 0, _BLOWUP_COUNT)[2]
 
 
 def roundtrip_suite(
@@ -268,8 +222,8 @@ def roundtrip_suite(
 ) -> SuiteResult:
     """Chart samples of every model, lifted, rescaled and projected back
     to the plane ``P(a, c, n)`` by ``roundtrip_check``, with seed ``seed +
-    index`` for the model's index in ``model_params`` order."""
-    return _walk_box(max_d, max_n, max_c, roundtrip=(samples, seed))[0]
+    index`` for the model's index in walk order."""
+    return _walk_box(max_d, max_n, max_c, samples, seed, _BLOWUP_COUNT)[3]
 
 
 def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> SuiteResult:
@@ -280,7 +234,7 @@ def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> S
     blow-up must agree from the plane ``P(a, c, n)`` blown up once per
     root multiplicity, ``(a + c + n)^2/(acn) - d``, and from the model,
     ``beta^2 C^2 - (c + n - b)^2/(bcn)``."""
-    return _walk_box(max_d, max_n, max_c, blowup=(count, seed))[0]
+    return _walk_box(max_d, max_n, max_c, 1, seed, count)[4]
 
 
 def brute_force_class_t(r: int, q: int) -> list[tuple[int, int, int]]:
@@ -349,8 +303,5 @@ def hj_suite(max_r: int) -> SuiteResult:
 
 def run_all(max_d: int = 4, max_n: int = 4, max_c: int = 3, seed: int = 0) -> list[SuiteResult]:
     """Every suite, with one walk of the box for the five per-box suites."""
-    box = _walk_box(
-        max_d, max_n, max_c, family=True, residual=True, topology=True,
-        roundtrip=(_SAMPLES, seed), blowup=(_BLOWUP_COUNT, seed),
-    )
+    box = _walk_box(max_d, max_n, max_c, _SAMPLES, seed, _BLOWUP_COUNT)
     return [*box, class_t_suite(_MAX_R), hj_suite(_MAX_R)]

@@ -20,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Union
 
-from .compactify import CompactificationModel, ResolvedModel
-
-AnyModel = Union[CompactificationModel, ResolvedModel]
+from .compactify import CompactificationModel
 
 
 @dataclass(frozen=True)
@@ -50,19 +47,14 @@ class TianYauReport:
         return self.beta_gt_one and self.singularities_on_divisor and self.adjunction_residual == 0
 
 
-def _base(model: AnyModel) -> CompactificationModel:
-    return model.base if isinstance(model, ResolvedModel) else model
-
-
-def orbifold_adjunction_residual(model: AnyModel) -> Fraction:
+def orbifold_adjunction_residual(model: CompactificationModel) -> Fraction:
     """``K.C + C^2`` minus the orbifold Euler side ``-2 + sum (1 - 1/r_i)``.
 
     Uses ``K.C = -beta * C^2`` and the recorded orbifold point orders
     of the boundary curve; zero for every correctly assembled model.
     Summed on integers over the denominator ``den(beta) den(C^2) prod r_i``.
     """
-    base = _base(model)
-    beta, csq, orders = base.beta, base.curve.self_intersection, base.curve.orbifold_points
+    beta, csq, orders = model.beta, model.curve.self_intersection, model.curve.orbifold_points
     r_prod = prod(orders)
     scale = beta.denominator * csq.denominator
     total = (beta.denominator - beta.numerator) * csq.numerator * r_prod
@@ -70,8 +62,8 @@ def orbifold_adjunction_residual(model: AnyModel) -> Fraction:
     return Fraction(total, scale * r_prod)
 
 
-def check_hypotheses(model: AnyModel) -> TianYauReport:
-    """Evaluate the numerical hypotheses on a model or resolved model.
+def check_hypotheses(model: CompactificationModel) -> TianYauReport:
+    """Evaluate the numerical hypotheses on a model.
 
     ``singularities_on_divisor`` is true when no interior singular
     point remains (all quotient points then lie on the boundary curve
@@ -80,10 +72,9 @@ def check_hypotheses(model: AnyModel) -> TianYauReport:
     quotient points at infinity have smooth uniformized neighbourhoods
     tautologically.
     """
-    base = _base(model)
     return TianYauReport(
-        beta=base.beta,
+        beta=model.beta,
         singularities_on_divisor=not model.interior_singularities,
-        C_squared=base.curve.self_intersection,
+        C_squared=model.curve.self_intersection,
         adjunction_residual=orbifold_adjunction_residual(model),
     )

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
-from classt.compactify import ResolvedModel
+from classt.compactify import RootConfig, build_cyclic
 from classt.quotients import QuotientSingularity, TriPoly, normalize
 from classt.wps import WeightedProjectiveSpace
 
@@ -211,11 +211,10 @@ def is_well_formed(space: WeightedProjectiveSpace) -> bool:
 def fraction_adjunction_residual(model) -> Fraction:
     """``K.C + C^2 - (-2 + sum (1 - 1/r_i))`` with ``K.C = -beta C^2``,
     built up one Fraction operation at a time."""
-    base = model.base if isinstance(model, ResolvedModel) else model
-    csq = base.curve.self_intersection
-    kc = -base.beta * csq
+    csq = model.curve.self_intersection
+    kc = -model.beta * csq
     target = Fraction(-2)
-    for r in base.curve.orbifold_points:
+    for r in model.curve.orbifold_points:
         target += 1 - Fraction(1, r)
     return kc + csq - target
 
@@ -337,3 +336,25 @@ def noether_euler(model) -> Fraction:
         q_inv = pow(q, -1, r)
         total -= 2 - Fraction(2 + q + q_inv, r) - sum(b - 2 for b in chain) + len(chain)
     return total
+
+
+def box_params(max_d: int, max_n: int, max_c: int):
+    """``(d, n, m, c, a)`` of every model of the sweep box, in sweep order,
+    from the closed form rather than ``enumerate_weights``: ``gcd(m, n) =
+    gcd(c, n) = 1``, and ``a`` in ``1..dnc-1`` with ``a*m = c (mod n)``
+    and ``gcd(a, c) = 1``."""
+    for d in range(1, max_d + 1):
+        for n in range(1, max_n + 1):
+            for m in range(1, n + 1):
+                for c in range(1, max_c + 1):
+                    if gcd(m, n) == gcd(c, n) == 1:
+                        for a in range(1, d * n * c):
+                            if (a * m - c) % n == 0 and gcd(a, c) == 1:
+                                yield d, n, m, c, a
+
+
+def box_models(max_d: int, max_n: int, max_c: int):
+    """The models of ``box_params`` with the simple roots ``1..d``."""
+    roots = {d: RootConfig.simple(range(1, d + 1)) for d in range(1, max_d + 1)}
+    for d, n, m, c, a in box_params(max_d, max_n, max_c):
+        yield build_cyclic(d, n, m, c, a, roots[d])

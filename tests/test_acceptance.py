@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from oracles import milnor_quotient_dim, monomials_independent
+from oracles import box_models, milnor_quotient_dim, monomials_independent
 
 from classt import (
     QuotientSingularity,
@@ -20,7 +20,6 @@ from classt.sweep import (
     blowup_suite,
     class_t_suite,
     hj_suite,
-    iter_models,
     residual_suite,
     topology_suite,
 )
@@ -111,7 +110,7 @@ def test_criterion_5_topology():
 
 def test_criterion_6_birational_roundtrip():
     def body():
-        models = list(iter_models(*SWEEP_BOX))
+        models = list(box_models(*SWEEP_BOX))
         assert len(models) > 700
         for i, model in enumerate(models):
             assert roundtrip_check(model, 100, 11 + i), model.label()

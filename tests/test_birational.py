@@ -31,9 +31,8 @@ from classt import (
 )
 from classt import birational
 from classt.birational import surface_residue
-from classt.sweep import iter_models
 
-from oracles import noether_euler, product_residue, roundtrip_oracle, same_weighted_point
+from oracles import box_models, noether_euler, product_residue, roundtrip_oracle, same_weighted_point
 
 
 def d1_model():
@@ -306,7 +305,7 @@ def test_blowup_description():
 def test_euler_count_matches_topology():
     # Noether's formula on the minimal resolution is the second side of
     # both the closed form and the blow-up count.
-    for model in (d1_model(), d2_model(), c2_model(), *iter_models(5, 6, 4)):
+    for model in (d1_model(), d2_model(), c2_model(), *box_models(5, 6, 4)):
         euler = noether_euler(model)
         assert euler == topology(model).chi_Mbar, model.label()
         assert euler == blowup_description(model).euler_characteristic - 1, model.label()
@@ -314,7 +313,7 @@ def test_euler_count_matches_topology():
 
 def test_noether_euler_fails_on_a_wrong_beta():
     # beta = (c + n)/c instead of (c + n)/n moves K^2 unless c = n.
-    models = list(iter_models(5, 6, 4))
+    models = list(box_models(5, 6, 4))
     wrong = [
         model.label()
         for model in models
@@ -363,7 +362,7 @@ def _walk_box_against_the_oracle(monkeypatch, reverse):
         return verdict
 
     monkeypatch.setattr(birational, "_same_orbit", recording)
-    models = list(iter_models(5, 6, 4))
+    models = list(box_models(5, 6, 4))
     passed = []
     for i, model in enumerate(models):
         compared.clear()
@@ -391,7 +390,7 @@ def test_roundtrip_detects_a_wrong_plane_weight(monkeypatch):
     monkeypatch.setattr(
         birational, "target_plane", lambda m: WeightedProjectiveSpace((m.a, m.c, m.n + 1))
     )
-    for i, model in enumerate(iter_models(5, 6, 4)):
+    for i, model in enumerate(box_models(5, 6, 4)):
         assert not roundtrip_check(model, 10, i), model.label()
 
 

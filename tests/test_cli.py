@@ -9,6 +9,8 @@ from classt.cli import run_command
 from classt.reports import DIAGNOSTIC_TAGS
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
+# Twenty thousand copies of one root.
+TWIN_ROOTS = ",".join(["1"] * 20_000)
 
 
 def run(capsys, argv):
@@ -60,6 +62,19 @@ def test_out_of_range_inputs_exit_one(capsys, tmp_path):
             ["birational", "-d", "1", "-n", "1000", "-m", "1", "-c", "999", "-a", "1999", "--roots", "1"],
             "error: degree d*n*c must be between 1 and 400, got 999000\n",
         ),
+        (
+            ["build", "rdp", "--type", "D", "--index", "4", "--coeffs", "a,0,0,0"],
+            "error: cannot parse coefficient 'a'\n",
+        ),
+        (
+            ["build", "rdp", "--type", "D", "--index", "4", "--coeffs", "1/0,0,0,0"],
+            "error: cannot parse coefficient '1/0'\n",
+        ),
+        (
+            # Quoting every root of the repeated list printed 320 kB on one line.
+            ["check", "-d", "2", "-n", "1", "-m", "1", "-a", "1", "--roots", TWIN_ROOTS],
+            "error: roots must be distinct, got 1 more than once\n",
+        ),
     ]
     for argv, message in cases:
         for fmt in ("text", "json"):
@@ -77,16 +92,22 @@ def test_out_of_range_inputs_exit_one(capsys, tmp_path):
         {"id": "none", "kind": "birational", "parameters": {**bir, "samples": 0}},
         {"id": "deep", "kind": "build-rdp", "parameters": {"type": "D", "index": 101}},
         {"id": "wide", "kind": "birational", "parameters": {**bir, "n": 1, "c": 401, "samples": 1}},
+        {"id": "letter", "kind": "build-rdp", "parameters": {"type": "D", "index": 4, "coeffs": ["a", "0", "0", "0"]}},
+        {"id": "pole", "kind": "build-rdp", "parameters": {"type": "D", "index": 4, "coeffs": ["1/0", "0", "0", "0"]}},
+        {"id": "twins", "kind": "check", "parameters": {"d": 2, "n": 1, "m": 1, "a": 1, "roots": TWIN_ROOTS}},
     ]
     code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
     assert code == 1
-    assert data["outputs"]["failed_ids"] == ["many", "none", "deep", "wide"]
+    assert data["outputs"]["failed_ids"] == ["many", "none", "deep", "wide", "letter", "pole", "twins"]
     assert [r["mismatches"] for r in data["outputs"]["results"]] == [
         [],
         ["error: samples must be between 1 and 1000, got 1001"],
         ["error: samples must be between 1 and 1000, got 0"],
         ["error: D-type index must be between 4 and 100, got 101"],
         ["error: degree d*n*c must be between 1 and 400, got 401"],
+        ["error: cannot parse coefficient 'a'"],
+        ["error: cannot parse coefficient '1/0'"],
+        ["error: roots must be distinct, got 1 more than once"],
     ]
 
 
@@ -518,8 +539,8 @@ def test_check_does_each_piece_of_work_once(capsys, monkeypatch):
     argv = ["check", "-d", "3", "-n", "2", "-m", "1", "-a", "1", "--roots", "1:3"]
     code, data, _ = run_json(capsys, argv)
     assert code == 1 and data["outputs"]["after_resolution_all_satisfied"]
-    # One report for the model and one for its resolution; no DOT for JSON.
-    assert calls == {"check_hypotheses": 2, "weight_conditions": 1, "dot": 0}
+    # One report, which also gives the resolution's verdict; no DOT for JSON.
+    assert calls == {"check_hypotheses": 1, "weight_conditions": 1, "dot": 0}
     run(capsys, argv + ["--format", "dot"])
     assert calls["dot"] == 1
 
@@ -654,6 +675,14 @@ def test_corpus_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, ["--corpus", str(tmp_path / "absent.jsonl")])
     assert code == 1
     assert "cannot read corpus" in err
+
+
+def test_corpus_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bom.jsonl"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["--corpus", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read corpus file {path}: ") and err.count("\n") == 1
 
 
 def test_corpus_invalid_json(capsys, tmp_path):

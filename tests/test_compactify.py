@@ -390,7 +390,6 @@ def test_minimal_resolution_chains():
     assert lbl == "S_1"
     assert chain.entries == (2, 2)
     assert chain.self_intersections() == (-2, -2)
-    assert resolved.interior_singularities == ()
 
 
 def test_minimal_resolution_no_interior():

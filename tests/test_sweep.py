@@ -8,6 +8,7 @@ import classt.sweep
 from classt import birational
 from classt.compactify import (
     ResolvedModel,
+    RootConfig,
     build_cyclic,
     build_rdp,
     enumerate_weights,
@@ -22,8 +23,6 @@ from classt.sweep import (
     cyclic_tuples,
     default_roots,
     hj_suite,
-    iter_models,
-    model_params,
     rdp_models,
     residual_suite,
     roundtrip_suite,
@@ -32,26 +31,17 @@ from classt.sweep import (
     weight_family_suite,
 )
 
+from oracles import box_models, box_params
+
 SWEEP_BOX = (5, 6, 4)  # the acceptance box
 
 
-def box_suites(box, seed):
-    """The five per-box suites, each run on its own, with run_all's sizes."""
-    return [
-        weight_family_suite(*box[:2]),
-        residual_suite(*box),
-        topology_suite(*box),
-        roundtrip_suite(*box, classt.sweep._SAMPLES, seed),
-        blowup_suite(*box, classt.sweep._BLOWUP_COUNT, seed),
-    ]
-
-
-def assert_one_walk_matches_the_suites(box, seed):
-    """run_all's single walk gives every per-box suite exactly as the
-    suite gives it alone."""
-    tally = [(r.name, r.cases, r.failure_count, r.failures) for r in run_all(*box, seed=seed)]
-    alone = [(r.name, r.cases, r.failure_count, r.failures) for r in box_suites(box, seed)]
-    assert tally[:5] == alone
+def recording_build(built):
+    """``build_cyclic`` that appends its arguments to ``built``."""
+    def build(*params):
+        built.append(params)
+        return build_cyclic(*params)
+    return build
 
 
 def test_suite_result_tally():
@@ -82,19 +72,31 @@ def test_cyclic_tuples_constraints():
         assert 1 <= m <= n
 
 
-def test_iter_models_and_rdp_models():
-    models = list(iter_models(2, 2, 1))
-    assert len(models) > 0
-    assert all(m.is_cyclic for m in models)
+def test_rdp_models():
     des = list(rdp_models())
     assert [m.descriptor.label() for m in des] == [f"D_{k}" for k in range(4, 13)] + ["E6", "E7", "E8"]
 
 
-def test_iter_models_use_default_roots():
-    models = list(iter_models(2, 3, 2))
-    assert {m.descriptor.d for m in models} == {1, 2}
-    for model in models:
-        assert model.roots == default_roots(model.descriptor.d)
+def test_box_models_use_default_roots(monkeypatch):
+    # The walk builds the box in the closed form's order with the simple
+    # roots 1..d, and the first pair of each tuple once more with the
+    # fully degenerate roots; the blow-up samples come after it.
+    box = (2, 3, 2)
+    params = list(box_params(*box))
+    expected, tuples = [], set()
+    for d, n, m, c, a in params:
+        expected.append((d, n, m, c, a, default_roots(d)))
+        if (d, n, m, c) not in tuples:
+            tuples.add((d, n, m, c))
+            expected.append((d, n, m, c, a, RootConfig.of([(1, d)])))
+    assert {p[0] for p in expected} == {1, 2}
+    built = []
+    monkeypatch.setattr(classt.sweep, "build_cyclic", recording_build(built))
+    run_all(*box)
+    assert built[:len(expected)] == expected
+    samples = built[len(expected):]
+    assert len(samples) == min(classt.sweep._BLOWUP_COUNT, len(params)) == 19
+    assert all(p[5] == default_roots(p[0]) for p in samples)
 
 
 def test_sweep_box_case_counts():
@@ -135,7 +137,7 @@ def test_residual_suite_reports_a_wrong_beta(monkeypatch):
         return replace(model, beta=Fraction(3)) if (ade, index) == ("E", 7) else model
 
     box = (2, 2, 2)
-    expected = [m.label() for m in iter_models(*box) if (m.c, m.n) != (1, 1)]
+    expected = [m.label() for m in box_models(*box) if (m.c, m.n) != (1, 1)]
     assert 0 < len(expected) < 12 and residual_suite(*box).passed
     monkeypatch.setattr(classt.sweep, "build_cyclic", wrong_beta)
     monkeypatch.setattr(classt.sweep, "build_rdp", wrong_e7)
@@ -144,7 +146,6 @@ def test_residual_suite_reports_a_wrong_beta(monkeypatch):
     assert [msg.partition(": residual ")[0] for msg in suite.failures] == expected + ["rdp(E7)"]
     assert all(msg.rpartition(" ")[2] != "0" for msg in suite.failures)
     assert suite.failures[-1] == "rdp(E7): residual -1/12"
-    assert_one_walk_matches_the_suites(box, seed=0)
 
 
 def test_topology_suite_reports_a_chain_off_minus_two(monkeypatch):
@@ -158,38 +159,39 @@ def test_topology_suite_reports_a_chain_off_minus_two(monkeypatch):
         return ResolvedModel(base=model, exceptional_chains=chains)
 
     box = (3, 2, 2)
+    first_pairs = {}
+    for d, n, m, c, a in box_params(*box):
+        first_pairs.setdefault((d, n, m, c), a)
     expected = [
-        build_cyclic(*params).label()
-        for params in model_params(*box)
-        if params[0] == 3 and enumerate_weights(*params[:4]).pairs[0].a == params[4]
+        build_cyclic(*params, a, default_roots(3)).label()
+        for params, a in first_pairs.items()
+        if params[0] == 3
     ]
     assert 0 < len(expected) <= 12 and topology_suite(*box).passed
     monkeypatch.setattr(classt.sweep, "minimal_resolution", wrong_resolution)
     suite = topology_suite(*box)
     assert suite.failure_count == len(expected)
     assert suite.failures == [f"{label}: chain at S_1 not all (-2)" for label in expected]
-    assert_one_walk_matches_the_suites(box, seed=0)
 
 
 def test_blowup_suite_reports_swapped_plane_points(monkeypatch):
     # Swapping 1/c(a, n) and 1/n(a, c) changes the pair unless c = n = 1.
     box, count, seed = (3, 2, 2), 12, 4
-    sampled = random.Random(seed).sample(list(model_params(*box)), count)
-    expected = [build_cyclic(*p).label() for p in sampled if (p[3], p[1]) != (1, 1)]
+    sampled = random.Random(seed).sample(list(box_params(*box)), count)
+    expected = [build_cyclic(*p, default_roots(p[0])).label() for p in sampled if (p[3], p[1]) != (1, 1)]
     assert 0 < len(expected) < count and blowup_suite(*box, count, seed).passed
     plane_points = classt.sweep.plane_points
     monkeypatch.setattr(classt.sweep, "plane_points", lambda m: plane_points(m)[::-1])
     suite = blowup_suite(*box, count, seed)
     assert suite.cases == count and suite.failure_count == len(expected)
     assert [msg.partition(": blow-up points ")[0] for msg in suite.failures] == expected
-    assert_one_walk_matches_the_suites(box, seed)
 
 
 def test_blowup_suite_reports_a_centre_moved_to_R1(monkeypatch):
     # Blowing up R1 = 1/a(c, n) instead of R2 = 1/b(c, n) leaves the new
     # points alone but moves K^2 by (c + n - a)^2/(acn) - (c + n - b)^2/(bcn),
     # which is zero on 20 of the 730 box models (a = b on 8 of them).
-    box_size = len(list(model_params(*SWEEP_BOX)))
+    box_size = len(list(box_params(*SWEEP_BOX)))
     assert box_size == 730 and blowup_suite(*SWEEP_BOX, box_size, 0).passed
     blowup_at_R2 = classt.sweep.blowup_at_R2
 
@@ -210,13 +212,12 @@ def test_roundtrip_suite_reports_a_mismatch(monkeypatch):
     box = (2, 2, 2)
     assert roundtrip_suite(*box, samples=10, seed=0).passed
     monkeypatch.setattr(birational, "_same_orbit", lambda ws, p, q: same_orbit(ws[::-1], p, q))
-    models = list(iter_models(*box))
+    models = list(box_models(*box))
     expected = [m.label() for m in models if m.a != m.n]
     assert 0 < len(expected) <= 12 and len(expected) < len(models)
     suite = roundtrip_suite(*box, samples=10, seed=0)
     assert suite.failure_count == len(expected)
     assert suite.failures == [f"{label}: roundtrip mismatch" for label in expected]
-    assert_one_walk_matches_the_suites(box, seed=0)
 
 
 def test_weight_family_counts_a_short_pair_list_once(monkeypatch):
@@ -234,21 +235,16 @@ def test_weight_family_counts_a_short_pair_list_once(monkeypatch):
 
 
 def test_blowup_suite_builds_only_the_sampled_models(monkeypatch):
-    models = list(iter_models(*SWEEP_BOX))
+    # After the walk the blow-up suite builds the 20 models it samples from
+    # the box's parameters, and no other.
+    params = [(*p, default_roots(p[0])) for p in box_params(*SWEEP_BOX)]
     for seed in (0, 7):
-        # The models the suite picked when it built the whole box first.
-        expected = [m.label() for m in random.Random(seed).sample(models, 20)]
         built = []
-
-        def counting_build(*params):
-            model = build_cyclic(*params)
-            built.append(model.label())
-            return model
-
-        monkeypatch.setattr(classt.sweep, "build_cyclic", counting_build)
+        monkeypatch.setattr(classt.sweep, "build_cyclic", recording_build(built))
         suite = blowup_suite(*SWEEP_BOX, 20, seed)
         monkeypatch.undo()
-        assert built == expected
+        assert built[-20:] == random.Random(seed).sample(params, 20)
+        assert len(built) == 730 + 169 + 20
         assert suite.cases == 20 and suite.passed
 
 

@@ -15,10 +15,8 @@ from classt import (
     build_rdp,
     check_hypotheses,
     enumerate_weights,
-    minimal_resolution,
     orbifold_adjunction_residual,
 )
-from classt.compactify import ResolvedModel
 
 from oracles import fraction_adjunction_residual
 
@@ -53,7 +51,9 @@ def test_interior_points_block_hypotheses_until_resolved():
     assert report.beta_gt_one
     assert report.adjunction_residual == 0
 
-    resolved = check_hypotheses(minimal_resolution(model))
+    # The minimal resolution removes the interior points and leaves beta,
+    # C^2 and the boundary curve as they are.
+    resolved = check_hypotheses(replace(model, interior_singularities=()))
     assert resolved.singularities_on_divisor
     assert resolved.all_satisfied
     assert resolved.beta == report.beta and resolved.C_squared == report.C_squared
@@ -130,7 +130,7 @@ def _random_roots(rng, d):
 def test_residual_matches_fraction_reference():
     rng = random.Random(20131)
     models = [build_rdp(ade, k) for ade, k in [("D", k) for k in range(4, 13)] + [("E", 6), ("E", 7), ("E", 8)]]
-    for d in range(1, 4):
+    for d in range(1, 5):
         for n in range(1, 5):
             for m in range(1, max(n, 2)):
                 for c in range(1, 4):
@@ -138,23 +138,18 @@ def test_residual_matches_fraction_reference():
                         continue
                     for a, _ in enumerate_weights(d, n, m, c).pair_tuples():
                         models.append(build_cyclic(d, n, m, c, a, _random_roots(rng, d)))
-    models += [minimal_resolution(model) for model in models[::2]]
-    assert any(isinstance(model, ResolvedModel) and model.exceptional_chains for model in models)
     nonzero = 0
     for model in models:
         assert orbifold_adjunction_residual(model) == fraction_adjunction_residual(model) == 0
-        base = model.base if isinstance(model, ResolvedModel) else model
         for wrong in ("beta", "C^2", "orders", "all"):
-            beta, csq, orders = base.beta, base.curve.self_intersection, base.curve.orbifold_points
+            beta, csq, orders = model.beta, model.curve.self_intersection, model.curve.orbifold_points
             if wrong in ("beta", "all"):
                 beta = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
             if wrong in ("C^2", "all"):
                 csq = Fraction(rng.randint(1, 80), rng.randint(1, 30))
             if wrong in ("orders", "all"):
                 orders = tuple(sorted(rng.randint(2, 40) for _ in range(rng.randint(0, 4))))
-            broken = replace(base, beta=beta, curve=CurveAtInfinity(csq, orders))
-            if isinstance(model, ResolvedModel):
-                broken = replace(model, base=broken)
+            broken = replace(model, beta=beta, curve=CurveAtInfinity(csq, orders))
             residual = orbifold_adjunction_residual(broken)
             assert type(residual) is Fraction
             assert residual == fraction_adjunction_residual(broken), (model, wrong)
@@ -186,6 +181,8 @@ def test_every_enumerated_pair_satisfies_the_hypotheses(family):
         model = build_cyclic(d, n, m, pair.c, pair.a, roots)
         assert model.b == pair.b
         assert orbifold_adjunction_residual(model) == 0
-        # Repeated roots leave interior points, which only resolution removes.
-        assert check_hypotheses(model).all_satisfied == (not model.interior_singularities)
-        assert check_hypotheses(minimal_resolution(model)).all_satisfied
+        # Repeated roots leave interior points, which only resolution removes;
+        # the hypotheses hold after it since beta > 1 and the residual is 0.
+        report = check_hypotheses(model)
+        assert report.all_satisfied == (not model.interior_singularities)
+        assert report.beta_gt_one

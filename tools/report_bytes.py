@@ -20,10 +20,14 @@ over:
   for the indices 6 to 8 with and without ``--coeffs``, in JSON, text and DOT;
 * ``classify`` and ``resolve`` for the orders 1 to 40 with the weights
   ``(q1, q2)``, ``0 <= q1 <= r`` and ``q2`` in ``{1, r - 1, 5}``, in JSON,
-  text and DOT.
+  text and DOT;
+* bad inputs, in JSON and text: a ``--corpus`` file holding the bytes
+  ``ff fe`` (not UTF-8), ``build rdp --type D --index 4`` with the
+  coefficients ``a,0,0,0`` and ``1/0,0,0,0``, and ``check`` with the
+  roots ``1,1`` and with 20,000 copies of the root ``1``.
 
-Each run prints one line: the arguments, the exit code and the SHA-256 of
-stdout and of stderr.  Each grid input also prints the exception type and
+Each run prints one line: the arguments (one longer than 100 characters
+as its length), the exit code and the SHA-256 of stdout and of stderr.  Each grid input also prints the exception type and
 tag that ``compactify.build_cyclic`` raises on it (``-`` when it builds).
 Two source trees give the same bytes when their digests are equal:
 
@@ -58,7 +62,8 @@ def run(run_command, argv: list[str]) -> str:
             code = str(run_command(argv))
         except Exception as exc:  # a traceback is a difference too
             code = f"raised {type(exc).__name__}"
-    return f"{' '.join(argv)} | {code} {digest(out.getvalue())} {digest(err.getvalue())}"
+    shown = " ".join(arg if len(arg) <= 100 else f"<{len(arg)} characters>" for arg in argv)
+    return f"{shown} | {code} {digest(out.getvalue())} {digest(err.getvalue())}"
 
 
 def grid_dnmc():
@@ -87,12 +92,24 @@ def main() -> None:
     work.mkdir(parents=True, exist_ok=True)
     corpus = work / "corpus-11.jsonl"
     inputs.write_corpus(inputs.corpus_rows(11), corpus)
+    not_utf8 = work / "not-utf8.jsonl"
+    not_utf8.write_bytes(b"\xff\xfe")
+    rdp_d4 = ["build", "rdp", "--type", "D", "--index", "4", "--coeffs"]
+    check_d2 = ["check", "-d", "2", "-n", "1", "-m", "1", "-a", "1", "--roots"]
+    bad = [
+        ["--corpus", str(not_utf8)],
+        [*rdp_d4, "a,0,0,0"],
+        [*rdp_d4, "1/0,0,0,0"],
+        [*check_d2, "1,1"],
+        [*check_d2, ",".join(["1"] * 20_000)],
+    ]
 
     runs = []
     for fmt in ("json", "text"):
         runs.append(["--corpus", str(corpus), "--format", fmt])
         runs.append(["sweep", "--max-d", "5", "--max-n", "6", "--max-c", "4", "--seed", "3", "--format", fmt])
         runs.append(["sweep", "--format", fmt])
+        runs.extend([*args, "--format", fmt] for args in bad)
     rdp = [["--type", "D", "--index", str(index)] for index in range(4, 13)]
     for index in range(6, 9):
         coeffs = ",".join(f"{(-1) ** i * (i + 1)}/{i + 2}" for i in range(index))
