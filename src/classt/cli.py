@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import reports
+from . import compactify, reports
 from .errors import BadInput, ClassTError
 
 _DOTLESS = "this command has no graph form; use --format text or json"
@@ -132,6 +132,8 @@ def _dispatch(args: argparse.Namespace) -> reports.CommandReport:
 
 
 def run_command(argv: list[str]) -> int:
+    # Each command builds its own model frames, as a one-shot process would.
+    compactify._cyclic_frame.cache_clear()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -27,9 +27,10 @@ points on the boundary curve.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, NamedTuple, Union
 
@@ -67,14 +68,17 @@ class RootConfig:
             raise RootsInvalid("at least one root is required")
         if len(self.roots) != len(self.multiplicities):
             raise RootsInvalid("roots and multiplicities must pair up")
-        if any(r == 0 for r in self.roots):
+        if any(r.numerator == 0 for r in self.roots):
             raise RootsInvalid("roots must be nonzero")
-        if len(set(self.roots)) != len(self.roots):
-            seen: set[Fraction] = set()
-            for r in self.roots:
-                if r in seen:
+        # Fractions are kept in lowest terms, so equal roots have equal
+        # (numerator, denominator) pairs; the pairs hash far faster.
+        keys = [(r.numerator, r.denominator) for r in self.roots]
+        if len(set(keys)) != len(keys):
+            seen: set[tuple[int, int]] = set()
+            for r, key in zip(self.roots, keys):
+                if key in seen:
                     raise RootsInvalid(f"roots must be distinct, got {r} more than once")
-                seen.add(r)
+                seen.add(key)
         if any(k < 1 for k in self.multiplicities):
             raise RootsInvalid("multiplicities must be positive")
 
@@ -98,7 +102,7 @@ class RootConfig:
                 raise BadInput("empty root entry")
             root, _, mult = chunk.partition(":")
             try:
-                roots.append(as_fraction(root.strip()))
+                roots.append(_parse_rational(root.strip()))
                 mults.append(int(mult.strip()) if mult.strip() else 1)
             except (ValueError, ZeroDivisionError) as exc:
                 raise BadInput(f"cannot parse root entry {chunk!r}") from exc
@@ -120,6 +124,22 @@ class RootConfig:
 
     def as_text(self) -> str:
         return ",".join(f"{r}:{k}" for r, k in self.pairs)
+
+
+# A plain "[-]digits[/digits]" text in ASCII digits.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, with a plain integer or ``p/q`` text read as
+    ints: ``Fraction(str)`` spends most of its time on type checks and its
+    own regular expression.  Any other text, and every error, is
+    ``Fraction``'s own."""
+    plain = _PLAIN_RATIONAL.fullmatch(text)
+    if plain is None:
+        return Fraction(text)
+    num, den = plain.groups()
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
 @dataclass(frozen=True)
@@ -413,7 +433,34 @@ def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
             if cond is man:
                 raise RootsInvalid(cond.detail)
             raise ConditionViolated(cond.tag, cond.detail)
-    m_c = action.values[1]
+    descriptor, ambient, degree, beta, curve, r1, r2 = _cyclic_frame(d, n, action.values[1], c, a)
+    interior = tuple(
+        (f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(roots.pairs) if k >= 2
+    )
+    return CompactificationModel(
+        descriptor=descriptor,
+        ambient=ambient,
+        degree=degree,
+        beta=beta,
+        curve=curve,
+        infinity_singularities=(("R1", r1), ("R2", r2)),
+        interior_singularities=interior,
+        roots=roots,
+    )
+
+
+# A corpus repeats each weight tuple with several root configurations, and
+# everything but the interior points depends on the tuple alone.  The CLI
+# clears this memo when each command starts, so a command pays for each of
+# its own frames once and never reuses another command's.  Every object a
+# frame keeps alive adds to the garbage collector's work, which a sweep (it
+# rarely repeats a tuple) pays for, so the labelled pairs at infinity are
+# built per model instead.
+@lru_cache(maxsize=1024)
+def _cyclic_frame(d: int, n: int, m_c: int, c: int, a: int) -> tuple:
+    """The root-free part of the model ``(d, n, m, c, a)`` with ``m_c = m
+    mod n``: its descriptor, ambient space, degree, beta, boundary curve
+    and the quotient points ``R1`` and ``R2`` at infinity."""
     degree = d * n * c
     b = degree - a
     ambient = WeightedProjectiveSpace((a, b, c, n))
@@ -425,23 +472,12 @@ def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
     csq = hypersurface_intersection(X, n, n)
     r1 = normalize(QuotientSingularity(a, (c, n)))
     r2 = normalize(QuotientSingularity(b, (c, n)))
-    interior = tuple(
-        (f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(roots.pairs) if k >= 2
-    )
     curve = CurveAtInfinity(
         self_intersection=csq,
         orbifold_points=tuple(sorted(o for o in (a, b) if o > 1)),
     )
-    return CompactificationModel(
-        descriptor=CyclicTDescriptor(d=d, n=n, m=m_c, solutions=((d, n, m_c),)),
-        ambient=ambient,
-        degree=degree,
-        beta=beta,
-        curve=curve,
-        infinity_singularities=(("R1", r1), ("R2", r2)),
-        interior_singularities=interior,
-        roots=roots,
-    )
+    descriptor = CyclicTDescriptor(d=d, n=n, m=m_c, solutions=((d, n, m_c),))
+    return descriptor, ambient, degree, beta, curve, r1, r2
 
 
 _RDP_WEIGHTS = {

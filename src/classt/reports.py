@@ -577,29 +577,43 @@ def render_json(report: dict) -> str:
 _CORPUS_KINDS = ("classify", "enumerate", "build-cyclic", "build-rdp", "check", "birational")
 
 
+# The JSON type each corpus parameter must have.  bool is a subclass of
+# int, so fields are matched by exact type: true is not the integer 1.
+_JSON_TYPES = {int: "integer", str: "string", list: "list", dict: "object"}
+
+
+def _typed(name: str, value: Any, kind: type) -> Any:
+    if type(value) is not kind:
+        raise BadInput(f"{name} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
 def _run_corpus_case(kind: str, params: dict, seed: int) -> CommandReport:
+    def integer(name: str, default: int | None = None) -> int:
+        return _typed(name, params[name] if default is None else params.get(name, default), int)
+
     if kind == "classify":
-        return classify_report(int(params["order"]), tuple(int(w) for w in params["weights"]))
-    if kind == "enumerate":
-        return enumerate_report(
-            int(params["d"]), int(params["n"]), int(params["m"]), int(params.get("c", 1))
+        weights = _typed("weights", params["weights"], list)
+        return classify_report(
+            integer("order"), tuple(_typed(f"weights[{i}]", w, int) for i, w in enumerate(weights))
         )
+    if kind == "enumerate":
+        return enumerate_report(integer("d"), integer("n"), integer("m"), integer("c", 1))
     if kind == "build-rdp":
         coeffs = params.get("coeffs")
-        return build_rdp_report(str(params["type"]), int(params["index"]), coeffs)
+        if coeffs is not None:
+            _typed("coeffs", coeffs, list)
+        return build_rdp_report(str(params["type"]), integer("index"), coeffs)
     if kind in ("build-cyclic", "check", "birational"):
         model = (
-            int(params["d"]), int(params["n"]), int(params["m"]),
-            int(params.get("c", 1)), int(params["a"]),
-            parse_roots(str(params["roots"])),
+            integer("d"), integer("n"), integer("m"), integer("c", 1), integer("a"),
+            parse_roots(_typed("roots", params["roots"], str)),
         )
         if kind == "build-cyclic":
             return build_cyclic_report(*model)
         if kind == "check":
             return check_report(*model)
-        return birational_report(
-            *model, int(params.get("samples", 25)), int(params.get("seed", seed))
-        )
+        return birational_report(*model, integer("samples", 25), integer("seed", seed))
     raise BadInput(f"unknown corpus kind {kind!r}; expected one of {_CORPUS_KINDS}")
 
 
@@ -640,7 +654,8 @@ def run_corpus(path: str, seed: int) -> CommandReport:
             raise BadInput(f"{path}:{lineno}: a case must be a JSON object, got {type(row).__name__}")
         case_id = str(row.get("id", f"line-{lineno}"))
         try:
-            rep = _run_corpus_case(str(row["kind"]), dict(row.get("parameters", {})), seed)
+            params = _typed("parameters", row.get("parameters", {}), dict)
+            rep = _run_corpus_case(str(row["kind"]), params, seed)
             mismatches = _subset_mismatches(row.get("expected", {}), rep.outputs, "outputs")
         except (ClassTError, KeyError, TypeError, ValueError, OverflowError) as exc:
             mismatches = [f"error: {exc}"]

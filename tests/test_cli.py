@@ -4,9 +4,11 @@ import json
 import re
 import time
 
-from classt import compactify, reports
+from classt import cli, compactify, reports
 from classt.cli import run_command
 from classt.reports import DIAGNOSTIC_TAGS
+
+from oracles import box_params
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 # Twenty thousand copies of one root.
@@ -714,10 +716,81 @@ def test_corpus_number_overflowing_int_is_a_case_error(capsys, tmp_path):
     assert (code, err) == (1, "")
     assert data["outputs"]["failed_ids"] == ["samples", "order"]
     assert [r["mismatches"] for r in data["outputs"]["results"]] == [
-        ["error: cannot convert float infinity to integer"],
-        ["error: cannot convert float infinity to integer"],
+        # 1e400 is a JSON float (infinity), not an integer.
+        ["error: samples must be a JSON integer, got float"],
+        ["error: order must be a JSON integer, got float"],
         [],
     ]
+
+
+def test_corpus_parameters_must_have_their_json_types(capsys, tmp_path):
+    # Each of these rows used to pass, read through int(), tuple() or dict().
+    check = {"d": 2, "n": 2, "m": 1, "a": 1, "roots": "1,2"}
+    bir = {"d": 1, "n": 2, "m": 1, "a": 1, "roots": "1"}
+    rows = [
+        {"id": "ok", "kind": "check", "parameters": check},
+        {"id": "d", "kind": "check", "parameters": {**check, "d": 2.9}},
+        {"id": "order", "kind": "classify", "parameters": {"order": True, "weights": [1, 1]}},
+        {"id": "weights", "kind": "classify", "parameters": {"order": 5, "weights": "12"}},
+        {"id": "weight", "kind": "classify", "parameters": {"order": 5, "weights": [1, "2"]}},
+        {"id": "coeffs", "kind": "build-rdp", "parameters": {"type": "D", "index": 4, "coeffs": "1234"}},
+        {"id": "samples", "kind": "birational", "parameters": {**bir, "samples": 2.5}},
+        {"id": "seed", "kind": "birational", "parameters": {**bir, "seed": False}},
+        {"id": "roots", "kind": "check", "parameters": {**check, "roots": 12}},
+        {"id": "parameters", "kind": "check", "parameters": [[k, v] for k, v in check.items()]},
+    ]
+    code, data, err = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
+    assert (code, err) == (1, "")
+    assert data["outputs"]["failed_ids"] == [row["id"] for row in rows[1:]]
+    assert [r["mismatches"] for r in data["outputs"]["results"]] == [
+        [],
+        ["error: d must be a JSON integer, got float"],
+        ["error: order must be a JSON integer, got bool"],
+        ["error: weights must be a JSON list, got str"],
+        ["error: weights[1] must be a JSON integer, got str"],
+        ["error: coeffs must be a JSON list, got str"],
+        ["error: samples must be a JSON integer, got float"],
+        ["error: seed must be a JSON integer, got bool"],
+        ["error: roots must be a JSON string, got int"],
+        ["error: parameters must be a JSON object, got list"],
+    ]
+
+
+def test_corpus_runs_write_identical_bytes(tmp_path):
+    # Every weight tuple has rows with two root configurations, so all but
+    # its first row build on a memoised frame.
+    rows = []
+    for d, n, m, c, a in box_params(3, 3, 2):
+        for roots in (",".join(map(str, range(1, d + 1))), f"-1/2:{d}"):
+            for kind in ("build-cyclic", "check"):
+                params = {"d": d, "n": n, "m": m, "c": c, "a": a, "roots": roots}
+                rows.append({"id": f"{kind}-{d}-{n}-{m}-{c}-{a}-{roots}", "kind": kind, "parameters": params})
+    path = write_corpus(tmp_path, rows)
+    payloads = []
+    for i in range(2):
+        out = tmp_path / f"report-{i}.json"
+        assert run_command(["--corpus", path, "--format", "json", "--out", str(out)]) == 0
+        assert compactify._cyclic_frame.cache_info().hits == len(rows) - len(rows) // 4
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
+    assert json.loads(payloads[0])["outputs"]["passed"] == len(rows)
+
+
+def test_each_command_starts_with_an_empty_frame_memo(capsys, monkeypatch):
+    sizes = []
+    dispatch = cli._dispatch
+
+    def recording(args):
+        sizes.append(compactify._cyclic_frame.cache_info().currsize)
+        return dispatch(args)
+
+    monkeypatch.setattr(cli, "_dispatch", recording)
+    for roots in ("1,2", "1:2"):
+        argv = ["build", "cyclic", "-d", "2", "-n", "2", "-m", "1", "-a", "1", "--roots", roots]
+        assert run(capsys, argv)[0] == 0
+        assert compactify._cyclic_frame.cache_info().currsize == 1
+    assert sizes == [0, 0]
+    assert compactify._cyclic_frame.cache_info().maxsize is not None
 
 
 def test_corpus_tolerates_blank_lines(capsys, tmp_path):

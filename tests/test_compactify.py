@@ -1,11 +1,13 @@
 """Tests for weight enumeration and compactified-model construction."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classt import (
     BadInput,
@@ -24,8 +26,11 @@ from classt import (
     smoothness_status,
     topology,
 )
-from classt.compactify import weight_conditions
+from classt import compactify
+from classt.compactify import _parse_rational, weight_conditions
 from classt.wps import WeightedProjectiveSpace
+
+from oracles import box_params
 
 
 # ---------------------------------------------------------------- roots
@@ -57,6 +62,41 @@ def test_root_config_parse_errors():
     for bad in ("", "1,,2", "x:2", "1:y", "1/0"):
         with pytest.raises(BadInput):
             RootConfig.parse(bad)
+    cases = [
+        ("1/0", BadInput, "cannot parse root entry '1/0'"),
+        ("abc", BadInput, "cannot parse root entry 'abc'"),
+        (":2", BadInput, "cannot parse root entry ':2'"),
+        # 2/2 is read as two ints and reduced to 1 before the distinctness check.
+        ("1,2/2", RootsInvalid, "roots must be distinct, got 1 more than once"),
+    ]
+    for text, kind, message in cases:
+        with pytest.raises(kind) as info:
+            RootConfig.parse(text)
+        assert type(info.value) is kind and str(info.value) == message
+
+
+def _outcome(parse, text):
+    """``(type, numerator, denominator)`` of ``parse(text)``, or the type it raised."""
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return type(exc)
+    return type(value), value.numerator, value.denominator
+
+
+# Texts over the characters Fraction treats specially, non-ASCII digits
+# included (it takes the Arabic-Indic three but not the superscript two),
+# mixed with plain [-]digits[/digits] texts, which take the integer path.
+_ROOT_TEXTS = st.one_of(
+    st.text(alphabet="0123456789-+/_.e ٣²", max_size=10),
+    st.from_regex(r"-?[0-9]{1,5}(/[0-9]{1,5})?", fullmatch=True),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_ROOT_TEXTS)
+def test_integer_root_parse_matches_fraction(text):
+    assert _outcome(_parse_rational, text) == _outcome(Fraction, text)
 
 
 def test_root_polynomial():
@@ -402,3 +442,30 @@ def test_model_is_frozen():
     assert isinstance(model, CompactificationModel)
     with pytest.raises(AttributeError):
         model.degree = 5
+
+
+def test_frame_memo_gives_the_cold_model():
+    # Each box model (box_models' parameters) is built on a frame warmed by
+    # the other root configuration, then with an empty memo; the two models
+    # agree field by field, the interior points included.
+    frame = compactify._cyclic_frame
+    built = 0
+    for d, n, m, c, a in box_params(5, 6, 4):
+        simple = RootConfig.simple(range(1, d + 1))
+        # d = 1 has no repeated root; another simple root stands in.
+        repeated = RootConfig.of([(1, d)] if d > 1 else [(2, 1)])
+        for warmer, roots in ((simple, repeated), (repeated, simple)):
+            frame.cache_clear()
+            build_cyclic(d, n, m, c, a, warmer)
+            warm = build_cyclic(d, n, m, c, a, roots)
+            assert frame.cache_info().hits == 1
+            frame.cache_clear()
+            cold = build_cyclic(d, n, m, c, a, roots)
+            assert frame.cache_info().hits == 0
+            for field in fields(CompactificationModel):
+                assert getattr(warm, field.name) == getattr(cold, field.name), (d, n, m, c, a, field.name)
+            interior = (("S_1", d - 1),) if roots is repeated and d > 1 else ()
+            assert warm.interior_singularities == interior
+            built += 1
+    frame.cache_clear()
+    assert built == 2 * 730

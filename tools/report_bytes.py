@@ -24,7 +24,11 @@ over:
 * bad inputs, in JSON and text: a ``--corpus`` file holding the bytes
   ``ff fe`` (not UTF-8), ``build rdp --type D --index 4`` with the
   coefficients ``a,0,0,0`` and ``1/0,0,0,0``, and ``check`` with the
-  roots ``1,1`` and with 20,000 copies of the root ``1``.
+  roots ``1,1`` and with 20,000 copies of the root ``1``;
+* ``check`` and ``birational`` on ``(d, n, m, a) = (1, 2, 1, 1)`` and
+  ``(2, 1, 1, 1)`` with root texts that take each path of the root
+  parser, plain ``p/q`` texts and those only ``Fraction`` reads, valid
+  or not, in JSON and text.
 
 Each run prints one line: the arguments (one longer than 100 characters
 as its length), the exit code and the SHA-256 of stdout and of stderr.  Each grid input also prints the exception type and
@@ -103,13 +107,21 @@ def main() -> None:
         [*check_d2, "1,1"],
         [*check_d2, ",".join(["1"] * 20_000)],
     ]
+    # Plain [-]digits[/digits] texts are read as ints; the rest go through Fraction.
+    root_texts = ["+3", "1_0/7", "1.5", "2/4", "-0", "1e1", " 1/3 : 2", "1/0", "1,2/2"]
+    parsed = [
+        [command, "-d", d, "-n", n, "-m", "1", "-a", "1", "--roots", text]
+        for command in ("check", "birational")
+        for d, n in (("1", "2"), ("2", "1"))
+        for text in root_texts
+    ]
 
     runs = []
     for fmt in ("json", "text"):
         runs.append(["--corpus", str(corpus), "--format", fmt])
         runs.append(["sweep", "--max-d", "5", "--max-n", "6", "--max-c", "4", "--seed", "3", "--format", fmt])
         runs.append(["sweep", "--format", fmt])
-        runs.extend([*args, "--format", fmt] for args in bad)
+        runs.extend([*args, "--format", fmt] for args in bad + parsed)
     rdp = [["--type", "D", "--index", str(index)] for index in range(4, 13)]
     for index in range(6, 9):
         coeffs = ",".join(f"{(-1) ** i * (i + 1)}/{i + 2}" for i in range(index))
