@@ -205,7 +205,8 @@ def _cleared_value(ints: tuple[int, ...], den: int, p: int, q: int) -> tuple[int
     ``ints[i] / den``, as integers ``(num, den)``.
 
     The value is ``sum_i N_i p^i q^(deg-i) / (D q^deg)``; the numerator is
-    a homogeneous Horner recurrence on integers.
+    a homogeneous Horner recurrence on integers, which
+    ``birational.roundtrip_check`` inlines.
     """
     if not ints:
         return 0, 1
@@ -274,6 +275,10 @@ def hj_expand(numerator: int, denominator: int) -> list[int]:
     ``[b_1, ..., b_s]`` with every ``b_i >= 2`` such that
 
         numerator/denominator = b_1 - 1/(b_2 - 1/(... - 1/b_s)).
+
+    Each step takes ``b = ceil(n/d)`` and moves to ``n, d = d, b*d - n``.
+    A step with ``b = 2`` keeps ``e = n - d`` fixed, so an entry 2 starts
+    a run of ``k = d // e`` twos, which is taken in one step.
     """
     n, d = numerator, denominator
     if d < 1 or n <= d:
@@ -283,6 +288,13 @@ def hj_expand(numerator: int, denominator: int) -> list[int]:
     entries = []
     while d:
         b = -(-n // d)
+        if b == 2:
+            e = n - d
+            k = d // e
+            if k > 1:
+                entries += [2] * k
+                n, d = d - (k - 1) * e, d - k * e
+                continue
         entries.append(b)
         n, d = d, b * d - n
     return entries

@@ -172,6 +172,7 @@ def _residue(
     (``Z = zn^n wd^c``, ``W = wn^c zd^n``) each factor ``z^n - (p/q) w^c``
     is ``(Z*q - p*W) / (zd^n wd^c q)``; the result is the pair ``(num,
     den)``, and the point is on the surface iff ``num == 0``.
+    ``roundtrip_check`` inlines the same formula for its rescaled lifts.
     """
     zq, wq = zd**n, wd**c
     big_z, big_w, zw = zn**n * wq, wn**c * zq, zq * wq
@@ -194,7 +195,9 @@ def _project(
     xn: int, xd: int, yn: int, yd: int, zn: int, zd: int, wn: int, wd: int,
 ) -> tuple[_Pair, _Pair, _Pair] | None:
     """Plane image ``(x, z, w)`` of integer-pair coordinates, or None off
-    the surface; raises IndeterminateAtR2 at ``[0:1:0:0]``."""
+    the surface; raises IndeterminateAtR2 at ``[0:1:0:0]``.
+    ``roundtrip_check`` inlines it, without the ``R2`` test its lifts
+    cannot reach."""
     if _residue(c, n, roots, xn, xd, yn, yd, zn, zd, wn, wd)[0]:
         return None
     if not (xn or zn or wn):
@@ -264,7 +267,8 @@ def plane_points(model: CompactificationModel) -> tuple[QuotientSingularity, Quo
 
 def _chart_T(n: int, ints: tuple[int, ...], den: int, wn: int, wd: int, rn: int, rd: int) -> _Pair:
     """``x = w' * P(r^n)`` of the chart T image ``[x : r : 1]`` on integers,
-    with ``(ints, den)`` the cleared coefficients of ``P``."""
+    with ``(ints, den)`` the cleared coefficients of ``P``.
+    ``roundtrip_check`` inlines it."""
     pn, pd = _cleared_value(ints, den, rn**n, rd**n)
     return wn * pn, wd * pd
 
@@ -344,37 +348,79 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     fails unless the rescaled lift satisfies the defining equation
     (``P`` is the expanded polynomial, the equation uses the root
     factors) and its projection equals the chart image in the plane
-    ``P(a, c, n)``.  Everything runs on integers; no Fraction or WPoint
-    is built.  The model's integers (its weights, the cleared
-    coefficients of ``P``, the ``_root_triples`` and the five scalings
-    ``t^w`` as flat tuples) are read once per call, not once per sample.
+    ``P(a, c, n)``.
+
+    Everything runs on integers in one loop; no Fraction or WPoint is
+    built.  The model's integers (its weights, the cleared coefficients of
+    ``P``, the ``_root_triples`` and the powers of the five scalings) are
+    read once per call.  Each pool index is drawn as ``getrandbits(6)``
+    and redrawn while it is 39 or more, which is what ``Random.choice``
+    does on the 39 entries, so the samples are those of
+    ``rng.choice(_SAMPLE_POOL)``.  The loop body inlines ``_chart_T`` and
+    the residue of ``_project``; ``_same_orbit`` is the one comparison.
     """
     _require_cyclic(model)
     if sample_count < 1:
         raise BadInput("sample_count must be positive")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    pool = _SAMPLE_POOL
+    size, bits = len(pool), len(pool).bit_length()
     plane_weights = target_plane(model).weights
     a, b, c, n = model.ambient.weights
     ints, den = model.roots.polynomial._cleared
+    lead, lower = ints[-1], ints[-2::-1]
     roots = _root_triples(model)
-    scales = [(t**a, s**a, t**b, s**b, t**c, s**c, t**n, s**n) for t, s in _SCALES]
+    # _residue's denominator prod_j (zw * q_j)^(k_j) is zw^mult * root_dens.
+    mult, root_dens = 0, 1
+    for _, rq, k in roots:
+        mult += k
+        root_dens *= rq**k
+    # For each scaling t/s: t^(a+b), s^(a+b) scale x*y; t^a, s^a, t^c, s^c,
+    # t^n, s^n scale the image; t^(cn), s^(cn) scale both z^n and w^c.
+    scales = [
+        (t ** (a + b), s ** (a + b), t**a, s**a, t**c, s**c, t**n, s**n, t ** (c * n), s ** (c * n))
+        for t, s in _SCALES
+    ]
     done = 0
     attempts = 0
     while done < sample_count:
         attempts += 1
         if attempts > 200 * sample_count:
             raise BadInput("rejection sampling failed to produce enough chart points")
-        wn, wd = rng.choice(_SAMPLE_POOL)
-        rn, rd = rng.choice(_SAMPLE_POOL)
+        i = getrandbits(bits)
+        while i >= size:
+            i = getrandbits(bits)
+        j = getrandbits(bits)
+        while j >= size:
+            j = getrandbits(bits)
+        wn, wd = pool[i]
         if not wn:
             continue
-        xn, xd = _chart_T(n, ints, den, wn, wd, rn, rd)
-        if not xn:
+        rn, rd = pool[j]
+        # x = w' * P(r^n), by the homogeneous Horner recurrence of
+        # _cleared_value on the cleared coefficients.
+        p, q = rn**n, rd**n
+        value, qpow = lead, 1
+        for coeff in lower:
+            qpow *= q
+            value = value * p + coeff * qpow
+        if not value:
             continue
-        ta, sa, tb, sb, tc, sc, tn, sn = scales[done % len(scales)]
-        # x = w' * P(r^n), so y = P(r^n) / x = 1 / w'.
-        image = _project(c, n, roots, xn * ta, xd * sa, wd * tb, wn * sb, rn * tc, rd * sc, tn, sn)
-        if image is None or not _same_orbit(plane_weights, image, ((xn, xd), (rn, rd), (1, 1))):
+        xn, xd = wn * value, wd * den * qpow
+        tab, sab, ta, sa, tc, sc, tn, sn, tcn, scn = scales[done % len(scales)]
+        # The rescaled lift is [x t^a : t^b / w' : r t^c : t^n], since
+        # y = P(r^n) / x = 1 / w'.  Its w = t^n is not 0, so it is never
+        # the indeterminacy point [0:1:0:0].  Its residue is _residue's,
+        # with z^n = p t^(cn) / zq and w^c = t^(cn) / s^(cn).
+        zq = q * scn
+        big_z, big_w = p * tcn * scn, tcn * zq
+        num = 1
+        for rp, rq, k in roots:
+            num *= (big_z * rq - rp * big_w) ** k
+        if xn * wd * tab * (zq * scn) ** mult * root_dens != num * xd * wn * sab:
+            return False
+        image = ((xn * ta, xd * sa), (rn * tc, rd * sc), (tn, sn))
+        if not _same_orbit(plane_weights, image, ((xn, xd), (rn, rd), (1, 1))):
             return False
         done += 1
     return True

@@ -602,7 +602,10 @@ def _run_corpus_case(kind: str, params: dict, seed: int) -> CommandReport:
     if kind == "build-rdp":
         coeffs = params.get("coeffs")
         if coeffs is not None:
-            _typed("coeffs", coeffs, list)
+            # A coefficient is text or an integer; true and 0.1 are neither.
+            for i, value in enumerate(_typed("coeffs", coeffs, list)):
+                if type(value) not in (str, int):
+                    raise BadInput(f"coeffs[{i}] must be a JSON string or integer, got {type(value).__name__}")
         return build_rdp_report(str(params["type"]), integer("index"), coeffs)
     if kind in ("build-cyclic", "check", "birational"):
         model = (

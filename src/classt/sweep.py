@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator
 
 from .arith import hj_evaluate, mod_inverse
@@ -106,6 +106,26 @@ def _check_residual(out: SuiteResult, model: CompactificationModel) -> None:
         out.fail(f"{model.label()}: residual {res}")
 
 
+# |Gamma| and |H_1| of the link S^3/Gamma for the binary tetrahedral,
+# octahedral and icosahedral groups of E6, E7 and E8.
+_E_GROUPS = {6: (24, 3), 7: (48, 2), 8: (120, 1)}
+
+
+def _check_ale_end(out: SuiteResult, model: CompactificationModel) -> None:
+    """The end of a D/E model against its ALE group, with no tick of its
+    own: the link of ``C`` is ``S^3/Gamma``, so with ``e = C^2`` and
+    ``chi = 2 - sum(1 - 1/r_i)`` over the orbifold points, ``4e/chi^2 =
+    |Gamma|`` and ``e * prod r_i = |H_1|``.  ``Gamma`` comes from the ADE
+    label: binary dihedral of order ``4(k - 2)`` with ``|H_1| = 4`` for
+    ``D_k``, ``_E_GROUPS`` for ``E``."""
+    ade, index = model.descriptor.ade, model.descriptor.index
+    order, h1 = (4 * (index - 2), 4) if ade == "D" else _E_GROUPS[index]
+    e, orders = model.curve.self_intersection, model.curve.orbifold_points
+    chi = 2 - sum(1 - Fraction(1, r) for r in orders)
+    if 4 * e / chi**2 != order or e * prod(orders) != h1:
+        out.fail(f"{model.label()}: end at infinity is not S^3/Gamma with |Gamma| = {order}, |H_1| = {h1}")
+
+
 def _check_topology(out: SuiteResult, model: CompactificationModel, status: FiberStatus) -> None:
     out.tick()
     label = model.label()
@@ -154,9 +174,10 @@ def _walk_box(
     once; the residual and the roundtrip (seed ``seed + index`` for the
     model's index in walk order) run on every model, the topology on the
     first pair of each tuple and its fully degenerate model, and the
-    weight family on the ``c = 1, n >= 2`` tuples.  The D/E residuals and
-    the blow-up suite's ``count`` models, sampled from the box's
-    parameters with ``random.Random(seed)``, run after the walk.
+    weight family on the ``c = 1, n >= 2`` tuples.  The D/E residuals,
+    each with its ALE group check, and the blow-up suite's ``count``
+    models, sampled from the box's parameters with ``random.Random(seed)``,
+    run after the walk.
     """
     fam, res, top, rt, blo = map(SuiteResult, (
         "weight-family", "adjunction-residual", "topology", "projection-roundtrip", "blowup-singularities",
@@ -186,6 +207,7 @@ def _walk_box(
             box.append(params)
     for model in rdp_models():
         _check_residual(res, model)
+        _check_ale_end(res, model)
     for chosen in random.Random(seed).sample(box, min(count, len(box))):
         _check_blowup(blo, build_cyclic(*chosen))
     return [fam, res, top, rt, blo]
@@ -201,7 +223,8 @@ def residual_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
     """The orbifold adjunction residual of every box model and D/E model:
     ``K.C + C^2`` from ``beta`` and ``C^2``, read off the ambient
     intersection theory, against the orbifold Euler side, read off the
-    boundary point orders."""
+    boundary point orders.  Each D/E case also checks its end at infinity
+    against the ALE group of its label (``_check_ale_end``)."""
     return _walk_box(max_d, max_n, max_c, 1, 0, _BLOWUP_COUNT)[1]
 
 

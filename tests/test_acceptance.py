@@ -3,7 +3,7 @@ runtime bound, one pass/fail line per criterion (visible under -s)."""
 
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from oracles import box_models, milnor_quotient_dim, monomials_independent
 
@@ -68,6 +68,15 @@ def test_criterion_2_adjunction_residual():
     run_criterion("2 adjunction-residual", 5.0, body)
 
 
+def ale_group(model) -> tuple[Fraction, Fraction]:
+    """``(4e/chi^2, e * prod r_i)`` of the curve at infinity, with ``e =
+    C^2`` and ``chi = 2 - sum(1 - 1/r_i)``: ``|Gamma|`` and ``|H_1|`` when
+    the end is ``S^3/Gamma``."""
+    e, orders = model.curve.self_intersection, model.curve.orbifold_points
+    chi = 2 - sum(1 - Fraction(1, r) for r in orders)
+    return 4 * e / chi**2, e * prod(orders)
+
+
 def test_criterion_3_rdp_table():
     def body():
         for k in range(4, 13):
@@ -76,16 +85,18 @@ def test_criterion_3_rdp_table():
             assert model.curve.orbifold_points == tuple(sorted((2, 2, k - 2)))
             assert model.degree == 2 * k - 2
             assert model.beta == 2
-        for index, csq, orders, degree in (
-            (6, Fraction(1, 6), (3, 3, 2), 12),
-            (7, Fraction(1, 12), (2, 3, 4), 18),
-            (8, Fraction(1, 30), (2, 3, 5), 30),
+            assert ale_group(model) == (4 * (k - 2), 4)
+        for index, csq, orders, degree, group in (
+            (6, Fraction(1, 6), (3, 3, 2), 12, (24, 3)),
+            (7, Fraction(1, 12), (2, 3, 4), 18, (48, 2)),
+            (8, Fraction(1, 30), (2, 3, 5), 30, (120, 1)),
         ):
             model = build_rdp("E", index)
             assert model.curve.self_intersection == csq
             assert model.curve.orbifold_points == tuple(sorted(orders))
             assert model.degree == degree
             assert model.beta == 2
+            assert ale_group(model) == group
 
     run_criterion("3 rdp-table", None, body)
 

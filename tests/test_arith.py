@@ -20,7 +20,7 @@ from classt.arith import (
 )
 from classt.errors import BadInput, NonInvertible, ZeroPolynomial
 
-from oracles import exhaustive_inverse
+from oracles import _hj_chain, exhaustive_inverse
 
 
 def test_mod_inverse_frozen_values():
@@ -222,6 +222,15 @@ def test_hj_roundtrip_sweep():
             assert all(b >= 2 for b in entries)
             assert len(entries) <= r - 1
             assert hj_evaluate(entries) == Fraction(r, q)
+
+
+def test_hj_expand_matches_the_step_oracle():
+    # Runs of 2s are taken in one step; the oracle takes one entry a step.
+    for r in range(2, 1001):
+        for q in range(1, r):
+            if gcd(q, r) == 1:
+                assert hj_expand(r, q) == _hj_chain(r, q), (r, q)
+    assert hj_expand(100000, 99999) == _hj_chain(100000, 99999) == [2] * 99999
 
 
 @st.composite

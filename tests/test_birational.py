@@ -32,7 +32,7 @@ from classt import (
 from classt import birational
 from classt.birational import surface_residue
 
-from oracles import box_models, noether_euler, product_residue, roundtrip_oracle, same_weighted_point
+from oracles import box_models, box_params, noether_euler, product_residue, roundtrip_oracle, same_weighted_point
 
 
 def d1_model():
@@ -349,10 +349,11 @@ def test_roundtrip_fails_on_a_wrong_expansion(monkeypatch):
     assert not roundtrip_check(model, 10, seed=7)
 
 
-def _walk_box_against_the_oracle(monkeypatch, reverse):
+def _walk_box_against_the_oracle(monkeypatch, reverse, models=None):
     # The points the kernel compares and its verdicts, against the same
     # draws lifted, rescaled and compared with Fractions; under reversed
-    # plane weights the oracle compares in P(n, c, a) too.
+    # plane weights the oracle compares in P(n, c, a) too.  The models
+    # default to the box with the roots 1..d.
     same_orbit = birational._same_orbit
     compared = []
 
@@ -362,7 +363,7 @@ def _walk_box_against_the_oracle(monkeypatch, reverse):
         return verdict
 
     monkeypatch.setattr(birational, "_same_orbit", recording)
-    models = list(box_models(5, 6, 4))
+    models = list(box_models(5, 6, 4)) if models is None else models
     passed = []
     for i, model in enumerate(models):
         compared.clear()
@@ -376,6 +377,35 @@ def _walk_box_against_the_oracle(monkeypatch, reverse):
 
 def test_roundtrip_matches_the_fraction_oracle(monkeypatch):
     assert all(_walk_box_against_the_oracle(monkeypatch, reverse=False)[1])
+
+
+def _fractional_roots(rng, d):
+    """Distinct roots ``p/q`` with ``0 < |p| <= 9`` and ``q <= 4`` whose
+    multiplicities sum to ``d``; about a third of the draws repeat a root."""
+    mults, left = [], d
+    while left:
+        k = rng.randint(2, left) if left >= 2 and rng.random() < 0.35 else 1
+        mults.append(k)
+        left -= k
+    numerators = [i for i in range(-9, 10) if i]
+    roots = {}
+    for k in mults:
+        root = None
+        while root is None or root in roots:
+            root = Fraction(rng.choice(numerators), rng.randint(1, 4))
+        roots[root] = k
+    return RootConfig.of(list(roots.items()))
+
+
+def test_roundtrip_matches_the_fraction_oracle_on_fractional_roots(monkeypatch):
+    # The box walk sees only the simple integer roots 1..d; here the cleared
+    # denominators of P and the repeated root factors differ from 1.
+    rng = random.Random(15)
+    params = rng.sample(list(box_params(5, 6, 4)), 200)
+    models = [build_cyclic(*p, _fractional_roots(rng, p[0])) for p in params]
+    assert sum(any(root.denominator > 1 for root in m.roots.roots) for m in models) > 150
+    assert sum(any(k > 1 for _, k in m.roots.pairs) for m in models) > 50
+    assert all(_walk_box_against_the_oracle(monkeypatch, reverse=False, models=models)[1])
 
 
 def test_roundtrip_detects_reversed_equality_weights(monkeypatch):

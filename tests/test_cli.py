@@ -724,7 +724,8 @@ def test_corpus_number_overflowing_int_is_a_case_error(capsys, tmp_path):
 
 
 def test_corpus_parameters_must_have_their_json_types(capsys, tmp_path):
-    # Each of these rows used to pass, read through int(), tuple() or dict().
+    # Each of these rows used to pass, read through int(), tuple() or dict(),
+    # or as a coefficient true = 1 or 0.1 = 3602879701896397/2^55.
     check = {"d": 2, "n": 2, "m": 1, "a": 1, "roots": "1,2"}
     bir = {"d": 1, "n": 2, "m": 1, "a": 1, "roots": "1"}
     rows = [
@@ -734,6 +735,8 @@ def test_corpus_parameters_must_have_their_json_types(capsys, tmp_path):
         {"id": "weights", "kind": "classify", "parameters": {"order": 5, "weights": "12"}},
         {"id": "weight", "kind": "classify", "parameters": {"order": 5, "weights": [1, "2"]}},
         {"id": "coeffs", "kind": "build-rdp", "parameters": {"type": "D", "index": 4, "coeffs": "1234"}},
+        {"id": "coeff", "kind": "build-rdp", "parameters": {"type": "D", "index": 4, "coeffs": ["1/2", 0, True, 0]}},
+        {"id": "coeff-float", "kind": "build-rdp", "parameters": {"type": "D", "index": 4, "coeffs": ["0", 0.1, 0, 0]}},
         {"id": "samples", "kind": "birational", "parameters": {**bir, "samples": 2.5}},
         {"id": "seed", "kind": "birational", "parameters": {**bir, "seed": False}},
         {"id": "roots", "kind": "check", "parameters": {**check, "roots": 12}},
@@ -749,6 +752,8 @@ def test_corpus_parameters_must_have_their_json_types(capsys, tmp_path):
         ["error: weights must be a JSON list, got str"],
         ["error: weights[1] must be a JSON integer, got str"],
         ["error: coeffs must be a JSON list, got str"],
+        ["error: coeffs[2] must be a JSON string or integer, got bool"],
+        ["error: coeffs[1] must be a JSON string or integer, got float"],
         ["error: samples must be a JSON integer, got float"],
         ["error: seed must be a JSON integer, got bool"],
         ["error: roots must be a JSON string, got int"],

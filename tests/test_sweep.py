@@ -148,6 +148,20 @@ def test_residual_suite_reports_a_wrong_beta(monkeypatch):
     assert suite.failures[-1] == "rdp(E7): residual -1/12"
 
 
+def test_residual_suite_reports_a_wrong_ale_group(monkeypatch):
+    # |Gamma| = 24 is E6's order, not E7's 48; |H_1| = 2 is E7's, not E8's 1.
+    # The box (1, 1, 1) has no models, so the 12 cases are the D/E ones.
+    assert residual_suite(1, 1, 1).cases == 12 and residual_suite(1, 1, 1).passed
+    monkeypatch.setitem(classt.sweep._E_GROUPS, 7, (24, 2))
+    monkeypatch.setitem(classt.sweep._E_GROUPS, 8, (120, 2))
+    suite = residual_suite(1, 1, 1)
+    assert suite.cases == 12
+    assert suite.failures == [
+        "rdp(E7): end at infinity is not S^3/Gamma with |Gamma| = 24, |H_1| = 2",
+        "rdp(E8): end at infinity is not S^3/Gamma with |Gamma| = 120, |H_1| = 2",
+    ]
+
+
 def test_topology_suite_reports_a_chain_off_minus_two(monkeypatch):
     # Resolving A_k as 1/(k+1)(1, 1) gives the single curve -(k+1), which
     # is a (-2)-curve only for k = 1.

@@ -21,6 +21,9 @@ over:
 * ``classify`` and ``resolve`` for the orders 1 to 40 with the weights
   ``(q1, q2)``, ``0 <= q1 <= r`` and ``q2`` in ``{1, r - 1, 5}``, in JSON,
   text and DOT;
+* ``classify`` and ``resolve`` for the orders 1000 and 100000 with the
+  weights ``(1, r - 1)``, ``(1, 3)`` and ``(1, r/2 + 1)``, whose chains run
+  to 99,999 entries, in JSON and text;
 * bad inputs, in JSON and text: a ``--corpus`` file holding the bytes
   ``ff fe`` (not UTF-8), ``build rdp --type D --index 4`` with the
   coefficients ``a,0,0,0`` and ``1/0,0,0,0``, and ``check`` with the
@@ -132,6 +135,12 @@ def main() -> None:
         for q1 in range(0, r + 1)
         for q2 in dict.fromkeys((1, r - 1, 5))
     ]
+    long_germs = [
+        ["--order", str(r), "--weights", f"1,{q}"] for r in (1000, 100000) for q in (r - 1, 3, r // 2 + 1)
+    ]
+    for fmt in ("json", "text"):
+        for command in ("classify", "resolve"):
+            runs.extend([command, *args, "--format", fmt] for args in long_germs)
     for fmt in ("json", "text", "dot"):
         runs.extend(["build", "rdp", *args, "--format", fmt] for args in rdp)
         for command in ("classify", "resolve"):
