@@ -32,6 +32,11 @@ over:
   ``(2, 1, 1, 1)`` with root texts that take each path of the root
   parser, plain ``p/q`` texts and those only ``Fraction`` reads, valid
   or not, in JSON and text.
+* argparse's own output: ``--help`` of the top level, of ``build`` and of
+  every command, and the usage errors (exit 2) of an empty command line,
+  of each command but ``sweep`` given no flags, of ``check`` without
+  ``--roots``, of ``build rdp --type A`` and of ``check -d x``.  The tool
+  sets ``COLUMNS=80``, so these digests do not depend on the terminal.
 
 Each run prints one line: the arguments (one longer than 100 characters
 as its length), the exit code and the SHA-256 of stdout and of stderr.  Each grid input also prints the exception type and
@@ -52,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -90,6 +96,8 @@ def grid():
 
 def main() -> None:
     src, work = sys.argv[1], Path(sys.argv[2])
+    # argparse wraps help and usage text to the terminal width it reads here.
+    os.environ["COLUMNS"] = "80"
     sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -119,7 +127,14 @@ def main() -> None:
         for text in root_texts
     ]
 
-    runs = []
+    commands = [
+        ["classify"], ["enumerate"], ["build"], ["build", "cyclic"], ["build", "rdp"],
+        ["check"], ["birational"], ["resolve"], ["sweep"],
+    ]
+    runs = [[], ["--help"], ["build", "rdp", "--type", "A"], ["check", "-d", "x"]]
+    runs += [[*command, "--help"] for command in commands]
+    runs += [command for command in commands if command != ["sweep"]]
+    runs.append(["check", "-d", "1", "-n", "1", "-m", "1", "-a", "1"])
     for fmt in ("json", "text"):
         runs.append(["--corpus", str(corpus), "--format", fmt])
         runs.append(["sweep", "--max-d", "5", "--max-n", "6", "--max-c", "4", "--seed", "3", "--format", fmt])
