@@ -34,15 +34,16 @@ def _add_common(parser: argparse.ArgumentParser, trailing: bool) -> None:
                         help="run the JSON-lines case file and report per-case results")
 
 
-def _add_model_command(sub, name: str, common: argparse.ArgumentParser, help_text: str) -> None:
-    """A subcommand taking the six parameters of a cyclic model."""
+def _add_dnmc_command(sub, name: str, common: argparse.ArgumentParser, help_text: str, model=True) -> None:
+    """A subcommand taking d, n, m, c and, for a cyclic model, a and the roots."""
     parser = sub.add_parser(name, parents=[common], help=help_text)
     parser.add_argument("-d", type=int, required=True)
     parser.add_argument("-n", type=int, required=True)
     parser.add_argument("-m", type=int, required=True)
-    parser.add_argument("-c", type=int, default=1)
-    parser.add_argument("-a", type=int, required=True)
-    parser.add_argument("--roots", required=True, help='root:multiplicity list, e.g. "1:1,2:1"')
+    parser.add_argument("-c", type=int)
+    if model:
+        parser.add_argument("-a", type=int, required=True)
+        parser.add_argument("--roots", required=True, help='root:multiplicity list, e.g. "1:1,2:1"')
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,73 +63,49 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--order", type=int, required=True)
     classify.add_argument("--weights", required=True, help="two weights, e.g. 1,5")
 
-    enum = sub.add_parser("enumerate", parents=[common], help="enumerate weights (a, b) for fixed d, n, m, c")
-    enum.add_argument("-d", type=int, required=True)
-    enum.add_argument("-n", type=int, required=True)
-    enum.add_argument("-m", type=int, required=True)
-    enum.add_argument("-c", type=int, default=1)
+    _add_dnmc_command(sub, "enumerate", common, "enumerate weights (a, b) for fixed d, n, m, c", model=False)
 
     build = sub.add_parser("build", parents=[common], help="construct a compactified smoothing")
     build_sub = build.add_subparsers(dest="variant", required=True)
-    _add_model_command(build_sub, "cyclic", common, "cyclic variant from (d, n, m, c, a) and roots")
+    _add_dnmc_command(build_sub, "cyclic", common, "cyclic variant from (d, n, m, c, a) and roots")
     br = build_sub.add_parser("rdp", parents=[common], help="D or E double point model")
-    br.add_argument("--type", dest="ade", choices=("D", "E"), required=True)
+    br.add_argument("--type", choices=("D", "E"), required=True)
     br.add_argument("--index", type=int, required=True)
     br.add_argument("--coeffs", help="deformation coefficients, e.g. 1/2,0,3")
 
-    _add_model_command(sub, "check", common, "evaluate the metric existence hypotheses")
-    _add_model_command(sub, "birational", common, "projection, blow-up at R2, roundtrip sampling")
+    _add_dnmc_command(sub, "check", common, "evaluate the metric existence hypotheses")
+    _add_dnmc_command(sub, "birational", common, "projection, blow-up at R2, roundtrip sampling")
 
     res = sub.add_parser("resolve", parents=[common], help="minimal resolution chain of a quotient germ")
     res.add_argument("--order", type=int, required=True)
     res.add_argument("--weights", required=True)
 
     sweep = sub.add_parser("sweep", parents=[common], help="run the invariant suites over a parameter box")
-    sweep.add_argument("--max-d", type=int, default=4)
-    sweep.add_argument("--max-n", type=int, default=4)
-    sweep.add_argument("--max-c", type=int, default=3)
+    sweep.add_argument("--max-d", type=int)
+    sweep.add_argument("--max-n", type=int)
+    sweep.add_argument("--max-c", type=int)
 
     return p
 
 
-def _parse_weights(text: str) -> tuple[int, int]:
+def _parse_weights(text: str) -> list[int]:
     parts = [chunk.strip() for chunk in text.split(",")]
     if len(parts) != 2:
         raise BadInput(f"--weights takes two comma-separated integers, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        return [int(part) for part in parts]
     except ValueError as exc:
         raise BadInput(f"cannot parse weights {text!r}") from exc
 
 
-def _parse_coeffs(text: str | None) -> list[str] | None:
-    if text is None:
-        return None
-    return [chunk.strip() for chunk in text.split(",")]
-
-
-def _dispatch(args: argparse.Namespace) -> reports.CommandReport:
-    if args.corpus:
-        return reports.run_corpus(args.corpus, args.seed)
-    cmd = args.command
-    if cmd == "classify":
-        return reports.classify_report(args.order, _parse_weights(args.weights))
-    if cmd == "enumerate":
-        return reports.enumerate_report(args.d, args.n, args.m, args.c)
-    if cmd == "build" and args.variant == "rdp":
-        return reports.build_rdp_report(args.ade, args.index, _parse_coeffs(args.coeffs))
-    if cmd in ("build", "check", "birational"):
-        model = (args.d, args.n, args.m, args.c, args.a, reports.parse_roots(args.roots))
-        if cmd == "build":
-            return reports.build_cyclic_report(*model)
-        if cmd == "check":
-            return reports.check_report(*model)
-        return reports.birational_report(*model, 25, args.seed)
-    if cmd == "resolve":
-        return reports.resolve_report(args.order, _parse_weights(args.weights))
-    if cmd == "sweep":
-        return reports.sweep_report(args.max_d, args.max_n, args.max_c, args.seed)
-    raise BadInput("a subcommand or --corpus is required")
+def _params(args: argparse.Namespace) -> dict:
+    """The flags given on the command line, as a corpus row's parameters."""
+    params = {name: value for name, value in vars(args).items() if value is not None}
+    if "weights" in params:
+        params["weights"] = _parse_weights(params["weights"])
+    if "coeffs" in params:
+        params["coeffs"] = [chunk.strip() for chunk in params["coeffs"].split(",")]
+    return params
 
 
 def run_command(argv: list[str]) -> int:
@@ -144,7 +121,11 @@ def run_command(argv: list[str]) -> int:
         print("classt: error: a subcommand or --corpus is required", file=sys.stderr)
         return 2
     try:
-        report = _dispatch(args)
+        if args.corpus:
+            report = reports.run_corpus(args.corpus, args.seed)
+        else:
+            kind = f"build-{args.variant}" if args.command == "build" else args.command
+            report = reports.run_case(kind, _params(args), args.seed)
         if args.format == "dot":
             if report.dot is None:
                 raise BadInput(_DOTLESS)

@@ -114,14 +114,6 @@ def _check_rational_text(name: str, text: str) -> None:
         )
 
 
-def parse_roots(text: str) -> RootConfig:
-    """``RootConfig.parse`` of command-line or corpus text, each entry
-    checked against the rational text cap first."""
-    for entry in text.split(","):
-        _check_rational_text("root entry", entry.strip())
-    return RootConfig.parse(text)
-
-
 def _parse_coefficient(value: Any) -> Any:
     """A coefficient text as a Fraction, checked against the rational text
     cap first; any other value is left to ``build_rdp``."""
@@ -188,7 +180,8 @@ def assemble(case_id: str, inputs: dict, outputs: dict, diagnostics: list[dict])
 
 
 def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> CommandReport:
-    """Report of a command on the cyclic model ``params = (d, n, m, c, a, roots)``.
+    """Report of a command on the cyclic model ``params = (d, n, m, c, a, roots)``,
+    the roots as text.
 
     The weight conditions become diagnostics, with "beta>1" and
     "adjunction-residual" added.  When a condition fails the outputs list
@@ -197,7 +190,10 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
     "beta>1" is derived, not tested: ``beta = (c + n)/n`` exceeds 1 because
     ``weight_conditions`` has already rejected ``n < 1`` and ``c < 1``.
     """
-    d, n, m, c, a, roots = params
+    d, n, m, c, a, text = params
+    for entry in text.split(","):
+        _check_rational_text("root entry", entry.strip())
+    roots = RootConfig.parse(text)
     _check_degree(d, n, c)
     _check_roots(roots)
     conditions = weight_conditions(d, n, m, c, a, roots)
@@ -259,7 +255,7 @@ def _model_outputs(model: CompactificationModel) -> dict:
     return out
 
 
-def classify_report(order: int, weights: tuple[int, int]) -> CommandReport:
+def classify_report(order: int, weights: list[int]) -> CommandReport:
     _check_order(order)
     s = QuotientSingularity(order, tuple(weights))
     std = normalize(s)
@@ -292,7 +288,7 @@ def classify_report(order: int, weights: tuple[int, int]) -> CommandReport:
     return CommandReport(outputs, 0, _germ_rest("classify", order, weights), dot)
 
 
-def _germ_rest(kind: str, order: int, weights: tuple[int, int]) -> Callable[[], tuple]:
+def _germ_rest(kind: str, order: int, weights: list[int]) -> Callable[[], tuple]:
     """``rest`` of the reports on the germ ``1/order(weights)``."""
     return lambda: (
         f"{kind}-{order}-{weights[0]}-{weights[1]}",
@@ -322,34 +318,34 @@ def enumerate_report(d: int, n: int, m: int, c: int) -> CommandReport:
     return CommandReport(outputs, 0, rest)
 
 
-def build_cyclic_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CommandReport:
+def build_cyclic_report(d: int, n: int, m: int, c: int, a: int, roots: str) -> CommandReport:
     return _cyclic_report(
         "build-cyclic", (d, n, m, c, a, roots), {},
         lambda model, _: (_model_outputs(model), 0, lambda: render_model_dot(model)),
     )
 
 
-def build_rdp_report(ade: str, index: int, coeffs: list | None) -> CommandReport:
-    if ade == "D":
+def build_rdp_report(type: str, index: int, coeffs: list | None) -> CommandReport:
+    if type == "D":
         _check_range("D-type index", index, 4, _MAX_D_INDEX)
     if coeffs is not None:
         coeffs = [_parse_coefficient(value) for value in coeffs]
-    model = build_rdp(ade, index, coeffs)
+    model = build_rdp(type, index, coeffs)
     residual = check_hypotheses(model).adjunction_residual
 
     def rest() -> tuple:
         diags = na_diags("hom", "action", "div", "man-cond")
         diags.append(diag("beta>1", model.beta > 1, f"beta = {rational_str(model.beta)}"))
         diags.append(_residual_diag(residual))
-        inputs = {"type": ade, "index": index}
+        inputs = {"type": type, "index": index}
         if coeffs is not None:
             inputs["coeffs"] = [rational_str(v) for v in model.coefficients]
-        return f"build-rdp-{ade}{index}", inputs, diags
+        return f"build-rdp-{type}{index}", inputs, diags
     exit_code = 0 if residual == 0 else 1
     return CommandReport(_model_outputs(model), exit_code, rest, lambda: render_model_dot(model))
 
 
-def check_report(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CommandReport:
+def check_report(d: int, n: int, m: int, c: int, a: int, roots: str) -> CommandReport:
     return _cyclic_report("check", (d, n, m, c, a, roots), {}, _check_outputs)
 
 
@@ -375,7 +371,7 @@ def _check_outputs(model: CompactificationModel, report: TianYauReport) -> tuple
 
 
 def birational_report(
-    d: int, n: int, m: int, c: int, a: int, roots: RootConfig, samples: int, seed: int
+    d: int, n: int, m: int, c: int, a: int, roots: str, samples: int, seed: int
 ) -> CommandReport:
     _check_range("samples", samples, 1, _MAX_SAMPLES)
 
@@ -414,7 +410,7 @@ def birational_report(
     )
 
 
-def resolve_report(order: int, weights: tuple[int, int]) -> CommandReport:
+def resolve_report(order: int, weights: list[int]) -> CommandReport:
     _check_order(order)
     s = QuotientSingularity(order, tuple(weights))
     std = normalize(s)
@@ -576,48 +572,61 @@ def render_json(report: dict) -> str:
 
 _CORPUS_KINDS = ("classify", "enumerate", "build-cyclic", "build-rdp", "check", "birational")
 
+# A parameter with no default, and one whose default is the command's seed.
+_REQUIRED, _SEED = object(), object()
+_DNMC = (("d", _REQUIRED, int, ()), ("n", _REQUIRED, int, ()), ("m", _REQUIRED, int, ()), ("c", 1, int, ()))
+_MODEL = _DNMC + (("a", _REQUIRED, int, ()), ("roots", _REQUIRED, str, ()))
+_GERM = (("weights", _REQUIRED, list, (int,)), ("order", _REQUIRED, int, ()))
 
-# The JSON type each corpus parameter must have.  bool is a subclass of
-# int, so fields are matched by exact type: true is not the integer 1.
+# Each command's parameters, in the order they are checked: the name, the
+# default, the JSON type and, for a list, the JSON types of its entries.
+# The command line and corpus rows both run commands through this table.
+_COMMANDS = {
+    "classify": _GERM,
+    "enumerate": _DNMC,
+    "build-cyclic": _MODEL,
+    "build-rdp": (("coeffs", None, list, (str, int)), ("type", _REQUIRED, str, ()), ("index", _REQUIRED, int, ())),
+    "check": _MODEL,
+    "birational": _MODEL + (("samples", 25, int, ()), ("seed", _SEED, int, ())),
+    "resolve": _GERM,
+    "sweep": (("max_d", 4, int, ()), ("max_n", 4, int, ()), ("max_c", 3, int, ()), ("seed", _SEED, int, ())),
+}
+
+# bool is a subclass of int, so values are matched by exact type: true is
+# not the integer 1.
 _JSON_TYPES = {int: "integer", str: "string", list: "list", dict: "object"}
 
 
-def _typed(name: str, value: Any, kind: type) -> Any:
-    if type(value) is not kind:
-        raise BadInput(f"{name} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+def _type_error(name: str, value: Any, types: tuple) -> BadInput:
+    expected = " or ".join(_JSON_TYPES[t] for t in types)
+    return BadInput(f"{name} must be a JSON {expected}, got {type(value).__name__}")
+
+
+def _value(params: dict, name: str, default: Any, json_type: type, entry_types: tuple = ()) -> Any:
+    """``params[name]`` checked against its JSON types, or ``default``."""
+    value = params.get(name, default)
+    if value is _REQUIRED:
+        raise BadInput(f"{name} is required")
+    if value is not default:  # a default needs no check, so coeffs may be null
+        if type(value) is not json_type:
+            raise _type_error(name, value, (json_type,))
+        if entry_types:
+            for i, entry in enumerate(value):
+                if type(entry) not in entry_types:
+                    raise _type_error(f"{name}[{i}]", entry, entry_types)
     return value
 
 
-def _run_corpus_case(kind: str, params: dict, seed: int) -> CommandReport:
-    def integer(name: str, default: int | None = None) -> int:
-        return _typed(name, params[name] if default is None else params.get(name, default), int)
+def run_case(kind: str, params: dict, seed: int) -> CommandReport:
+    """Run the command ``kind`` on ``params`` with the table's defaults.
 
-    if kind == "classify":
-        weights = _typed("weights", params["weights"], list)
-        return classify_report(
-            integer("order"), tuple(_typed(f"weights[{i}]", w, int) for i, w in enumerate(weights))
-        )
-    if kind == "enumerate":
-        return enumerate_report(integer("d"), integer("n"), integer("m"), integer("c", 1))
-    if kind == "build-rdp":
-        coeffs = params.get("coeffs")
-        if coeffs is not None:
-            # A coefficient is text or an integer; true and 0.1 are neither.
-            for i, value in enumerate(_typed("coeffs", coeffs, list)):
-                if type(value) not in (str, int):
-                    raise BadInput(f"coeffs[{i}] must be a JSON string or integer, got {type(value).__name__}")
-        return build_rdp_report(str(params["type"]), integer("index"), coeffs)
-    if kind in ("build-cyclic", "check", "birational"):
-        model = (
-            integer("d"), integer("n"), integer("m"), integer("c", 1), integer("a"),
-            parse_roots(_typed("roots", params["roots"], str)),
-        )
-        if kind == "build-cyclic":
-            return build_cyclic_report(*model)
-        if kind == "check":
-            return check_report(*model)
-        return birational_report(*model, integer("samples", 25), integer("seed", seed))
-    raise BadInput(f"unknown corpus kind {kind!r}; expected one of {_CORPUS_KINDS}")
+    The report function is looked up by name at call time, so a wrapper
+    set on this module, such as a tracer's, sees the call."""
+    values = {
+        name: _value(params, name, seed if default is _SEED else default, json_type, entry_types)
+        for name, default, json_type, entry_types in _COMMANDS[kind]
+    }
+    return globals()[kind.replace("-", "_") + "_report"](**values)
 
 
 def _subset_mismatches(expected: Any, actual: Any, path: str) -> list[str]:
@@ -657,8 +666,11 @@ def run_corpus(path: str, seed: int) -> CommandReport:
             raise BadInput(f"{path}:{lineno}: a case must be a JSON object, got {type(row).__name__}")
         case_id = str(row.get("id", f"line-{lineno}"))
         try:
-            params = _typed("parameters", row.get("parameters", {}), dict)
-            rep = _run_corpus_case(str(row["kind"]), params, seed)
+            params = _value(row, "parameters", {}, dict)
+            kind = _value(row, "kind", _REQUIRED, str)
+            if kind not in _CORPUS_KINDS:
+                raise BadInput(f"unknown corpus kind {kind!r}; expected one of {_CORPUS_KINDS}")
+            rep = run_case(kind, params, seed)
             mismatches = _subset_mismatches(row.get("expected", {}), rep.outputs, "outputs")
         except (ClassTError, KeyError, TypeError, ValueError, OverflowError) as exc:
             mismatches = [f"error: {exc}"]

@@ -324,7 +324,7 @@ def hj_suite(max_r: int) -> SuiteResult:
     return out
 
 
-def run_all(max_d: int = 4, max_n: int = 4, max_c: int = 3, seed: int = 0) -> list[SuiteResult]:
+def run_all(max_d: int, max_n: int, max_c: int, seed: int = 0) -> list[SuiteResult]:
     """Every suite, with one walk of the box for the five per-box suites."""
     box = _walk_box(max_d, max_n, max_c, _SAMPLES, seed, _BLOWUP_COUNT)
     return [*box, class_t_suite(_MAX_R), hj_suite(_MAX_R)]

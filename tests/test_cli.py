@@ -4,7 +4,7 @@ import json
 import re
 import time
 
-from classt import cli, compactify, reports
+from classt import compactify, reports
 from classt.cli import run_command
 from classt.reports import DIAGNOSTIC_TAGS
 
@@ -725,7 +725,8 @@ def test_corpus_number_overflowing_int_is_a_case_error(capsys, tmp_path):
 
 def test_corpus_parameters_must_have_their_json_types(capsys, tmp_path):
     # Each of these rows used to pass, read through int(), tuple() or dict(),
-    # or as a coefficient true = 1 or 0.1 = 3602879701896397/2^55.
+    # or as a coefficient true = 1 or 0.1 = 3602879701896397/2^55; a type
+    # or kind read through str() failed as an unknown 'True' or '1'.
     check = {"d": 2, "n": 2, "m": 1, "a": 1, "roots": "1,2"}
     bir = {"d": 1, "n": 2, "m": 1, "a": 1, "roots": "1"}
     rows = [
@@ -741,6 +742,9 @@ def test_corpus_parameters_must_have_their_json_types(capsys, tmp_path):
         {"id": "seed", "kind": "birational", "parameters": {**bir, "seed": False}},
         {"id": "roots", "kind": "check", "parameters": {**check, "roots": 12}},
         {"id": "parameters", "kind": "check", "parameters": [[k, v] for k, v in check.items()]},
+        {"id": "type", "kind": "build-rdp", "parameters": {"type": True, "index": 4}},
+        {"id": "type-list", "kind": "build-rdp", "parameters": {"type": ["D"], "index": 4}},
+        {"id": "kind", "kind": 1, "parameters": check},
     ]
     code, data, err = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
     assert (code, err) == (1, "")
@@ -758,7 +762,63 @@ def test_corpus_parameters_must_have_their_json_types(capsys, tmp_path):
         ["error: seed must be a JSON integer, got bool"],
         ["error: roots must be a JSON string, got int"],
         ["error: parameters must be a JSON object, got list"],
+        ["error: type must be a JSON string, got bool"],
+        ["error: type must be a JSON string, got list"],
+        ["error: kind must be a JSON string, got int"],
     ]
+
+
+def test_corpus_missing_parameter_is_named(capsys, tmp_path):
+    model = {"d": 2, "n": 2, "m": 1, "a": 1, "roots": "1,2"}
+
+    def without(name):
+        return {k: v for k, v in model.items() if k != name}
+
+    rows = [
+        {"id": "classify", "kind": "classify", "parameters": {"order": 5}},
+        {"id": "enumerate", "kind": "enumerate", "parameters": {"d": 2, "n": 2}},
+        {"id": "build-cyclic", "kind": "build-cyclic", "parameters": without("roots")},
+        {"id": "build-rdp", "kind": "build-rdp", "parameters": {"index": 4}},
+        {"id": "check", "kind": "check", "parameters": without("a")},
+        {"id": "birational", "kind": "birational", "parameters": without("d")},
+        {"id": "no-kind", "parameters": model},
+    ]
+    code, data, err = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
+    assert (code, err) == (1, "")
+    assert [r["mismatches"] for r in data["outputs"]["results"]] == [
+        ["error: weights is required"],
+        ["error: m is required"],
+        ["error: roots is required"],
+        ["error: type is required"],
+        ["error: a is required"],
+        ["error: d is required"],
+        ["error: kind is required"],
+    ]
+
+
+def test_corpus_rows_and_the_command_line_share_defaults(capsys, tmp_path):
+    # No row sets c, samples, seed or coeffs, and no command line sets -c,
+    # --coeffs or a samples count; both runs have the seed 7.
+    model = {"d": 2, "n": 2, "m": 1, "a": 1, "roots": "1,2"}
+    model_flags = ["-d", "2", "-n", "2", "-m", "1", "-a", "1", "--roots", "1,2"]
+    cases = [
+        ("classify", {"order": 18, "weights": [1, 5]}, ["classify", "--order", "18", "--weights", "1,5"]),
+        ("enumerate", {"d": 2, "n": 3, "m": 2}, ["enumerate", "-d", "2", "-n", "3", "-m", "2"]),
+        ("build-cyclic", model, ["build", "cyclic", *model_flags]),
+        ("build-rdp", {"type": "E", "index": 7}, ["build", "rdp", "--type", "E", "--index", "7"]),
+        ("check", model, ["check", *model_flags]),
+        ("birational", model, ["birational", *model_flags]),
+    ]
+    rows = []
+    for kind, params, argv in cases:
+        code, data, _ = run_json(capsys, argv + ["--seed", "7"])
+        assert code == 0
+        assert reports.run_case(kind, params, 7).outputs == data["outputs"]
+        rows.append({"id": kind, "kind": kind, "parameters": params, "expected": data["outputs"]})
+    assert rows[-1]["expected"]["roundtrip"] == {"samples": 25, "seed": 7, "passed": True}
+    code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows), "--seed", "7"])
+    assert code == 0
+    assert data["outputs"]["passed"] == len(cases)
 
 
 def test_corpus_runs_write_identical_bytes(tmp_path):
@@ -783,13 +843,13 @@ def test_corpus_runs_write_identical_bytes(tmp_path):
 
 def test_each_command_starts_with_an_empty_frame_memo(capsys, monkeypatch):
     sizes = []
-    dispatch = cli._dispatch
+    run_case = reports.run_case
 
-    def recording(args):
+    def recording(kind, params, seed):
         sizes.append(compactify._cyclic_frame.cache_info().currsize)
-        return dispatch(args)
+        return run_case(kind, params, seed)
 
-    monkeypatch.setattr(cli, "_dispatch", recording)
+    monkeypatch.setattr(reports, "run_case", recording)
     for roots in ("1,2", "1:2"):
         argv = ["build", "cyclic", "-d", "2", "-n", "2", "-m", "1", "-a", "1", "--roots", roots]
         assert run(capsys, argv)[0] == 0
