@@ -34,7 +34,7 @@ def _add_common(parser: argparse.ArgumentParser, trailing: bool) -> None:
                         help="run the JSON-lines case file and report per-case results")
 
 
-def _add_dnmc_command(sub, name: str, common: argparse.ArgumentParser, help_text: str, model=True) -> None:
+def _add_dnmc_command(sub, name: str, common: argparse.ArgumentParser, help_text: str, model: bool = True) -> None:
     """A subcommand taking d, n, m, c and, for a cyclic model, a and the roots."""
     parser = sub.add_parser(name, parents=[common], help=help_text)
     parser.add_argument("-d", type=int, required=True)
