@@ -28,6 +28,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, string like "3/2", or Fraction to a Fraction."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadInput(f"cannot parse rational {value!r}") from exc
     return Fraction(value)
 
 
@@ -195,27 +200,23 @@ class UniPoly:
         return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
 
     def __call__(self, x: RationalLike) -> Fraction:
-        """Exact value at ``x``; one Fraction is built, at the end."""
+        """Exact value at ``x = p/q``; one Fraction is built, at the end.
+
+        With ``coeffs[i] == N_i / D`` the value is
+        ``sum_i N_i p^i q^(deg-i) / (D q^deg)``; the numerator is a
+        homogeneous Horner recurrence on integers, which
+        ``birational.roundtrip_check`` inlines.
+        """
         xf = as_fraction(x)
-        return Fraction(*_cleared_value(*self._cleared, xf.numerator, xf.denominator))
-
-
-def _cleared_value(ints: tuple[int, ...], den: int, p: int, q: int) -> tuple[int, int]:
-    """Value at ``p/q`` (``q != 0``) of the polynomial with coefficients
-    ``ints[i] / den``, as integers ``(num, den)``.
-
-    The value is ``sum_i N_i p^i q^(deg-i) / (D q^deg)``; the numerator is
-    a homogeneous Horner recurrence on integers, which
-    ``birational.roundtrip_check`` inlines.
-    """
-    if not ints:
-        return 0, 1
-    value = ints[-1]
-    qpow = 1
-    for i in range(len(ints) - 2, -1, -1):
-        qpow *= q
-        value = value * p + ints[i] * qpow
-    return value, den * qpow
+        ints, den = self._cleared
+        if not ints:
+            return Fraction(0)
+        p, q = xf.numerator, xf.denominator
+        value, qpow = ints[-1], 1
+        for coeff in ints[-2::-1]:
+            qpow *= q
+            value = value * p + coeff * qpow
+        return Fraction(value, den * qpow)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:

@@ -29,12 +29,13 @@ parameter ``t``.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import RationalLike, _cleared_value, as_fraction
+from .arith import RationalLike, as_fraction
 from .compactify import CompactificationModel
 from .errors import (
     BadInput,
@@ -45,22 +46,9 @@ from .errors import (
 from .quotients import QuotientSingularity, normalize
 from .wps import WeightedProjectiveSpace
 
-# Shared unit coordinate, so chart images need no coercion in WPoint.
-_ONE = Fraction(1)
-
 # A rational coordinate as integers (numerator, nonzero denominator), not
-# necessarily reduced; the roundtrip loop works on these, and the Fraction
-# functions below are adapters over the same helpers.
+# necessarily reduced; _same_orbit compares points given as these.
 _Pair = tuple[int, int]
-
-
-def _pairs(coords: tuple[Fraction, ...]) -> tuple[_Pair, ...]:
-    return tuple((c.numerator, c.denominator) for c in coords)
-
-
-def _flat(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """The pairs of ``coords`` laid end to end: ``(n_0, d_0, n_1, d_1, ...)``."""
-    return tuple(v for c in coords for v in (c.numerator, c.denominator))
 
 
 @lru_cache(maxsize=256)
@@ -73,7 +61,7 @@ def _exponent_pairs(weights: tuple[int, ...]) -> tuple[tuple[int, int, int, int]
     )
 
 
-def _same_orbit(weights: tuple[int, ...], p: tuple[_Pair, ...], q: tuple[_Pair, ...]) -> bool:
+def _same_orbit(weights: tuple[int, ...], p: Sequence[_Pair], q: Sequence[_Pair]) -> bool:
     """Weighted equality of two coordinate tuples of integer pairs.
 
     The supports must agree, and every two nonzero coordinates ``i, j``
@@ -133,7 +121,11 @@ class WPoint:
         if self.ambient != other.ambient:
             return False
         p, q = self.coords, other.coords
-        return p == q or _same_orbit(self.ambient.weights, _pairs(p), _pairs(q))
+        return p == q or _same_orbit(
+            self.ambient.weights,
+            [(c.numerator, c.denominator) for c in p],
+            [(c.numerator, c.denominator) for c in q],
+        )
 
     __hash__ = None
 
@@ -162,47 +154,16 @@ def _root_triples(model: CompactificationModel) -> tuple[tuple[int, int, int], .
     return tuple((root.numerator, root.denominator, k) for root, k in model.roots.pairs)
 
 
-def _residue(
-    c: int, n: int, roots: tuple[tuple[int, int, int], ...],
-    xn: int, xd: int, yn: int, yd: int, zn: int, zd: int, wn: int, wd: int,
-) -> _Pair:
-    """``x*y`` minus the root product at integer-pair coordinates.
-
-    ``roots`` are the model's ``_root_triples``.  With ``z^n / w^c = Z/W``
-    (``Z = zn^n wd^c``, ``W = wn^c zd^n``) each factor ``z^n - (p/q) w^c``
-    is ``(Z*q - p*W) / (zd^n wd^c q)``; the result is the pair ``(num,
-    den)``, and the point is on the surface iff ``num == 0``.
-    ``roundtrip_check`` inlines the same formula for its rescaled lifts.
-    """
-    zq, wq = zd**n, wd**c
-    big_z, big_w, zw = zn**n * wq, wn**c * zq, zq * wq
-    num = den = 1
-    for p, q, k in roots:
-        num *= (big_z * q - p * big_w) ** k
-        den *= (zw * q) ** k
-    xy_den = xd * yd
-    return xn * yn * den - num * xy_den, xy_den * den
-
-
 def surface_residue(model: CompactificationModel, coords: tuple[Fraction, ...]) -> Fraction:
-    """``x*y`` minus the root product, evaluated at affine coordinates."""
+    """``x*y - prod_j (z^n - a_j w^c)^(k_j)`` at affine coordinates
+    ``(x, y, z, w)``; the point is on the surface iff it is zero."""
     _require_cyclic(model)
-    return Fraction(*_residue(model.c, model.n, _root_triples(model), *_flat(coords)))
-
-
-def _project(
-    c: int, n: int, roots: tuple[tuple[int, int, int], ...],
-    xn: int, xd: int, yn: int, yd: int, zn: int, zd: int, wn: int, wd: int,
-) -> tuple[_Pair, _Pair, _Pair] | None:
-    """Plane image ``(x, z, w)`` of integer-pair coordinates, or None off
-    the surface; raises IndeterminateAtR2 at ``[0:1:0:0]``.
-    ``roundtrip_check`` inlines it, without the ``R2`` test its lifts
-    cannot reach."""
-    if _residue(c, n, roots, xn, xd, yn, yd, zn, zd, wn, wd)[0]:
-        return None
-    if not (xn or zn or wn):
-        raise IndeterminateAtR2("the projection has no value at [0:1:0:0]")
-    return (xn, xd), (zn, zd), (wn, wd)
+    x, y, z, w = coords
+    zn, wc = z**model.n, w**model.c
+    product = Fraction(1)
+    for root, k in model.roots.pairs:
+        product *= (zn - root * wc) ** k
+    return x * y - product
 
 
 def project_pi(model: CompactificationModel, point: WPoint) -> WPoint:
@@ -214,10 +175,12 @@ def project_pi(model: CompactificationModel, point: WPoint) -> WPoint:
     _require_cyclic(model)
     if point.ambient != model.ambient:
         raise BadInput(f"point lives in {point.ambient.label()}, not {model.ambient.label()}")
-    image = _project(model.c, model.n, _root_triples(model), *_flat(point.coords))
-    if image is None:
+    if surface_residue(model, point.coords):
         raise NotOnSurface(f"{point!r} does not satisfy the defining equation")
-    return WPoint(target_plane(model), tuple(Fraction(*c) for c in image))
+    x, _, z, w = point.coords
+    if not (x or z or w):
+        raise IndeterminateAtR2("the projection has no value at [0:1:0:0]")
+    return WPoint(target_plane(model), (x, z, w))
 
 
 @dataclass(frozen=True)
@@ -265,14 +228,6 @@ def plane_points(model: CompactificationModel) -> tuple[QuotientSingularity, Quo
     )
 
 
-def _chart_T(n: int, ints: tuple[int, ...], den: int, wn: int, wd: int, rn: int, rd: int) -> _Pair:
-    """``x = w' * P(r^n)`` of the chart T image ``[x : r : 1]`` on integers,
-    with ``(ints, den)`` the cleared coefficients of ``P``.
-    ``roundtrip_check`` inlines it."""
-    pn, pd = _cleared_value(ints, den, rn**n, rd**n)
-    return wn * pn, wd * pd
-
-
 def evaluate_pi_chart(
     model: CompactificationModel, chart: str, coords: tuple[RationalLike, RationalLike]
 ) -> WPoint:
@@ -287,13 +242,12 @@ def evaluate_pi_chart(
     s, t = map(as_fraction, coords)
     plane = target_plane(model)
     if chart == "T":
-        x = _chart_T(model.n, *model.roots.polynomial._cleared, *_flat((s, t)))
-        return WPoint(plane, (Fraction(*x), t, _ONE))
+        return WPoint(plane, (s * model.roots.polynomial(t**model.n), t, Fraction(1)))
     if chart == "S":
         q = Fraction(1)
         for root, k in model.roots.pairs:
             q *= (1 - root * t**model.c) ** k
-        return WPoint(plane, (s * q, _ONE, t))
+        return WPoint(plane, (s * q, Fraction(1), t))
     raise BadInput(f"chart must be 'T' or 'S', got {chart!r}")
 
 
@@ -356,8 +310,10 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     read once per call.  Each pool index is drawn as ``getrandbits(6)``
     and redrawn while it is 39 or more, which is what ``Random.choice``
     does on the 39 entries, so the samples are those of
-    ``rng.choice(_SAMPLE_POOL)``.  The loop body inlines ``_chart_T`` and
-    the residue of ``_project``; ``_same_orbit`` is the one comparison.
+    ``rng.choice(_SAMPLE_POOL)``.  The loop body computes ``P(r^n)`` by
+    the integer Horner recurrence of ``UniPoly.__call__`` and the residue
+    ``x*y - prod_j (z^n - a_j w^c)^(k_j)`` of ``surface_residue`` on
+    integers; ``_same_orbit`` is the one comparison.
     """
     _require_cyclic(model)
     if sample_count < 1:
@@ -370,7 +326,9 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     ints, den = model.roots.polynomial._cleared
     lead, lower = ints[-1], ints[-2::-1]
     roots = _root_triples(model)
-    # _residue's denominator prod_j (zw * q_j)^(k_j) is zw^mult * root_dens.
+    # Over the common denominator zw of z^n and w^c (zq * s^(cn) below),
+    # the root product has denominator prod_j (zw * q_j)^(k_j), which is
+    # zw^mult * root_dens.
     mult, root_dens = 0, 1
     for _, rq, k in roots:
         mult += k
@@ -398,7 +356,7 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
             continue
         rn, rd = pool[j]
         # x = w' * P(r^n), by the homogeneous Horner recurrence of
-        # _cleared_value on the cleared coefficients.
+        # UniPoly.__call__ on the cleared coefficients.
         p, q = rn**n, rd**n
         value, qpow = lead, 1
         for coeff in lower:
@@ -410,8 +368,9 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
         tab, sab, ta, sa, tc, sc, tn, sn, tcn, scn = scales[done % len(scales)]
         # The rescaled lift is [x t^a : t^b / w' : r t^c : t^n], since
         # y = P(r^n) / x = 1 / w'.  Its w = t^n is not 0, so it is never
-        # the indeterminacy point [0:1:0:0].  Its residue is _residue's,
-        # with z^n = p t^(cn) / zq and w^c = t^(cn) / s^(cn).
+        # the indeterminacy point [0:1:0:0].  Its residue is
+        # x*y - prod_j (z^n - a_j w^c)^(k_j), with z^n = p t^(cn) / zq and
+        # w^c = t^(cn) / s^(cn).
         zq = q * scn
         big_z, big_w = p * tcn * scn, tcn * zq
         num = 1

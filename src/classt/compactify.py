@@ -48,7 +48,6 @@ from .quotients import (
     HJChain,
     QuotientSingularity,
     RDPData,
-    TriPoly,
     hj_resolution,
     normalize,
     rdp_data,
@@ -259,12 +258,14 @@ class CompactificationModel:
         minus the coefficients times the Milnor basis monomials."""
         if self.is_cyclic:
             raise NotCyclicVariant("cyclic models use the root-product form")
-        deformed = self.descriptor.defining_poly
+        terms = dict(self.descriptor.defining_poly.terms)
         for coeff, exps in zip(self.coefficients, self.descriptor.milnor_basis):
-            deformed = deformed - TriPoly.monomial(coeff, *exps)
+            terms[exps] = terms.get(exps, 0) - coeff
         a, b, c = self.a, self.b, self.c
         out = []
-        for (i, j, k), coeff in sorted(deformed.terms.items(), reverse=True):
+        for (i, j, k), coeff in sorted(terms.items(), reverse=True):
+            if not coeff:
+                continue
             l = self.degree - (i * a + j * b + k * c)
             if l < 0:
                 raise BadInput(f"term x^{i} y^{j} z^{k} exceeds degree {self.degree}")

@@ -193,36 +193,6 @@ class TriPoly:
                 clean[(i, j, k)] = c
         object.__setattr__(self, "terms", clean)
 
-    @staticmethod
-    def monomial(coeff: RationalLike, i: int = 0, j: int = 0, k: int = 0) -> "TriPoly":
-        return TriPoly({(i, j, k): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TriPoly") -> "TriPoly":
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return TriPoly(out)
-
-    def __neg__(self) -> "TriPoly":
-        return TriPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "TriPoly") -> "TriPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "TriPoly | RationalLike") -> "TriPoly":
-        if not isinstance(other, TriPoly):
-            s = as_fraction(other)
-            return TriPoly({e: c * s for e, c in self.terms.items()})
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return TriPoly(out)
-
     def diff(self, var: int) -> "TriPoly":
         """Partial derivative with respect to variable 0, 1, or 2."""
         out: dict[tuple[int, int, int], Fraction] = {}
@@ -235,13 +205,6 @@ class TriPoly:
             out[tuple(new)] = c * e
         return TriPoly(out)
 
-    def eval(self, x: RationalLike, y: RationalLike, z: RationalLike) -> Fraction:
-        xf, yf, zf = as_fraction(x), as_fraction(y), as_fraction(z)
-        total = Fraction(0)
-        for (i, j, k), c in self.terms.items():
-            total += c * xf**i * yf**j * zf**k
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriPoly):
             return NotImplemented
@@ -250,36 +213,12 @@ class TriPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            _term_str(exps, c) for exps, c in sorted(self.terms.items(), reverse=True)
-        ).replace("+ -", "- ")
-
-
-def _term_str(exps: tuple[int, int, int], coeff: Fraction) -> str:
-    names = "xyz"
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    if not factors:
-        return str(coeff)
-    body = "*".join(factors)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return f"-{body}"
-    return f"{coeff}*{body}"
 
 
 def monomial_str(exps: tuple[int, int, int]) -> str:
     """Human form of an exponent triple, e.g. ``(1, 2, 0) -> "x*y^2"``."""
-    s = _term_str(exps, Fraction(1))
-    return s if s != "1" else "1"
+    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip("xyz", exps) if e]
+    return "*".join(factors) or "1"
 
 
 @dataclass(frozen=True)

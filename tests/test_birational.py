@@ -199,15 +199,20 @@ def test_surface_residue_matches_fraction_product():
         build_cyclic(2, 3, 2, 2, 7, RootConfig.of([("-2/3", 1), ("5/4", 1)])),
     ]
     for model in models:
+        c, n, poly = model.c, model.n, model.roots.polynomial
         for _ in range(150):
             x = rng.choice([p for p in pool if p != 0])
             z, w = rng.choice(pool), rng.choice(pool)
             on_surface = product_residue(model, (x, Fraction(0), z, w)) / -x
+            # The root product from the expanded P: w^(c*d) P(z^n / w^c),
+            # which is z^(n*d) on w = 0.
+            product = w ** (c * poly.degree) * poly(z**n / w**c) if w else z ** (n * poly.degree)
             for y in (on_surface, on_surface + 1, rng.choice(pool)):
                 coords = (x, y, z, w)
                 residue = surface_residue(model, coords)
                 assert type(residue) is Fraction
                 assert residue == product_residue(model, coords), (model.label(), coords)
+                assert residue == x * y - product, (model.label(), coords)
             assert surface_residue(model, (x, on_surface, z, w)) == 0
             assert surface_residue(model, (x, on_surface + 1, z, w)) == x
 
@@ -287,6 +292,43 @@ def test_chart_overlap_transition():
                 via_T = evaluate_pi_chart(model, "T", (u * t**b, t**-c))
                 via_S = evaluate_pi_chart(model, "S", (u, t**n))
                 assert via_T == via_S
+
+
+def test_project_pi_matches_both_charts():
+    # A chart T point (w', r) lifts to [x : 1/w' : r : 1] and a chart S
+    # point (u', v) to [x : 1/u' : 1 : v], x the chart image's first
+    # coordinate; rescaled by t^(a, b, c, n), the lift must lie on the
+    # surface and project to the chart image.
+    rng = random.Random(31)
+    pool = [Fraction(num, den) for num, den in birational._SAMPLE_POOL]
+    units = [p for p in pool if p]
+    scales = [Fraction(t) for t in ("2", "-2", "1/2", "-3/2", "3")]
+    samples = on_c = x_zero = 0
+    for model in box_models(4, 4, 3):
+        weights = model.ambient.weights
+        for chart in "TS":
+            s, t = rng.choice(units), rng.choice(pool)
+            image = evaluate_pi_chart(model, chart, (s, t))
+            x = image.coords[0]
+            lift = (x, 1 / s, t, Fraction(1)) if chart == "T" else (x, 1 / s, Fraction(1), t)
+            scale = scales[samples % len(scales)]
+            lift = tuple(v * scale**w for v, w in zip(lift, weights))
+            assert surface_residue(model, lift) == 0, (model.label(), chart, s, t)
+            assert project_pi(model, WPoint(model.ambient, lift)) == image, (model.label(), chart, s, t)
+            samples += 1
+            on_c += chart == "S" and not t
+            x_zero += not x
+    assert on_c and x_zero
+
+
+def test_text_that_is_not_rational_is_bad_input():
+    model = d1_model()
+    with pytest.raises(BadInput):
+        WPoint(WeightedProjectiveSpace((1, 1, 2)), ("1/0", 1, 1))
+    with pytest.raises(BadInput):
+        RootConfig.simple(["x"])
+    with pytest.raises(BadInput):
+        evaluate_pi_chart(model, "T", ("x", 1))
 
 
 # ------------------------------------------------------------ description

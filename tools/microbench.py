@@ -1,0 +1,97 @@
+"""Median cost per call of each classt module's hot primitive.
+
+Usage (from anywhere inside the repository):
+
+    python3 tools/microbench.py
+
+imports classt from the ``src`` next to this script, so a copy of the
+script in another checkout times that checkout.  Each primitive runs on
+fixed inputs: a loop is doubled until it takes ``TARGET_S`` seconds, run
+``REPEATS`` times, and the median time per call is printed in
+microseconds, one line per primitive after a line naming the Python
+version and the CPU count.  The inputs are built once, so the package's
+memos (``build_cyclic``'s frame cache, ``UniPoly``'s cleared
+coefficients) are warm, as they are when a sweep revisits a model.
+"""
+
+from __future__ import annotations
+
+import os
+import platform
+import statistics
+import sys
+import timeit
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from classt import (  # noqa: E402
+    QuotientSingularity,
+    RootConfig,
+    WPoint,
+    build_cyclic,
+    check_hypotheses,
+    detect_class_T,
+    enumerate_weights,
+    evaluate_pi_chart,
+    hj_evaluate,
+    hj_expand,
+    normalize,
+    project_pi,
+)
+from classt.birational import surface_residue  # noqa: E402
+from classt.reports import build_cyclic_report, render_json  # noqa: E402
+
+REPEATS = 11
+TARGET_S = 0.02
+
+
+def cases() -> list[tuple[str, object]]:
+    """``(name, zero-argument callable)`` for each primitive."""
+    model = build_cyclic(2, 3, 2, 2, 1, RootConfig.simple([1, 2]))
+    poly = model.roots.polynomial
+    chain = hj_expand(1009, 37)
+    chart_point = (Fraction(2, 3), Fraction(-5, 2))
+    # The chart T point's lift [x : 1/w' : r : 1], rescaled by t = 3/2.
+    s, r = chart_point
+    x = evaluate_pi_chart(model, "T", chart_point).coords[0]
+    t = Fraction(3, 2)
+    lift = tuple(v * t**w for v, w in zip((x, 1 / s, r, Fraction(1)), model.ambient.weights))
+    on_surface = WPoint(model.ambient, lift)
+    unscaled = WPoint(model.ambient, (x, 1 / s, r, Fraction(1)))
+    report = build_cyclic_report(2, 3, 2, 2, 1, "1,2").data
+    return [
+        ("arith.UniPoly.__call__", lambda: poly(Fraction(-125, 8))),
+        ("arith.hj_expand", lambda: hj_expand(1009, 37)),
+        ("arith.hj_evaluate", lambda: hj_evaluate(chain)),
+        ("quotients.normalize", lambda: normalize(QuotientSingularity(1009, (5, 37)))),
+        ("quotients.detect_class_T", lambda: detect_class_T(QuotientSingularity(50, (1, 19)))),
+        ("compactify.enumerate_weights", lambda: enumerate_weights(3, 4, 1, 3)),
+        ("compactify.build_cyclic", lambda: build_cyclic(2, 3, 2, 2, 1, model.roots)),
+        ("birational.WPoint.__eq__", lambda: on_surface == unscaled),
+        ("birational.surface_residue", lambda: surface_residue(model, lift)),
+        ("birational.project_pi", lambda: project_pi(model, on_surface)),
+        ("birational.evaluate_pi_chart T", lambda: evaluate_pi_chart(model, "T", chart_point)),
+        ("birational.evaluate_pi_chart S", lambda: evaluate_pi_chart(model, "S", chart_point)),
+        ("tianyau.check_hypotheses", lambda: check_hypotheses(model)),
+        ("reports.render_json", lambda: render_json(report)),
+    ]
+
+
+def per_call_us(fn) -> float:
+    timer = timeit.Timer(fn)
+    number = 1
+    while timer.timeit(number) < TARGET_S:
+        number *= 2
+    return statistics.median(timer.repeat(REPEATS, number)) / number * 1e6
+
+
+def main() -> None:
+    print(f"# Python {platform.python_version()}, {os.cpu_count()} CPUs; median us per call")
+    for name, fn in cases():
+        print(f"{name:<34}{per_call_us(fn):>10.2f}")
+
+
+if __name__ == "__main__":
+    main()
