@@ -154,11 +154,13 @@ def _root_triples(model: CompactificationModel) -> tuple[tuple[int, int, int], .
     return tuple((root.numerator, root.denominator, k) for root, k in model.roots.pairs)
 
 
-def surface_residue(model: CompactificationModel, coords: tuple[Fraction, ...]) -> Fraction:
+def surface_residue(model: CompactificationModel, coords: tuple[RationalLike, ...]) -> Fraction:
     """``x*y - prod_j (z^n - a_j w^c)^(k_j)`` at affine coordinates
     ``(x, y, z, w)``; the point is on the surface iff it is zero."""
     _require_cyclic(model)
-    x, y, z, w = coords
+    if len(coords) != 4:
+        raise BadInput(f"{model.ambient.label()} needs 4 coordinates, got {len(coords)}")
+    x, y, z, w = map(as_fraction, coords)
     zn, wc = z**model.n, w**model.c
     product = Fraction(1)
     for root, k in model.roots.pairs:
@@ -239,6 +241,8 @@ def evaluate_pi_chart(
     v]`` with ``Q(v) = prod_j (1 - a_j v^c)^(k_j)``.
     """
     _require_cyclic(model)
+    if len(coords) != 2:
+        raise BadInput(f"a chart point takes 2 coordinates, got {len(coords)}")
     s, t = map(as_fraction, coords)
     plane = target_plane(model)
     if chart == "T":

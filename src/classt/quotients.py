@@ -28,24 +28,38 @@ from .arith import RationalLike, as_fraction, hj_expand, mod_inverse
 from .errors import BadInput, InvalidIndex, NotFree, SmoothPoint
 
 
-@dataclass(frozen=True)
 class QuotientSingularity:
-    """Cyclic quotient germ ``1/order(weights[0], weights[1])``."""
+    """Cyclic quotient germ ``1/order(weights[0], weights[1])``.
 
-    order: int
-    weights: tuple[int, int]
+    Instances are treated as immutable.
+    """
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise BadInput(f"group order must be positive, got {self.order}")
-        if len(self.weights) != 2:
+    __slots__ = ("order", "weights")
+
+    def __init__(self, order: int, weights: tuple[int, int]):
+        if order < 1:
+            raise BadInput(f"group order must be positive, got {order}")
+        if len(weights) != 2:
             raise BadInput("a surface germ takes exactly two weights")
-        for w in self.weights:
-            if gcd(w, self.order) != 1:
+        for w in weights:
+            if gcd(w, order) != 1:
                 raise NotFree(
-                    f"weight {w} shares a factor with the order {self.order}; "
+                    f"weight {w} shares a factor with the order {order}; "
                     "the action is not free on the punctured plane"
                 )
+        self.order = order
+        self.weights = weights
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order and self.weights == other.weights
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.weights))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(order={self.order!r}, weights={self.weights!r})"
 
     def is_smooth(self) -> bool:
         return self.order == 1
@@ -72,11 +86,27 @@ def normalize(s: QuotientSingularity) -> QuotientSingularity:
     return QuotientSingularity(r, (1, q))
 
 
-@dataclass(frozen=True)
 class HJChain:
-    """Resolution chain; entry ``b_i`` means a curve of self-intersection ``-b_i``."""
+    """Resolution chain; entry ``b_i`` means a curve of self-intersection ``-b_i``.
 
-    entries: tuple[int, ...]
+    Instances are treated as immutable.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]):
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(entries={self.entries!r})"
 
     def __len__(self) -> int:
         return len(self.entries)

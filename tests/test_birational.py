@@ -331,6 +331,21 @@ def test_text_that_is_not_rational_is_bad_input():
         evaluate_pi_chart(model, "T", ("x", 1))
 
 
+def test_coordinate_count_and_text_coordinates_are_bad_input():
+    model = d1_model()
+    with pytest.raises(BadInput, match="needs 4 coordinates, got 3"):
+        surface_residue(model, (1, 2, 3))
+    with pytest.raises(BadInput, match="takes 2 coordinates, got 1"):
+        evaluate_pi_chart(model, "T", (1,))
+    with pytest.raises(BadInput, match="cannot parse rational 'x'"):
+        surface_residue(model, ("x", 1, 1, 1))
+    # Rational text is read as its Fraction.
+    assert surface_residue(model, ("1", "-1", "0", "1")) == 0
+    assert surface_residue(model, ("1/2", 2, 0, 1)) == surface_residue(
+        model, (Fraction(1, 2), Fraction(2), Fraction(0), Fraction(1))
+    )
+
+
 # ------------------------------------------------------------ description
 
 

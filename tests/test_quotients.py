@@ -7,6 +7,7 @@ import pytest
 
 from classt.arith import hj_evaluate
 from classt.quotients import (
+    HJChain,
     QuotientSingularity,
     TriPoly,
     detect_class_T,
@@ -28,6 +29,43 @@ def test_constructor_validation():
         QuotientSingularity(0, (1, 1))
     s = QuotientSingularity(1, (1, 1))
     assert s.is_smooth()
+
+
+def test_value_types_keep_the_dataclass_behaviour():
+    # repr, equality, hashing and messages as the frozen dataclasses gave them
+    s = QuotientSingularity(5, (1, 2))
+    assert repr(s) == "QuotientSingularity(order=5, weights=(1, 2))"
+    assert normalize(QuotientSingularity(5, (2, 3))) == normalize(QuotientSingularity(5, (3, 2)))
+    assert normalize(QuotientSingularity(5, (2, 3))) == QuotientSingularity(5, (1, 4))
+    assert s == QuotientSingularity(5, (1, 2)) and not s != QuotientSingularity(5, (1, 2))
+    assert s != QuotientSingularity(5, (1, 3))
+    assert s != QuotientSingularity(7, (1, 2))
+    assert s != (5, (1, 2)) and (5, (1, 2)) != s
+    assert s.__eq__((5, (1, 2))) is NotImplemented
+    assert hash(s) == hash((5, (1, 2)))
+    germs = {s, QuotientSingularity(5, (1, 2)), normalize(QuotientSingularity(5, (3, 1)))}
+    assert germs == {s} and QuotientSingularity(5, (1, 3)) not in germs
+    by_germ = {normalize(QuotientSingularity(5, (2, 3))): "1/5(1,4)"}
+    assert by_germ[QuotientSingularity(5, (1, 4))] == "1/5(1,4)"
+
+    chain = hj_resolution(QuotientSingularity(7, (1, 5)))
+    assert repr(chain) == "HJChain(entries=(2, 2, 3))"
+    assert chain == HJChain((2, 2, 3)) and chain != HJChain((2, 3, 2))
+    assert chain != (2, 2, 3) and chain.__eq__((2, 2, 3)) is NotImplemented
+    assert hash(chain) == hash(((2, 2, 3),))
+    assert {chain: 7}[HJChain((2, 2, 3))] == 7 and HJChain((3, 2, 2)) not in {chain}
+    assert len(chain) == 3 and chain.self_intersections() == (-2, -2, -3)
+
+    # The checks run in order: order, weight count, freeness.
+    for order, weights, error, message in (
+        (0, (1, 2, 3), BadInput, "group order must be positive, got 0"),
+        (4, (2, 1, 1), BadInput, "a surface germ takes exactly two weights"),
+        (6, (1, 3), NotFree, "weight 3 shares a factor with the order 6; "
+                             "the action is not free on the punctured plane"),
+    ):
+        with pytest.raises(error) as caught:
+            QuotientSingularity(order, weights)
+        assert str(caught.value) == message
 
 
 def test_normalize_frozen():

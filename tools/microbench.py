@@ -37,6 +37,7 @@ from classt import (  # noqa: E402
     evaluate_pi_chart,
     hj_evaluate,
     hj_expand,
+    hj_resolution,
     normalize,
     project_pi,
 )
@@ -52,6 +53,7 @@ def cases() -> list[tuple[str, object]]:
     model = build_cyclic(2, 3, 2, 2, 1, RootConfig.simple([1, 2]))
     poly = model.roots.polynomial
     chain = hj_expand(1009, 37)
+    germ = QuotientSingularity(1009, (1, 37))
     chart_point = (Fraction(2, 3), Fraction(-5, 2))
     # The chart T point's lift [x : 1/w' : r : 1], rescaled by t = 3/2.
     s, r = chart_point
@@ -65,6 +67,8 @@ def cases() -> list[tuple[str, object]]:
         ("arith.UniPoly.__call__", lambda: poly(Fraction(-125, 8))),
         ("arith.hj_expand", lambda: hj_expand(1009, 37)),
         ("arith.hj_evaluate", lambda: hj_evaluate(chain)),
+        ("quotients.QuotientSingularity", lambda: QuotientSingularity(1009, (5, 37))),
+        ("quotients.hj_resolution", lambda: hj_resolution(germ)),
         ("quotients.normalize", lambda: normalize(QuotientSingularity(1009, (5, 37)))),
         ("quotients.detect_class_T", lambda: detect_class_T(QuotientSingularity(50, (1, 19)))),
         ("compactify.enumerate_weights", lambda: enumerate_weights(3, 4, 1, 3)),
