@@ -61,6 +61,18 @@ class QuotientSingularity:
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(order={self.order!r}, weights={self.weights!r})"
 
+    @classmethod
+    def _standard(cls, order: int, q: int) -> "QuotientSingularity":
+        """``1/order(1, q)`` built without ``__init__``'s checks.
+
+        Only for callers that have already proved them: ``order >= 1``
+        and ``q`` prime to ``order``.  ``normalize`` is the one caller.
+        """
+        self = object.__new__(cls)
+        self.order = order
+        self.weights = (1, q)
+        return self
+
     def is_smooth(self) -> bool:
         return self.order == 1
 
@@ -73,17 +85,20 @@ def normalize(s: QuotientSingularity) -> QuotientSingularity:
     """Standard form ``1/r(1, q)`` with ``q = q2 * q1^(-1) mod r``.
 
     A smooth germ (order one) normalizes to ``1/1(1, 1)``; a germ
-    already in standard form, ``q1 == 1`` and ``0 < q2 < r``, is
-    returned as it is.
+    already in standard form, ``q1 == 1`` and ``0 < q2 < r`` or
+    ``1/1(1, 1)`` itself, is returned as it is.
+
+    The result is built without re-checking: ``s`` passed ``__init__``,
+    so ``r >= 1`` and both weights are units modulo ``r``, hence so is
+    ``q``, and ``q1`` has an inverse that ``pow`` finds directly.
     """
     r = s.order
     q1, q2 = s.weights
-    if q1 == 1 and 0 < q2 < r:
+    if q1 == 1 and (0 < q2 < r or q2 == r == 1):
         return s
     if r == 1:
-        return QuotientSingularity(1, (1, 1))
-    q = (q2 * mod_inverse(q1, r)) % r
-    return QuotientSingularity(r, (1, q))
+        return QuotientSingularity._standard(1, 1)
+    return QuotientSingularity._standard(r, q2 * pow(q1, -1, r) % r)
 
 
 class HJChain:
@@ -168,8 +183,19 @@ def class_t_solutions(r: int, q: int) -> list[tuple[int, int, int]]:
     Candidates are ordered by decreasing ``n``.  For fixed ``n`` the
     congruence pins ``m`` modulo ``n``, so each ``n`` contributes at
     most one solution; the ``n == 1`` candidate ``(r, 1, 1)`` appears
-    exactly when ``q == r - 1 (mod r)``.
+    exactly when ``q == r - 1 (mod r)``, that is when ``g == r`` below.
+
+    Gate: put ``g = gcd(r, q + 1)``.  A reading has ``k = d*n = r/n``,
+    which divides ``r`` and ``q + 1 = k*m + (multiple of r)``, so
+    ``k | g``; and ``k^2 = d*r >= r``.  Hence ``g*g < r`` means no
+    reading, and the ``n`` loop is skipped.  Raises BadInput for
+    ``r < 1``.
     """
+    if r < 1:
+        raise BadInput(f"group order must be positive, got {r}")
+    g = gcd(r, q + 1)
+    if g * g < r:
+        return []
     sols: list[tuple[int, int, int]] = []
     for n in range(isqrt(r), 1, -1):
         if r % (n * n):
@@ -181,7 +207,7 @@ def class_t_solutions(r: int, q: int) -> list[tuple[int, int, int]]:
         if gcd(m, n) != 1:
             continue
         sols.append((d, n, m))
-    if (q + 1) % r == 0:
+    if g == r:
         sols.append((r, 1, 1))
     return sols
 

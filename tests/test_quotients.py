@@ -1,7 +1,7 @@
 """Quotient germ calculus: normalization, resolutions, class T, RDP data."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -10,12 +10,14 @@ from classt.quotients import (
     HJChain,
     QuotientSingularity,
     TriPoly,
+    class_t_solutions,
     detect_class_T,
     hj_resolution,
     normalize,
     rdp_data,
 )
 from classt.errors import BadInput, InvalidIndex, NotFree, SmoothPoint
+from classt.sweep import brute_force_class_t
 
 from oracles import is_equivalent, milnor_quotient_dim, monomials_independent
 
@@ -90,6 +92,25 @@ def test_normalize_is_idempotent_and_equivalent():
                 assert n.weights[0] == 1
                 assert normalize(n) == n
                 assert is_equivalent(s, n)
+
+
+def test_normalize_matches_the_checked_constructor():
+    # normalize builds its result without __init__'s checks; it must still
+    # be the germ __init__ would build, and a fixed point of normalize.
+    # Negative representatives occur as blowup_at_R2 passes (b, -n).
+    for r in range(1, 61):
+        units = [u for u in range(r) if gcd(u, r) == 1]
+        reps = units + [u - r for u in units]
+        for q1 in reps:
+            for q2 in reps:
+                s = QuotientSingularity(r, (q1, q2))
+                n = normalize(s)
+                q = 1 if r == 1 else next(x for x in range(1, r) if (x * q1 - q2) % r == 0)
+                expected = QuotientSingularity(r, (1, q))
+                assert type(n) is QuotientSingularity
+                assert n == expected and hash(n) == hash(expected)
+                assert repr(n) == repr(expected), (r, q1, q2)
+                assert normalize(n) is n
 
 
 def test_is_equivalent_inverse_pairs():
@@ -187,6 +208,33 @@ def test_class_t_congruence_holds_for_all_solutions():
             ns = [n for _, n, _ in found.solutions]
             assert ns == sorted(ns, reverse=True)
             assert found.n == ns[0]
+
+
+def test_class_t_solutions_matches_the_brute_force_oracle():
+    # The gcd(r, q + 1) gate must not drop a reading: every q, units or
+    # not, negative or past r, for small orders ...
+    for r in range(1, 301):
+        for q in range(-r, 2 * r):
+            assert class_t_solutions(r, q) == brute_force_class_t(r, q), (r, q)
+    # ... and every reading of a few large orders with its neighbours.
+    for r in (3600, 44100, 99225, 100000):
+        qs = set()
+        for n in range(1, isqrt(r) + 1):
+            if r % (n * n):
+                continue
+            d = r // (n * n)
+            for m in range(1, n + 1):
+                if gcd(m, n) == 1:
+                    qs.update(d * n * m - 1 + delta for delta in (-1, 0, 1))
+        for q in sorted(qs):
+            expected = brute_force_class_t(r, q)
+            assert class_t_solutions(r, q) == expected, (r, q)
+
+
+def test_class_t_solutions_rejects_an_order_below_one():
+    for r in (0, -4):
+        with pytest.raises(BadInput, match=f"group order must be positive, got {r}"):
+            class_t_solutions(r, 3)
 
 
 def test_rdp_data_frozen_table():

@@ -1,4 +1,4 @@
-"""Median cost per call of each classt module's hot primitive.
+"""Median and minimum cost per call of each classt module's hot primitive.
 
 Usage (from anywhere inside the repository):
 
@@ -7,11 +7,14 @@ Usage (from anywhere inside the repository):
 imports classt from the ``src`` next to this script, so a copy of the
 script in another checkout times that checkout.  Each primitive runs on
 fixed inputs: a loop is doubled until it takes ``TARGET_S`` seconds, run
-``REPEATS`` times, and the median time per call is printed in
-microseconds, one line per primitive after a line naming the Python
-version and the CPU count.  The inputs are built once, so the package's
-memos (``build_cyclic``'s frame cache, ``UniPoly``'s cleared
-coefficients) are warm, as they are when a sweep revisits a model.
+``REPEATS`` times, and the median and the minimum time per call are
+printed in microseconds, one line per primitive after a line naming the
+Python version and the CPU count.  On a shared host the median of one
+run can move by tens of percent; the minimum, the repeat least disturbed
+by other load, moves less and is the column to compare between runs.
+The inputs are built once, so the package's memos (``build_cyclic``'s
+frame cache, ``UniPoly``'s cleared coefficients) are warm, as they are
+when a sweep revisits a model.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ def cases() -> list[tuple[str, object]]:
     poly = model.roots.polynomial
     chain = hj_expand(1009, 37)
     germ = QuotientSingularity(1009, (1, 37))
+    # class_t_solutions' gcd(r, q + 1) gate stops 1/100000(1, 3) and lets
+    # 1/100000(1, 99999) through; the first case checks for its None.
+    gated = QuotientSingularity(100000, (1, 3))
+    passed = QuotientSingularity(100000, (1, 99999))
     chart_point = (Fraction(2, 3), Fraction(-5, 2))
     # The chart T point's lift [x : 1/w' : r : 1], rescaled by t = 3/2.
     s, r = chart_point
@@ -71,6 +78,8 @@ def cases() -> list[tuple[str, object]]:
         ("quotients.hj_resolution", lambda: hj_resolution(germ)),
         ("quotients.normalize", lambda: normalize(QuotientSingularity(1009, (5, 37)))),
         ("quotients.detect_class_T", lambda: detect_class_T(QuotientSingularity(50, (1, 19)))),
+        ("quotients.detect_class_T gated", lambda: detect_class_T(gated) is None),
+        ("quotients.detect_class_T passed", lambda: detect_class_T(passed)),
         ("compactify.enumerate_weights", lambda: enumerate_weights(3, 4, 1, 3)),
         ("compactify.build_cyclic", lambda: build_cyclic(2, 3, 2, 2, 1, model.roots)),
         ("birational.WPoint.__eq__", lambda: on_surface == unscaled),
@@ -83,18 +92,21 @@ def cases() -> list[tuple[str, object]]:
     ]
 
 
-def per_call_us(fn) -> float:
+def per_call_us(fn) -> tuple[float, float]:
+    """Median and minimum over the repeats, in microseconds per call."""
     timer = timeit.Timer(fn)
     number = 1
     while timer.timeit(number) < TARGET_S:
         number *= 2
-    return statistics.median(timer.repeat(REPEATS, number)) / number * 1e6
+    times = timer.repeat(REPEATS, number)
+    return statistics.median(times) / number * 1e6, min(times) / number * 1e6
 
 
 def main() -> None:
-    print(f"# Python {platform.python_version()}, {os.cpu_count()} CPUs; median us per call")
+    print(f"# Python {platform.python_version()}, {os.cpu_count()} CPUs; us per call, median and min")
     for name, fn in cases():
-        print(f"{name:<34}{per_call_us(fn):>10.2f}")
+        median, least = per_call_us(fn)
+        print(f"{name:<34}{median:>10.2f}{least:>10.2f}")
 
 
 if __name__ == "__main__":
