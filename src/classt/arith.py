@@ -1,11 +1,13 @@
 """Exact arithmetic foundation.
 
-Modular inverses, dense univariate polynomials over the
-rationals, squarefree (multiplicity) decomposition, and the
-negative-regular continued fractions that drive cyclic quotient
-resolutions.  Everything here is exact: rationals are
-``fractions.Fraction`` values (arbitrary precision, automatically
-reduced, positive denominator) and no code path touches floating point.
+Modular inverses, the root products ``prod (z - a_j)^(k_j)`` of the
+model fibres with their exact evaluation, Yun's squarefree
+(multiplicity) decomposition, and the negative-regular continued
+fractions that drive cyclic quotient resolutions.  Everything here is
+exact: rationals are ``fractions.Fraction`` values (arbitrary precision,
+automatically reduced, positive denominator) and no code path touches
+floating point.  Yun's algorithm works on coefficient lists, lowest
+degree first, with no trailing zero.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import BadInput, NonInvertible, ZeroPolynomial
-
-# Rational quantities throughout the package are plain Fractions.
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -71,10 +70,6 @@ class UniPoly:
         return UniPoly(tuple(cs))
 
     @staticmethod
-    def constant(value: RationalLike) -> "UniPoly":
-        return UniPoly.of([value])
-
-    @staticmethod
     def from_roots(pairs: Iterable[tuple[RationalLike, int]]) -> "UniPoly":
         """Monic product of ``(z - root) ** multiplicity`` factors.
 
@@ -104,93 +99,6 @@ class UniPoly:
         """Degree, with the convention ``-1`` for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return UniPoly.of(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly | RationalLike") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            s = as_fraction(other)
-            if s == 0:
-                return UniPoly()
-            return UniPoly(tuple(c * s for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly.of(out)
-
-    def __pow__(self, exponent: int) -> "UniPoly":
-        if exponent < 0:
-            raise BadInput(f"negative exponent {exponent}")
-        result = UniPoly.of([1])
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly.of([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        lead = self.leading()
-        if lead == 1:
-            return self
-        return self * (Fraction(1) / lead)
-
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return UniPoly.of(q), UniPoly.of(rem)
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise BadInput("exact division left a remainder")
-        return q
-
     @cached_property
     def _cleared(self) -> tuple[tuple[int, ...], int]:
         """Integers ``N_i`` and ``D >= 1`` with ``coeffs[i] == N_i / D``."""
@@ -219,13 +127,43 @@ class UniPoly:
         return Fraction(value, den * qpow)
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q; ``poly_gcd(0, 0)`` is the zero polynomial."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+def _derivative(cs: list[Fraction]) -> list[Fraction]:
+    """Derivative of a coefficient list."""
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _difference(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """``a - b`` for coefficient lists."""
+    out = list(a) + [Fraction(0)] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of coefficient lists."""
+    if not b:
+        raise ZeroPolynomial("division by the zero polynomial")
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        factor = rem[shift + len(b) - 1] / b[-1]
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+    del rem[len(b) - 1 :]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _monic_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd of coefficient lists, the first of them nonzero."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -236,22 +174,21 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     the product of ``factor ** multiplicity``.  Constant input yields
     the empty list; zero input raises ZeroPolynomial.
     """
-    if p.is_zero():
+    if not p.coeffs:
         raise ZeroPolynomial("squarefree decomposition of the zero polynomial")
-    f = p.monic()
-    if f.degree == 0:
-        return []
+    f = [c / p.coeffs[-1] for c in p.coeffs]
     out: list[tuple[UniPoly, int]] = []
-    g = poly_gcd(f, f.derivative())
-    c = f.exact_div(g)
-    d = f.derivative().exact_div(g) - c.derivative()
+    df = _derivative(f)
+    g = _monic_gcd(f, df)
+    c = _divmod(f, g)[0]
+    d = _difference(_divmod(df, g)[0], _derivative(c))
     i = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree > 0:
-            out.append((a, i))
-        c = c.exact_div(a)
-        d = d.exact_div(a) - c.derivative()
+    while len(c) > 1:
+        a = _monic_gcd(c, d)
+        if len(a) > 1:
+            out.append((UniPoly(tuple(a)), i))
+        c = _divmod(c, a)[0]
+        d = _difference(_divmod(d, a)[0], _derivative(c))
         i += 1
     return out
 

@@ -49,6 +49,7 @@ from .quotients import (
     QuotientSingularity,
     RDPData,
     hj_resolution,
+    monomial_str,
     normalize,
     rdp_data,
 )
@@ -242,23 +243,18 @@ class CompactificationModel:
                 factors.append(body if k == 1 else f"{body}^{k}")
             return "x*y - " + "*".join(factors)
         parts = []
-        for (i, j, k, l), coeff in self.homogenized_terms():
-            names = ("x", "y", "z", "w")
-            mono = "*".join(
-                nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, (i, j, k, l)) if e > 0
-            )
-            if not mono:
-                mono = "1"
+        for exps, coeff in self.homogenized_terms():
+            mono = monomial_str(exps)
             parts.append(mono if coeff == 1 else f"{coeff}*{mono}" if coeff != -1 else f"-{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def homogenized_terms(self) -> tuple[tuple[tuple[int, int, int, int], Fraction], ...]:
+    def homogenized_terms(self) -> tuple[tuple[tuple[int, int, int, int], Fraction | int], ...]:
         """Terms of the degree-``N`` equation of a D/E model, as
         ``((i, j, k, l), coeff)`` for ``x^i y^j z^k w^l``: the normal form
         minus the coefficients times the Milnor basis monomials."""
         if self.is_cyclic:
             raise NotCyclicVariant("cyclic models use the root-product form")
-        terms = dict(self.descriptor.defining_poly.terms)
+        terms = dict(self.descriptor.defining_poly)
         for coeff, exps in zip(self.coefficients, self.descriptor.milnor_basis):
             terms[exps] = terms.get(exps, 0) - coeff
         a, b, c = self.a, self.b, self.c

@@ -20,11 +20,9 @@ monomial Milnor bases of the double points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import Mapping
 
-from .arith import RationalLike, as_fraction, hj_expand, mod_inverse
+from .arith import hj_expand, mod_inverse
 from .errors import BadInput, InvalidIndex, NotFree, SmoothPoint
 
 
@@ -229,51 +227,10 @@ def detect_class_T(s: QuotientSingularity) -> CyclicTDescriptor | None:
     return CyclicTDescriptor(d=d, n=n, m=m, solutions=tuple(sols))
 
 
-class TriPoly:
-    """Sparse polynomial in three variables with exact coefficients.
-
-    Terms map exponent triples ``(i, j, k)`` for ``x^i y^j z^k`` to
-    nonzero Fractions.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int, int], RationalLike] | None = None):
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            i, j, k = exps
-            if i < 0 or j < 0 or k < 0:
-                raise BadInput(f"negative exponent in {exps}")
-            c = as_fraction(coeff)
-            if c != 0:
-                clean[(i, j, k)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def diff(self, var: int) -> "TriPoly":
-        """Partial derivative with respect to variable 0, 1, or 2."""
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[var]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[var] = e - 1
-            out[tuple(new)] = c * e
-        return TriPoly(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TriPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-
-
-def monomial_str(exps: tuple[int, int, int]) -> str:
-    """Human form of an exponent triple, e.g. ``(1, 2, 0) -> "x*y^2"``."""
-    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip("xyz", exps) if e]
+def monomial_str(exps: tuple[int, ...]) -> str:
+    """Human form of an exponent triple in ``x, y, z`` or a quadruple in
+    ``x, y, z, w``, e.g. ``(1, 2, 0) -> "x*y^2"``."""
+    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip("xyzw", exps) if e]
     return "*".join(factors) or "1"
 
 
@@ -281,14 +238,16 @@ def monomial_str(exps: tuple[int, int, int]) -> str:
 class RDPData:
     """Hypersurface equation and Milnor data of a rational double point.
 
-    ``milnor_basis`` lists exponent triples of monomials whose residue
-    classes span the Milnor algebra ``C[x,y,z]/(f, f_x, f_y, f_z)``;
-    its length is the Milnor number.
+    ``defining_poly`` lists the equation's terms as ``((i, j, k),
+    coefficient)`` pairs for ``x^i y^j z^k``.  ``milnor_basis`` lists
+    exponent triples of monomials whose residue classes span the Milnor
+    algebra ``C[x,y,z]/(f, f_x, f_y, f_z)``; its length is the Milnor
+    number.
     """
 
     ade: str
     index: int
-    defining_poly: TriPoly
+    defining_poly: tuple[tuple[tuple[int, int, int], int], ...]
     milnor_basis: tuple[tuple[int, int, int], ...]
 
     @property
@@ -323,18 +282,18 @@ def rdp_data(ade: str, index: int) -> RDPData:
     """
     _validate_ade(ade, index)
     if ade == "A":
-        poly = TriPoly({(1, 1, 0): 1, (0, 0, index + 1): 1})
+        poly = (((1, 1, 0), 1), ((0, 0, index + 1), 1))
         basis = tuple((0, 0, t) for t in range(index))
     elif ade == "D":
-        poly = TriPoly({(2, 1, 0): 1, (0, index - 1, 0): 1, (0, 0, 2): 1})
+        poly = (((2, 1, 0), 1), ((0, index - 1, 0), 1), ((0, 0, 2), 1))
         basis = ((0, 0, 0), (1, 0, 0)) + tuple((0, t, 0) for t in range(1, index - 1))
     elif index == 6:
-        poly = TriPoly({(4, 0, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1})
+        poly = (((4, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 2), 1))
         basis = tuple((i, j, 0) for j in range(2) for i in range(3))
     elif index == 7:
-        poly = TriPoly({(3, 1, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1})
+        poly = (((3, 1, 0), 1), ((0, 3, 0), 1), ((0, 0, 2), 1))
         basis = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 0), (1, 2, 0))
     else:
-        poly = TriPoly({(5, 0, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1})
+        poly = (((5, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 2), 1))
         basis = tuple((i, j, 0) for j in range(2) for i in range(4))
     return RDPData(ade=ade, index=index, defining_poly=poly, milnor_basis=basis)

@@ -34,6 +34,7 @@ from .compactify import (
     minimal_resolution,
     smoothness_status,
 )
+from .errors import BadInput
 from .quotients import QuotientSingularity, detect_class_T, hj_resolution
 from .tianyau import orbifold_adjunction_residual
 
@@ -265,8 +266,10 @@ def brute_force_class_t(r: int, q: int) -> list[tuple[int, int, int]]:
 
     Checks ``d*n*m - 1 == q (mod r)`` for every ``n`` with ``n^2 | r``
     and every ``m`` prime to ``n``; used as the oracle against
-    detect_class_T.
+    detect_class_T.  Raises BadInput for ``r < 1``.
     """
+    if r < 1:
+        raise BadInput(f"group order must be positive, got {r}")
     sols = []
     for n in range(isqrt(r), 0, -1):
         if r % (n * n):

@@ -3,8 +3,9 @@
 The Milnor oracle computes the dimension of C[x,y,z]/(f, f_x, f_y, f_z)
 from scratch: a textbook Buchberger loop in graded lexicographic order,
 followed by a staircase count of standard monomials.  Nothing here
-shares code with the catalogued bases it is used to validate; only the
-sparse polynomial arithmetic type is reused.
+shares code with the catalogued bases it is used to validate: the
+equation's term pairs are read into Fraction term tables, and the partial
+derivatives are taken here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from classt.compactify import RootConfig, build_cyclic
-from classt.quotients import QuotientSingularity, TriPoly, normalize
+from classt.quotients import QuotientSingularity, normalize
 from classt.wps import WeightedProjectiveSpace
 
 Monomial = tuple[int, int, int]
@@ -123,17 +124,38 @@ def standard_monomials(basis: list[Terms]) -> list[Monomial]:
     return out
 
 
-def milnor_quotient_dim(f: TriPoly) -> int:
-    """Dimension of the quotient by ``(f, f_x, f_y, f_z)``."""
-    gens = [dict(p.terms) for p in (f, f.diff(0), f.diff(1), f.diff(2))]
-    return len(standard_monomials(groebner_basis(gens)))
+def term_table(pairs) -> Terms:
+    """``((i, j, k), coefficient)`` pairs as a table of nonzero Fractions."""
+    table = {tuple(e): Fraction(c) for e, c in pairs}
+    return {e: c for e, c in table.items() if c}
 
 
-def monomials_independent(monomials: list[Monomial], f: TriPoly) -> bool:
+def partial_derivative(terms: Terms, var: int) -> Terms:
+    """Derivative with respect to variable 0, 1 or 2."""
+    out: Terms = {}
+    for e, c in terms.items():
+        if e[var]:
+            shifted = list(e)
+            shifted[var] -= 1
+            out[tuple(shifted)] = c * e[var]
+    return out
+
+
+def _jacobian_generators(pairs) -> list[Terms]:
+    f = term_table(pairs)
+    return [f] + [partial_derivative(f, var) for var in range(3)]
+
+
+def milnor_quotient_dim(pairs) -> int:
+    """Dimension of the quotient by ``(f, f_x, f_y, f_z)`` for the
+    equation ``f`` given by its term pairs."""
+    return len(standard_monomials(groebner_basis(_jacobian_generators(pairs))))
+
+
+def monomials_independent(monomials: list[Monomial], pairs) -> bool:
     """Are the residue classes of the monomials linearly independent in
     the quotient by ``(f, f_x, f_y, f_z)``?"""
-    gens = [dict(p.terms) for p in (f, f.diff(0), f.diff(1), f.diff(2))]
-    gb = groebner_basis(gens)
+    gb = groebner_basis(_jacobian_generators(pairs))
     std = standard_monomials(gb)
     index = {e: i for i, e in enumerate(std)}
     rows = []
@@ -167,6 +189,21 @@ def _rank(rows: list[list[Fraction]]) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def poly_product(factors) -> list[Fraction]:
+    """Product of coefficient lists (lowest degree first), one Fraction
+    operation at a time, with trailing zeros dropped."""
+    out = [Fraction(1)]
+    for f in factors:
+        acc = [Fraction(0)] * max(len(out) + len(f) - 1, 0)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                acc[i + j] += a * b
+        out = acc
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def exhaustive_inverse(m: int, n: int) -> int | None:

@@ -9,7 +9,6 @@ from classt.arith import hj_evaluate
 from classt.quotients import (
     HJChain,
     QuotientSingularity,
-    TriPoly,
     class_t_solutions,
     detect_class_T,
     hj_resolution,
@@ -19,7 +18,13 @@ from classt.quotients import (
 from classt.errors import BadInput, InvalidIndex, NotFree, SmoothPoint
 from classt.sweep import brute_force_class_t
 
-from oracles import is_equivalent, milnor_quotient_dim, monomials_independent
+from oracles import (
+    is_equivalent,
+    milnor_quotient_dim,
+    monomials_independent,
+    partial_derivative,
+    term_table,
+)
 
 
 def test_constructor_validation():
@@ -237,24 +242,31 @@ def test_class_t_solutions_rejects_an_order_below_one():
             class_t_solutions(r, 3)
 
 
+def test_brute_force_class_t_rejects_an_order_below_one():
+    for r in (0, -4):
+        with pytest.raises(BadInput, match=f"group order must be positive, got {r}"):
+            brute_force_class_t(r, 3)
+
+
 def test_rdp_data_frozen_table():
     a3 = rdp_data("A", 3)
-    assert a3.defining_poly == TriPoly({(1, 1, 0): 1, (0, 0, 4): 1})
+    assert dict(a3.defining_poly) == {(1, 1, 0): 1, (0, 0, 4): 1}
     assert a3.milnor_basis == ((0, 0, 0), (0, 0, 1), (0, 0, 2))
     d5 = rdp_data("D", 5)
-    assert d5.defining_poly == TriPoly({(2, 1, 0): 1, (0, 4, 0): 1, (0, 0, 2): 1})
+    assert dict(d5.defining_poly) == {(2, 1, 0): 1, (0, 4, 0): 1, (0, 0, 2): 1}
     assert d5.milnor_basis == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0))
     e6 = rdp_data("E", 6)
-    assert e6.defining_poly == TriPoly({(4, 0, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1})
+    assert dict(e6.defining_poly) == {(4, 0, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1}
     e7 = rdp_data("E", 7)
-    assert e7.defining_poly == TriPoly({(3, 1, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1})
+    assert dict(e7.defining_poly) == {(3, 1, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1}
     assert e7.milnor_basis == (
         (0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 0), (1, 2, 0),
     )
     e8 = rdp_data("E", 8)
-    assert e8.defining_poly == TriPoly({(5, 0, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1})
+    assert dict(e8.defining_poly) == {(5, 0, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1}
     for data in (a3, d5, e6, e7, e8):
         assert data.milnor_number == data.index == len(data.milnor_basis)
+        assert hash(data) == hash(rdp_data(data.ade, data.index))
 
 
 def test_rdp_data_invalid_labels():
@@ -276,8 +288,9 @@ def test_rdp_bases_validated_by_quotient_oracle():
             assert monomials_independent(list(data.milnor_basis), data.defining_poly)
 
 
-def test_tripoly_arithmetic():
+def test_milnor_oracle_derivative():
     # (x + y)(x - y), written with a zero term and a text coefficient
-    p = TriPoly({(2, 0, 0): 1, (1, 1, 0): 0, (0, 2, 0): "-1"})
-    assert p == TriPoly({(2, 0, 0): 1, (0, 2, 0): -1})
-    assert p.diff(0) == TriPoly({(1, 0, 0): 2})
+    p = term_table((((2, 0, 0), 1), ((1, 1, 0), 0), ((0, 2, 0), "-1")))
+    assert p == {(2, 0, 0): 1, (0, 2, 0): -1}
+    assert all(type(c) is Fraction for c in p.values())
+    assert partial_derivative(p, 0) == {(1, 0, 0): 2}

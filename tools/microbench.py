@@ -32,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from classt import (  # noqa: E402
     QuotientSingularity,
     RootConfig,
+    UniPoly,
     WPoint,
     build_cyclic,
     check_hypotheses,
@@ -43,6 +44,8 @@ from classt import (  # noqa: E402
     hj_resolution,
     normalize,
     project_pi,
+    roundtrip_check,
+    squarefree_decomposition,
 )
 from classt.birational import surface_residue  # noqa: E402
 from classt.reports import build_cyclic_report, render_json  # noqa: E402
@@ -55,6 +58,7 @@ def cases() -> list[tuple[str, object]]:
     """``(name, zero-argument callable)`` for each primitive."""
     model = build_cyclic(2, 3, 2, 2, 1, RootConfig.simple([1, 2]))
     poly = model.roots.polynomial
+    repeated = UniPoly.from_roots([(1, 3), (Fraction(-2, 3), 2), (5, 1)])
     chain = hj_expand(1009, 37)
     germ = QuotientSingularity(1009, (1, 37))
     # class_t_solutions' gcd(r, q + 1) gate stops 1/100000(1, 3) and lets
@@ -72,6 +76,7 @@ def cases() -> list[tuple[str, object]]:
     report = build_cyclic_report(2, 3, 2, 2, 1, "1,2").data
     return [
         ("arith.UniPoly.__call__", lambda: poly(Fraction(-125, 8))),
+        ("arith.squarefree_decomposition", lambda: squarefree_decomposition(repeated)),
         ("arith.hj_expand", lambda: hj_expand(1009, 37)),
         ("arith.hj_evaluate", lambda: hj_evaluate(chain)),
         ("quotients.QuotientSingularity", lambda: QuotientSingularity(1009, (5, 37))),
@@ -87,6 +92,7 @@ def cases() -> list[tuple[str, object]]:
         ("birational.project_pi", lambda: project_pi(model, on_surface)),
         ("birational.evaluate_pi_chart T", lambda: evaluate_pi_chart(model, "T", chart_point)),
         ("birational.evaluate_pi_chart S", lambda: evaluate_pi_chart(model, "S", chart_point)),
+        ("birational.roundtrip_check", lambda: roundtrip_check(model, 10, 11)),
         ("tianyau.check_hypotheses", lambda: check_hypotheses(model)),
         ("reports.render_json", lambda: render_json(report)),
     ]
