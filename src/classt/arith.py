@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import BadInput, NonInvertible, ZeroPolynomial
+from .errors import BadInput, ClassTError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -40,12 +40,12 @@ def mod_inverse(m: int, n: int) -> int:
 
     Returns the unique ``u`` in ``{1, ..., n-1}`` with
     ``m*u == 1 (mod n)``, and ``0`` for the trivial modulus ``n == 1``.
-    Raises NonInvertible when ``gcd(m, n) != 1``.
+    Raises BadInput when ``gcd(m, n) != 1``.
     """
     if n < 1:
-        raise NonInvertible(f"modulus must be positive, got {n}")
+        raise BadInput(f"modulus must be positive, got {n}")
     if gcd(m, n) != 1:
-        raise NonInvertible(f"{m} has no inverse modulo {n}")
+        raise BadInput(f"{m} has no inverse modulo {n}")
     if n == 1:
         return 0
     return pow(m, -1, n)
@@ -145,7 +145,7 @@ def _difference(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and remainder of coefficient lists."""
     if not b:
-        raise ZeroPolynomial("division by the zero polynomial")
+        raise BadInput("division by the zero polynomial")
     rem = list(a)
     quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     for shift in range(len(quot) - 1, -1, -1):
@@ -172,10 +172,12 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     Returns monic pairwise-coprime squarefree factors with their
     multiplicities, so that ``p`` equals its leading coefficient times
     the product of ``factor ** multiplicity``.  Constant input yields
-    the empty list; zero input raises ZeroPolynomial.
+    the empty list; zero input raises BadInput.  The loop finds one
+    multiplicity per pass, so it ends within ``deg p`` passes; a loop
+    that does not raises ClassTError as an internal fault.
     """
     if not p.coeffs:
-        raise ZeroPolynomial("squarefree decomposition of the zero polynomial")
+        raise BadInput("squarefree decomposition of the zero polynomial")
     f = [c / p.coeffs[-1] for c in p.coeffs]
     out: list[tuple[UniPoly, int]] = []
     df = _derivative(f)
@@ -184,6 +186,8 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     d = _difference(_divmod(df, g)[0], _derivative(c))
     i = 1
     while len(c) > 1:
+        if i == len(f):
+            raise ClassTError(f"Yun's loop did not end within degree {len(f) - 1}")
         a = _monic_gcd(c, d)
         if len(a) > 1:
             out.append((UniPoly(tuple(a)), i))

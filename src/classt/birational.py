@@ -37,12 +37,7 @@ from math import gcd
 
 from .arith import RationalLike, as_fraction
 from .compactify import CompactificationModel
-from .errors import (
-    BadInput,
-    IndeterminateAtR2,
-    NotCyclicVariant,
-    NotOnSurface,
-)
+from .errors import BadInput
 from .quotients import QuotientSingularity, normalize
 from .wps import WeightedProjectiveSpace
 
@@ -135,7 +130,7 @@ class WPoint:
 
 def _require_cyclic(model: CompactificationModel) -> None:
     if not model.is_cyclic:
-        raise NotCyclicVariant("this construction needs a cyclic-variant model")
+        raise BadInput("this construction needs a cyclic-variant model")
 
 
 @lru_cache(maxsize=1024)
@@ -171,17 +166,17 @@ def surface_residue(model: CompactificationModel, coords: tuple[RationalLike, ..
 def project_pi(model: CompactificationModel, point: WPoint) -> WPoint:
     """Image ``[x : z : w]`` of a surface point under the projection.
 
-    Raises NotOnSurface off the hypersurface and IndeterminateAtR2 at
-    the single indeterminacy point ``[0:1:0:0]``.
+    Raises BadInput off the hypersurface and at the single
+    indeterminacy point ``[0:1:0:0]``.
     """
     _require_cyclic(model)
     if point.ambient != model.ambient:
         raise BadInput(f"point lives in {point.ambient.label()}, not {model.ambient.label()}")
     if surface_residue(model, point.coords):
-        raise NotOnSurface(f"{point!r} does not satisfy the defining equation")
+        raise BadInput(f"{point!r} does not satisfy the defining equation")
     x, _, z, w = point.coords
     if not (x or z or w):
-        raise IndeterminateAtR2("the projection has no value at [0:1:0:0]")
+        raise BadInput("the projection has no value at [0:1:0:0]")
     return WPoint(target_plane(model), (x, z, w))
 
 

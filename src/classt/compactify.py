@@ -35,14 +35,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Union
 
 from .arith import RationalLike, UniPoly, as_fraction, mod_inverse, multiplicity_profile
-from .errors import (
-    BadInput,
-    CoefficientCountMismatch,
-    ConditionViolated,
-    InvalidIndex,
-    NotCyclicVariant,
-    RootsInvalid,
-)
+from .errors import BadInput, ConditionViolated
 from .quotients import (
     CyclicTDescriptor,
     HJChain,
@@ -65,11 +58,11 @@ class RootConfig:
 
     def __post_init__(self):
         if not self.roots:
-            raise RootsInvalid("at least one root is required")
+            raise BadInput("at least one root is required")
         if len(self.roots) != len(self.multiplicities):
-            raise RootsInvalid("roots and multiplicities must pair up")
+            raise BadInput("roots and multiplicities must pair up")
         if any(r.numerator == 0 for r in self.roots):
-            raise RootsInvalid("roots must be nonzero")
+            raise BadInput("roots must be nonzero")
         # Fractions are kept in lowest terms, so equal roots have equal
         # (numerator, denominator) pairs; the pairs hash far faster.
         keys = [(r.numerator, r.denominator) for r in self.roots]
@@ -77,10 +70,10 @@ class RootConfig:
             seen: set[tuple[int, int]] = set()
             for r, key in zip(self.roots, keys):
                 if key in seen:
-                    raise RootsInvalid(f"roots must be distinct, got {r} more than once")
+                    raise BadInput(f"roots must be distinct, got {r} more than once")
                 seen.add(key)
         if any(k < 1 for k in self.multiplicities):
-            raise RootsInvalid("multiplicities must be positive")
+            raise BadInput("multiplicities must be positive")
 
     @staticmethod
     def of(pairs: Iterable[tuple[RationalLike, int]]) -> "RootConfig":
@@ -253,7 +246,7 @@ class CompactificationModel:
         ``((i, j, k, l), coeff)`` for ``x^i y^j z^k w^l``: the normal form
         minus the coefficients times the Milnor basis monomials."""
         if self.is_cyclic:
-            raise NotCyclicVariant("cyclic models use the root-product form")
+            raise BadInput("cyclic models use the root-product form")
         terms = dict(self.descriptor.defining_poly)
         for coeff, exps in zip(self.coefficients, self.descriptor.milnor_basis):
             terms[exps] = terms.get(exps, 0) - coeff
@@ -412,10 +405,9 @@ def enumerate_weights(d: int, n: int, m: int, c: int) -> WeightEnumeration:
 def build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CompactificationModel:
     """Compactified smoothing of ``1/(d*n^2)(1, d*n*m - 1)``.
 
-    Raises from the records of weight_conditions: RootsInvalid when
-    "man-cond" fails, ConditionViolated with the tag of the first other
-    failed condition, where a ``c`` sharing a factor with ``n`` fails
-    "div" ahead of every other tag.
+    Raises from the records of weight_conditions: ConditionViolated with
+    the tag of the first failed condition, where a ``c`` sharing a factor
+    with ``n`` fails "div" ahead of every other tag.
     """
     return _build_cyclic(d, n, m, c, a, roots, weight_conditions(d, n, m, c, a, roots))
 
@@ -423,12 +415,10 @@ def build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> C
 def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
                   conditions: tuple) -> CompactificationModel:
     """build_cyclic on the already evaluated ``weight_conditions`` records."""
-    hom, action, div, man = conditions
+    _, action, div, _ = conditions
     # div quotes gcd(c, n) as values[3]; action quotes m mod n as values[1].
-    for cond in (div,) if div.values[3] != 1 else (hom, action, div, man):
+    for cond in (div,) if div.values[3] != 1 else conditions:
         if not cond.passed:
-            if cond is man:
-                raise RootsInvalid(cond.detail)
             raise ConditionViolated(cond.tag, cond.detail)
     descriptor, ambient, degree, beta, curve, r1, r2 = _cyclic_frame(d, n, action.values[1], c, a)
     interior = tuple(
@@ -514,7 +504,7 @@ def build_rdp(
     cyclic builder (``n = 1``, ``d = k + 1``) and are rejected here.
     """
     if ade == "A":
-        raise InvalidIndex(
+        raise BadInput(
             "A-type models are cyclic: use the cyclic builder with n = 1, d = index + 1"
         )
     data = rdp_data(ade, index)
@@ -525,7 +515,7 @@ def build_rdp(
     else:
         coeffs = tuple(as_fraction(v) for v in coefficients)
         if len(coeffs) != data.milnor_number:
-            raise CoefficientCountMismatch(
+            raise BadInput(
                 f"{data.label()} needs {data.milnor_number} coefficients, got {len(coeffs)}"
             )
     ambient = WeightedProjectiveSpace((a, b, c, 1))

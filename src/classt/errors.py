@@ -1,9 +1,13 @@
 """Exception types shared across the toolkit.
 
-Every error raised by the library derives from ClassTError, so callers
-can catch one type at the boundary.  ConditionViolated additionally
-carries the short tag of the weight condition that failed; the command
-line layer surfaces that tag in its diagnostics.
+The library raises BadInput when an argument breaks a documented
+precondition, and ConditionViolated when one of the four weight
+conditions of a compactification fails.  Both derive from ClassTError;
+a bare ClassTError marks an internal fault.  ConditionViolated carries
+the condition's tag, and its message starts with that tag in brackets.
+The one other error is the ZeroDivisionError of ``arith.hj_evaluate``
+on a zero tail.  The command line catches ClassTError and prints its
+message on one ``error:`` line.
 """
 
 
@@ -11,60 +15,8 @@ class ClassTError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NonInvertible(ClassTError):
-    """Modular inverse requested for a non-unit."""
-
-
-class ZeroPolynomial(ClassTError):
-    """Operation undefined for the zero polynomial."""
-
-
-class NotFree(ClassTError):
-    """Cyclic group action has a weight sharing a factor with the order."""
-
-
-class SmoothPoint(ClassTError):
-    """Resolution requested for a point that is already smooth."""
-
-
-class InvalidIndex(ClassTError):
-    """ADE label outside the classified range."""
-
-
-class IndexOutOfRange(ClassTError):
-    """Coordinate index outside the ambient dimension."""
-
-
-class WrongDimension(ClassTError):
-    """Operation requires a three-dimensional ambient space."""
-
-
-class NoCommonFactor(ClassTError):
-    """Indicated weights share no factor that can be divided out."""
-
-
 class BadInput(ClassTError):
     """Arguments violate a documented precondition."""
-
-
-class RootsInvalid(ClassTError):
-    """Root configuration is empty, repeated, zero, or of wrong total."""
-
-
-class CoefficientCountMismatch(ClassTError):
-    """Deformation coefficient list has the wrong length."""
-
-
-class NotOnSurface(ClassTError):
-    """Point does not satisfy the defining equation."""
-
-
-class IndeterminateAtR2(ClassTError):
-    """Projection evaluated at its unique indeterminacy point."""
-
-
-class NotCyclicVariant(ClassTError):
-    """Operation defined only for cyclic-variant models."""
 
 
 class ConditionViolated(ClassTError):

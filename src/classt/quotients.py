@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import hj_expand, mod_inverse
-from .errors import BadInput, InvalidIndex, NotFree, SmoothPoint
+from .errors import BadInput
 
 
 class QuotientSingularity:
@@ -41,7 +41,7 @@ class QuotientSingularity:
             raise BadInput("a surface germ takes exactly two weights")
         for w in weights:
             if gcd(w, order) != 1:
-                raise NotFree(
+                raise BadInput(
                     f"weight {w} shares a factor with the order {order}; "
                     "the action is not free on the punctured plane"
                 )
@@ -133,11 +133,11 @@ def hj_resolution(s: QuotientSingularity) -> HJChain:
 
     The germ is normalized to ``1/r(1, q)`` first; the chain entries are
     the negative-regular continued fraction of ``r/q``.  A smooth germ
-    raises SmoothPoint.
+    raises BadInput.
     """
     n = normalize(s)
     if n.is_smooth():
-        raise SmoothPoint(f"{s.label()} is a smooth point; nothing to resolve")
+        raise BadInput(f"{s.label()} is a smooth point; nothing to resolve")
     return HJChain(tuple(hj_expand(n.order, n.weights[1])))
 
 
@@ -261,15 +261,15 @@ class RDPData:
 def _validate_ade(ade: str, index: int) -> None:
     if ade == "A":
         if index < 1:
-            raise InvalidIndex(f"A-type index must be >= 1, got {index}")
+            raise BadInput(f"A-type index must be >= 1, got {index}")
     elif ade == "D":
         if index < 4:
-            raise InvalidIndex(f"D-type index must be >= 4, got {index}")
+            raise BadInput(f"D-type index must be >= 4, got {index}")
     elif ade == "E":
         if index not in (6, 7, 8):
-            raise InvalidIndex(f"E-type index must be 6, 7 or 8, got {index}")
+            raise BadInput(f"E-type index must be 6, 7 or 8, got {index}")
     else:
-        raise InvalidIndex(f"unknown type {ade!r}; expected A, D or E")
+        raise BadInput(f"unknown type {ade!r}; expected A, D or E")
 
 
 def rdp_data(ade: str, index: int) -> RDPData:

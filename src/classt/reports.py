@@ -414,7 +414,7 @@ def resolve_report(order: int, weights: list[int]) -> CommandReport:
     _check_order(order)
     s = QuotientSingularity(order, tuple(weights))
     std = normalize(s)
-    # A smooth germ raises SmoothPoint under the weights it was given.
+    # A smooth germ raises BadInput under the weights it was given.
     chain = hj_resolution(s if s.is_smooth() else std)
     value = hj_evaluate(chain.entries)
     matches = value * std.weights[1] == std.order

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .errors import BadInput, IndexOutOfRange, NoCommonFactor, WrongDimension
+from .errors import BadInput
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def hypersurface_intersection(X: HypersurfaceClass, j: int, k: int) -> Fraction:
     three-dimensional weighted projective space: ``j*k*e / (w0 w1 w2 w3)``."""
     ws = X.ambient.weights
     if len(ws) != 4:
-        raise WrongDimension(
+        raise BadInput(
             f"intersection theory here is for surfaces in P(w0,w1,w2,w3); got dim {X.ambient.dim}"
         )
     denom = 1
@@ -76,7 +76,7 @@ def well_formed_reduction(
 
     Repeats until the indicated weights have no common factor that is
     coprime to every remaining weight; a gcd of one returns the space
-    unchanged.  Raises NoCommonFactor only when the indicated weights
+    unchanged.  Raises BadInput when the indicated weights
     do share a factor > 1 but none of it could ever be divided out
     because every prime of it also divides a remaining weight.
     """
@@ -85,7 +85,7 @@ def well_formed_reduction(
         raise BadInput("no indices given")
     for i in idx:
         if not 0 <= i < len(space.weights):
-            raise IndexOutOfRange(f"index {i} outside 0..{space.dim}")
+            raise BadInput(f"index {i} outside 0..{space.dim}")
     if len(idx) == len(space.weights):
         raise BadInput("reduction needs at least one remaining weight")
     ws = list(space.weights)
@@ -104,7 +104,7 @@ def well_formed_reduction(
         if p == 1:
             if divided:
                 break
-            raise NoCommonFactor(
+            raise BadInput(
                 f"weights at {tuple(idx)} share the factor {g}, but every prime of it "
                 "divides a remaining weight"
             )

@@ -1,6 +1,7 @@
 """Integer, polynomial, and continued-fraction primitives."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from classt import arith
 from classt.arith import (
     UniPoly,
     _derivative,
@@ -21,7 +23,7 @@ from classt.arith import (
     multiplicity_profile,
     squarefree_decomposition,
 )
-from classt.errors import BadInput, NonInvertible, ZeroPolynomial
+from classt.errors import BadInput, ClassTError
 
 from oracles import _hj_chain, exhaustive_inverse, poly_product
 
@@ -37,7 +39,7 @@ def test_mod_inverse_matches_exhaustive_search():
         for m in range(-2 * n, 2 * n + 1):
             expected = exhaustive_inverse(m, n) if gcd(m, n) == 1 else None
             if expected is None:
-                with pytest.raises(NonInvertible):
+                with pytest.raises(BadInput, match=re.escape(f"{m} has no inverse modulo {n}")):
                     mod_inverse(m, n)
             else:
                 got = mod_inverse(m, n)
@@ -47,9 +49,9 @@ def test_mod_inverse_matches_exhaustive_search():
 
 
 def test_mod_inverse_rejects_bad_modulus():
-    with pytest.raises(NonInvertible):
+    with pytest.raises(BadInput, match=re.escape("modulus must be positive, got 0")):
         mod_inverse(3, 0)
-    with pytest.raises(NonInvertible):
+    with pytest.raises(BadInput, match=re.escape("4 has no inverse modulo 6")):
         mod_inverse(4, 6)
 
 
@@ -145,7 +147,7 @@ def test_divmod_and_gcd():
         a = UniPoly.of([rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]).coeffs
         b = UniPoly.of([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]).coeffs
         if not b:
-            with pytest.raises(ZeroPolynomial):
+            with pytest.raises(BadInput, match=re.escape("division by the zero polynomial")):
                 _divmod(a, b)
             continue
         q, r = _divmod(a, b)
@@ -175,6 +177,16 @@ def test_squarefree_decomposition_frozen():
     assert multiplicity_profile(p) == [(1, 1), (1, 2)]
 
 
+def test_squarefree_decomposition_bounds_its_loop(monkeypatch):
+    # Dropping the subtraction of c' from Yun's update of d makes the
+    # loop run forever; the degree bound turns that into an internal fault.
+    monkeypatch.setattr(arith, "_difference", lambda a, b: list(a))
+    with pytest.raises(ClassTError) as err:
+        squarefree_decomposition(UniPoly.from_roots([(1, 2), (2, 1)]))
+    assert type(err.value) is ClassTError
+    assert str(err.value) == "Yun's loop did not end within degree 3"
+
+
 def test_multiplicity_profile_reconstructs_input():
     rng = random.Random(23)
     for _ in range(25):
@@ -195,7 +207,9 @@ def test_multiplicity_profile_reconstructs_input():
 
 
 def test_multiplicity_profile_edge_cases():
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(
+        BadInput, match=re.escape("squarefree decomposition of the zero polynomial")
+    ):
         multiplicity_profile(UniPoly())
     assert multiplicity_profile(UniPoly.of([5])) == []
 

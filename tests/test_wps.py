@@ -1,10 +1,11 @@
 """Weighted projective spaces and hypersurface classes."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from classt.errors import BadInput, IndexOutOfRange, NoCommonFactor, WrongDimension
+from classt.errors import BadInput
 from classt.wps import (
     HypersurfaceClass,
     WeightedProjectiveSpace,
@@ -41,7 +42,7 @@ def test_hypersurface_intersection_frozen():
     assert hypersurface_intersection(X, 2, 2) == Fraction(8, 3)
     assert hypersurface_intersection(X, 1, 1) == Fraction(2, 3)
     assert adjunction_class(X) == -3
-    with pytest.raises(WrongDimension):
+    with pytest.raises(BadInput, match=re.escape("for surfaces in P(w0,w1,w2,w3); got dim 2")):
         hypersurface_intersection(HypersurfaceClass(WeightedProjectiveSpace((1, 1, 1)), 3), 1, 1)
     with pytest.raises(BadInput):
         HypersurfaceClass(WeightedProjectiveSpace((1, 1, 1, 1)), 0)
@@ -70,9 +71,9 @@ def test_well_formed_reduction_iterates():
 
 
 def test_well_formed_reduction_errors():
-    with pytest.raises(NoCommonFactor):
+    with pytest.raises(BadInput, match=re.escape("weights at (0, 1) share the factor 2, but every")):
         well_formed_reduction(WeightedProjectiveSpace((2, 4, 2)), (0, 1))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(BadInput, match=re.escape("index 5 outside 0..2")):
         well_formed_reduction(WeightedProjectiveSpace((1, 2, 3)), (0, 5))
     with pytest.raises(BadInput):
         well_formed_reduction(WeightedProjectiveSpace((1, 2, 3)), ())
