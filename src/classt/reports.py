@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable
 
 from .arith import as_fraction, hj_evaluate
@@ -567,7 +568,62 @@ def _scalar(v: Any) -> str:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """``json.dumps(report, indent=2)`` and a newline, byte for byte.
+
+    With ``indent`` Python 3.11 encodes in pure Python, one generator per
+    container; this writer, specialised to what reports hold, appends the
+    same chunks to one list and escapes strings with the C escaper that
+    ``json.dumps`` calls.
+    """
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out``; ``newline`` is a newline and the indent
+    of the line ``value`` starts on.  Checked in ``json.dumps``'s order, so
+    subclasses of the JSON types are written as ``json.dumps`` writes them."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # json.dumps would turn a number, bool or None key into text.
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            sep = "," + inner
+            _write_json(item, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 _CORPUS_KINDS = ("classify", "enumerate", "build-cyclic", "build-rdp", "check", "birational")
@@ -645,6 +701,24 @@ def _subset_mismatches(expected: Any, actual: Any, path: str) -> list[str]:
     return []
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _parse_row(line: str) -> Any:
+    """``json.loads(line)`` for a line without surrounding whitespace.
+
+    The decoder's C scanner is called directly, which saves ``json.loads``'s
+    Python-level calls on every row; a line it does not take whole goes to
+    ``json.loads``, for its error."""
+    try:
+        value, end = _scan_json(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
+
+
 def run_corpus(path: str, seed: int) -> CommandReport:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -657,10 +731,11 @@ def run_corpus(path: str, seed: int) -> CommandReport:
         if not line:
             continue
         try:
-            row = json.loads(line)
+            row = _parse_row(line)
         # Besides JSONDecodeError, json.loads raises a plain ValueError for
-        # an integer literal past Python's 4300-digit conversion limit.
-        except ValueError as exc:
+        # an integer literal past Python's 4300-digit conversion limit, and
+        # RecursionError for arrays or objects nested past the recursion limit.
+        except (ValueError, RecursionError) as exc:
             raise BadInput(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise BadInput(f"{path}:{lineno}: a case must be a JSON object, got {type(row).__name__}")

@@ -695,6 +695,29 @@ def test_corpus_invalid_json(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+def test_corpus_invalid_json_quotes_json_loads(capsys, tmp_path):
+    # Rows are decoded by the C scanner; a line it does not take whole gets
+    # json.loads's own message.
+    path = tmp_path / "bad.jsonl"
+    for line in ('{"id": "x"} x', "1, 2", "\ufeff{}", "nan", '{"id": 1e}', '["a" "b"]', "9" * 5000):
+        try:
+            json.loads(line)
+        except ValueError as exc:
+            message = f"error: {path}:1: invalid JSON: {exc}\n"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert run(capsys, ["--corpus", str(path)]) == (1, "", message), line
+
+
+def test_corpus_line_nested_past_the_recursion_limit(capsys, tmp_path):
+    # Valid JSON, but json.loads raises RecursionError rather than ValueError.
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 3000 + "]" * 3000 + "\n", encoding="utf-8")
+    code, out, err = run(capsys, ["--corpus", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:1: invalid JSON: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_corpus_line_that_is_not_an_object(capsys, tmp_path):
     path = tmp_path / "rows.jsonl"
     for line, type_name in (("[1, 2]", "list"), ('"x"', "str"), ("3", "int")):

@@ -48,10 +48,26 @@ from classt import (  # noqa: E402
     squarefree_decomposition,
 )
 from classt.birational import surface_residue  # noqa: E402
-from classt.reports import build_cyclic_report, render_json  # noqa: E402
+from classt.reports import DIAGNOSTIC_TAGS, assemble, build_cyclic_report, na_diags, render_json  # noqa: E402
 
 REPEATS = 11
 TARGET_S = 0.02
+
+
+def corpus_report() -> dict:
+    """A report shaped like a ``--corpus`` report of 6,600 rows, one row in
+    660 failing with one mismatch, as a seeded benchmark corpus does."""
+    rows = 6600
+    results = []
+    for i in range(rows):
+        if i % 660 == 0:
+            mismatch = f"outputs.degree: expected {i + 1}, got {i}"
+            results.append({"id": f"canary-degree-build-cyclic-{i}", "ok": False, "mismatches": [mismatch]})
+        else:
+            results.append({"id": f"classify-{i}-{i % 97}", "ok": True, "mismatches": []})
+    failed = [r["id"] for r in results if not r["ok"]]
+    outputs = {"cases": rows, "passed": rows - len(failed), "failed_ids": failed, "results": results}
+    return assemble("corpus-cases.jsonl", {"corpus": "cases.jsonl"}, outputs, na_diags(*DIAGNOSTIC_TAGS))
 
 
 def cases() -> list[tuple[str, object]]:
@@ -74,6 +90,7 @@ def cases() -> list[tuple[str, object]]:
     on_surface = WPoint(model.ambient, lift)
     unscaled = WPoint(model.ambient, (x, 1 / s, r, Fraction(1)))
     report = build_cyclic_report(2, 3, 2, 2, 1, "1,2").data
+    corpus = corpus_report()
     return [
         ("arith.UniPoly.__call__", lambda: poly(Fraction(-125, 8))),
         ("arith.squarefree_decomposition", lambda: squarefree_decomposition(repeated)),
@@ -95,6 +112,7 @@ def cases() -> list[tuple[str, object]]:
         ("birational.roundtrip_check", lambda: roundtrip_check(model, 10, 11)),
         ("tianyau.check_hypotheses", lambda: check_hypotheses(model)),
         ("reports.render_json", lambda: render_json(report)),
+        ("reports.render_json corpus", lambda: render_json(corpus)),
     ]
 
 
