@@ -116,12 +116,15 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if not args.corpus and not args.command:
+    # An empty --corpus counts as given: it names a file that cannot be read.
+    if (args.corpus is None) == (args.command is None):
         parser.print_usage(sys.stderr)
-        print("classt: error: a subcommand or --corpus is required", file=sys.stderr)
+        given = args.corpus is not None
+        problem = "give a subcommand or --corpus, not both" if given else "a subcommand or --corpus is required"
+        print(f"classt: error: {problem}", file=sys.stderr)
         return 2
     try:
-        if args.corpus:
+        if args.corpus is not None:
             report = reports.run_corpus(args.corpus, args.seed)
         else:
             kind = f"build-{args.variant}" if args.command == "build" else args.command

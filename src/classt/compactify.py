@@ -415,12 +415,11 @@ def build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> C
 def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
                   conditions: tuple) -> CompactificationModel:
     """build_cyclic on the already evaluated ``weight_conditions`` records."""
-    _, action, div, _ = conditions
-    # div quotes gcd(c, n) as values[3]; action quotes m mod n as values[1].
-    for cond in (div,) if div.values[3] != 1 else conditions:
+    # A c sharing a factor with n fails "div" ahead of every other tag.
+    for cond in conditions if gcd(c, n) == 1 else (conditions[2],):
         if not cond.passed:
             raise ConditionViolated(cond.tag, cond.detail)
-    descriptor, ambient, degree, beta, curve, r1, r2 = _cyclic_frame(d, n, action.values[1], c, a)
+    descriptor, ambient, degree, beta, curve, r1, r2 = _cyclic_frame(d, n, _reduced_m(d, n, m, c), c, a)
     interior = tuple(
         (f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(roots.pairs) if k >= 2
     )

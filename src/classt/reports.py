@@ -6,8 +6,9 @@ Every command produces one report dictionary with the fixed shape
 
 where diagnostics always carries the six named condition tags
 ("hom", "action", "div", "man-cond", "beta>1", "adjunction-residual"),
-passing vacuously where a tag does not apply.  Rationals are rendered
-as "p/q" strings, singularities as {"order": r, "weights": [q1, q2]}.
+in that order.  A diagnostic reads "not applicable to this command"
+exactly when the command runs no check for that tag.  Rationals are
+rendered as "p/q" strings, singularities as {"order": r, "weights": [q1, q2]}.
 Rendering is deterministic: reports are plain dicts assembled in a
 fixed order, so identical inputs and seeds give byte-identical output.
 """
@@ -46,7 +47,8 @@ SCHEMA_VERSION = "1.0"
 
 DIAGNOSTIC_TAGS = ("hom", "action", "div", "man-cond", "beta>1", "adjunction-residual")
 
-_NA = "not applicable to this command"
+# The diagnostic of a tag the command does not check.
+_NOT_CHECKED = (True, "not applicable to this command")
 
 # Caps on command inputs, shared by the command line and corpus rows, so
 # no command runs unbounded; the library functions take any size.
@@ -136,47 +138,41 @@ def sing_json(s: QuotientSingularity) -> dict:
     return {"order": s.order, "weights": list(s.weights)}
 
 
-def diag(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": passed, "detail": detail}
-
-
-def na_diags(*names: str) -> list[dict]:
-    return [diag(name, True, _NA) for name in names]
-
-
 @dataclass
 class CommandReport:
     """A command's outputs and exit code, with the rest of its report on demand.
 
-    ``rest()`` gives the report's id, inputs and diagnostics, and ``data``
-    assembles the full report from them, so a corpus row, which compares
-    outputs only, and a DOT run build neither.  ``dot()`` renders the DOT
-    form; None means no graph form.
+    ``rest()`` gives the report's id, inputs and the checks the command ran,
+    and ``data`` assembles the full report from them, so a corpus row, which
+    compares outputs only, and a DOT run build neither.  ``dot()`` renders
+    the DOT form; None means no graph form.
     """
 
     outputs: dict
     exit_code: int
-    rest: Callable[[], tuple[str, dict, list[dict]]]
+    rest: Callable[[], tuple[str, dict, dict[str, tuple[bool, str]]]]
     dot: Callable[[], str] | None = None
 
     @property
     def data(self) -> dict:
-        case_id, inputs, diagnostics = self.rest()
-        return assemble(case_id, inputs, self.outputs, diagnostics)
+        case_id, inputs, checks = self.rest()
+        return assemble(case_id, inputs, self.outputs, checks)
 
 
-def assemble(case_id: str, inputs: dict, outputs: dict, diagnostics: list[dict]) -> dict:
-    seen = [d["name"] for d in diagnostics]
-    missing = [t for t in DIAGNOSTIC_TAGS if t not in seen]
-    if missing or len(seen) != len(DIAGNOSTIC_TAGS):
-        raise BadInput(f"diagnostics must cover exactly the six tags; missing {missing}")
-    ordered = sorted(diagnostics, key=lambda d: DIAGNOSTIC_TAGS.index(d["name"]))
+def assemble(case_id: str, inputs: dict, outputs: dict, checks: dict[str, tuple[bool, str]]) -> dict:
+    """The report, with one diagnostic per tag of DIAGNOSTIC_TAGS, in that
+    order: ``checks[tag]`` as ``(passed, detail)``, or a vacuous pass for a
+    tag the command did not check."""
+    diagnostics = []
+    for tag in DIAGNOSTIC_TAGS:
+        passed, detail = checks.get(tag, _NOT_CHECKED)
+        diagnostics.append({"name": tag, "passed": passed, "detail": detail})
     return {
         "schema_version": SCHEMA_VERSION,
         "id": case_id,
         "inputs": inputs,
         "outputs": outputs,
-        "diagnostics": ordered,
+        "diagnostics": diagnostics,
     }
 
 
@@ -184,8 +180,8 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
     """Report of a command on the cyclic model ``params = (d, n, m, c, a, roots)``,
     the roots as text.
 
-    The weight conditions become diagnostics, with "beta>1" and
-    "adjunction-residual" added.  When a condition fails the outputs list
+    The report checks the four weight conditions, "beta>1" and
+    "adjunction-residual".  When a condition fails the outputs list
     the failed tags and the exit code is 1; otherwise the model is built and
     ``finish(model, its TianYauReport)`` gives the outputs, exit code and DOT.
     "beta>1" is derived, not tested: ``beta = (c + n)/n`` exceeds 1 because
@@ -209,20 +205,18 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
         exit_code, dot = 1, None
 
     def rest() -> tuple:
-        diags = [diag(x.tag, x.passed, x.detail) for x in conditions]
-        beta = rational_str(Fraction(c + n, n))
-        diags.append(diag("beta>1", True, f"beta = (c + n)/n = {beta}"))
-        if report is None:
-            diags.append(diag("adjunction-residual", False, "model not constructed"))
-        else:
-            diags.append(_residual_diag(report.adjunction_residual))
+        checks = {x.tag: (x.passed, x.detail) for x in conditions}
+        checks["beta>1"] = (True, f"beta = (c + n)/n = {rational_str(Fraction(c + n, n))}")
+        checks["adjunction-residual"] = (
+            (False, "model not constructed") if report is None else _residual_check(report.adjunction_residual)
+        )
         inputs = {"d": d, "n": n, "m": m, "c": c, "a": a, "roots": roots.as_text(), **extra_inputs}
-        return f"{kind}-{d}-{n}-{m}-{c}-{a}", inputs, diags
+        return f"{kind}-{d}-{n}-{m}-{c}-{a}", inputs, checks
     return CommandReport(outputs, exit_code, rest, dot)
 
 
-def _residual_diag(res: Fraction) -> dict:
-    return diag("adjunction-residual", res == 0, f"K.C + C^2 - orbifold Euler side = {rational_str(res)}")
+def _residual_check(res: Fraction) -> tuple[bool, str]:
+    return res == 0, f"K.C + C^2 - orbifold Euler side = {rational_str(res)}"
 
 
 def _model_outputs(model: CompactificationModel) -> dict:
@@ -294,7 +288,7 @@ def _germ_rest(kind: str, order: int, weights: list[int]) -> Callable[[], tuple]
     return lambda: (
         f"{kind}-{order}-{weights[0]}-{weights[1]}",
         {"order": order, "weights": list(weights)},
-        na_diags(*DIAGNOSTIC_TAGS),
+        {},
     )
 
 
@@ -313,9 +307,8 @@ def enumerate_report(d: int, n: int, m: int, c: int) -> CommandReport:
     }
 
     def rest() -> tuple:
-        diags = na_diags("hom", "action", "man-cond", "beta>1", "adjunction-residual")
-        diags.append(diag("div", True, f"gcd(m, n) = gcd({m}, {n}) = 1, gcd(c, n) = gcd({c}, {n}) = 1"))
-        return f"enumerate-{d}-{n}-{m}-{c}", {"d": d, "n": n, "m": m, "c": c}, diags
+        div = (True, f"gcd(m, n) = gcd({m}, {n}) = 1, gcd(c, n) = gcd({c}, {n}) = 1")
+        return f"enumerate-{d}-{n}-{m}-{c}", {"d": d, "n": n, "m": m, "c": c}, {"div": div}
     return CommandReport(outputs, 0, rest)
 
 
@@ -335,13 +328,14 @@ def build_rdp_report(type: str, index: int, coeffs: list | None) -> CommandRepor
     residual = check_hypotheses(model).adjunction_residual
 
     def rest() -> tuple:
-        diags = na_diags("hom", "action", "div", "man-cond")
-        diags.append(diag("beta>1", model.beta > 1, f"beta = {rational_str(model.beta)}"))
-        diags.append(_residual_diag(residual))
+        checks = {
+            "beta>1": (model.beta > 1, f"beta = {rational_str(model.beta)}"),
+            "adjunction-residual": _residual_check(residual),
+        }
         inputs = {"type": type, "index": index}
         if coeffs is not None:
             inputs["coeffs"] = [rational_str(v) for v in model.coefficients]
-        return f"build-rdp-{type}{index}", inputs, diags
+        return f"build-rdp-{type}{index}", inputs, checks
     exit_code = 0 if residual == 0 else 1
     return CommandReport(_model_outputs(model), exit_code, rest, lambda: render_model_dot(model))
 
@@ -456,18 +450,12 @@ def sweep_report(max_d: int, max_n: int, max_c: int, seed: int) -> CommandReport
     }
 
     def rest() -> tuple:
-        by_name = {r.name: r for r in results}
-        cond = by_name["adjunction-residual"]
-        cond_detail = f"{cond.cases} models re-checked, {cond.failure_count} failures"
-        diags = [
-            diag("hom", cond.passed, cond_detail),
-            diag("action", cond.passed, cond_detail),
-            diag("div", cond.passed, cond_detail),
-            diag("man-cond", True, _NA),
-            diag("beta>1", cond.passed, cond_detail),
-            diag("adjunction-residual", cond.passed, cond_detail),
-        ]
-        return "sweep", outputs["parameters"], diags
+        # The residual suite re-checks the models of the box; its verdict
+        # stands for every tag but "man-cond".
+        cond = next(r for r in results if r.name == "adjunction-residual")
+        verdict = (cond.passed, f"{cond.cases} models re-checked, {cond.failure_count} failures")
+        tags = ("hom", "action", "div", "beta>1", "adjunction-residual")
+        return "sweep", outputs["parameters"], dict.fromkeys(tags, verdict)
     return CommandReport(outputs, 0 if all_passed else 1, rest)
 
 
@@ -761,5 +749,5 @@ def run_corpus(path: str, seed: int) -> CommandReport:
     }
 
     def rest() -> tuple:
-        return f"corpus-{path}", {"corpus": path}, na_diags(*DIAGNOSTIC_TAGS)
+        return f"corpus-{path}", {"corpus": path}, {}
     return CommandReport(outputs, 0 if not failed else 1, rest)

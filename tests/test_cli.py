@@ -248,6 +248,25 @@ def test_usage_exit_two(capsys):
     assert run(capsys, ["check", "--frobnicate"])[0] == 2
 
 
+def test_subcommand_with_corpus_is_a_usage_error(capsys, tmp_path):
+    corpus = write_corpus(tmp_path, PASSING_ROWS)
+    target = tmp_path / "report.txt"
+    classify = ["classify", "--order", "7", "--weights", "1,3"]
+    for path in (corpus, ""):
+        for argv in (["--corpus", path] + classify, classify + ["--corpus", path]):
+            code, out, err = run(capsys, argv + ["--out", str(target)])
+            assert (code, out) == (2, ""), argv
+            usage, error = err.rstrip("\n").rsplit("\n", 1)
+            assert usage.startswith("usage: classt"), argv
+            assert error == "classt: error: give a subcommand or --corpus, not both", argv
+            assert "Traceback" not in err
+            assert not target.exists()
+    # An empty path alone is a corpus file that cannot be read.
+    code, out, err = run(capsys, ["--corpus", ""])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read corpus file : ")
+
+
 def test_failed_conditions_exit_one(capsys):
     code, data, _ = run_json(
         capsys, ["build", "cyclic", "-d", "2", "-n", "3", "-m", "2", "-c", "2", "-a", "5", "--roots", "1,2"]
@@ -313,6 +332,38 @@ def test_every_report_carries_the_six_tags(capsys):
             assert set(d) == {"name", "passed", "detail"}
         assert data["schema_version"] == "1.0"
         assert set(data) == {"schema_version", "id", "inputs", "outputs", "diagnostics"}
+
+
+ALL_TAGS = set(DIAGNOSTIC_TAGS)
+# The tags each command of COMMANDS checks, in the same order; the others
+# read "not applicable to this command".
+CHECKED_TAGS = [
+    set(),
+    {"div"},
+    ALL_TAGS,
+    {"beta>1", "adjunction-residual"},
+    ALL_TAGS,
+    ALL_TAGS,
+    set(),
+    ALL_TAGS - {"man-cond"},
+]
+
+
+def _checked(data):
+    return {d["name"] for d in data["diagnostics"] if d["detail"] != "not applicable to this command"}
+
+
+def test_each_command_claims_only_the_checks_it_runs(capsys, tmp_path):
+    for argv, tags in zip(COMMANDS, CHECKED_TAGS, strict=True):
+        code, data, _ = run_json(capsys, argv)
+        assert code == 0, argv
+        assert _checked(data) == tags, argv
+    code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, PASSING_ROWS)])
+    assert code == 0 and _checked(data) == set()
+    vacuous = [{"name": tag, "passed": True, "detail": "not applicable to this command"} for tag in DIAGNOSTIC_TAGS]
+    assert reports.assemble("x", {}, {}, {}) == {
+        "schema_version": "1.0", "id": "x", "inputs": {}, "outputs": {}, "diagnostics": vacuous,
+    }
 
 
 def test_rationals_rendered_as_fraction_strings(capsys):

@@ -48,7 +48,7 @@ from classt import (  # noqa: E402
     squarefree_decomposition,
 )
 from classt.birational import surface_residue  # noqa: E402
-from classt.reports import DIAGNOSTIC_TAGS, assemble, build_cyclic_report, na_diags, render_json  # noqa: E402
+from classt.reports import assemble, build_cyclic_report, render_json  # noqa: E402
 
 REPEATS = 11
 TARGET_S = 0.02
@@ -67,7 +67,7 @@ def corpus_report() -> dict:
             results.append({"id": f"classify-{i}-{i % 97}", "ok": True, "mismatches": []})
     failed = [r["id"] for r in results if not r["ok"]]
     outputs = {"cases": rows, "passed": rows - len(failed), "failed_ids": failed, "results": results}
-    return assemble("corpus-cases.jsonl", {"corpus": "cases.jsonl"}, outputs, na_diags(*DIAGNOSTIC_TAGS))
+    return assemble("corpus-cases.jsonl", {"corpus": "cases.jsonl"}, outputs, {})
 
 
 def cases() -> list[tuple[str, object]]:
