@@ -24,8 +24,6 @@ from .birational import (
 from .compactify import (
     CompactificationModel,
     CurveAtInfinity,
-    FiberStatus,
-    ResolvedModel,
     RootConfig,
     TopologyInvariants,
     WeightEnumeration,
@@ -86,8 +84,6 @@ __all__ = [
     "CurveAtInfinity",
     "TopologyInvariants",
     "CompactificationModel",
-    "ResolvedModel",
-    "FiberStatus",
     "WeightPair",
     "WeightEnumeration",
     "enumerate_weights",

@@ -133,15 +133,10 @@ def _require_cyclic(model: CompactificationModel) -> None:
         raise BadInput("this construction needs a cyclic-variant model")
 
 
-@lru_cache(maxsize=1024)
-def _plane(weights: tuple[int, int, int]) -> WeightedProjectiveSpace:
-    return WeightedProjectiveSpace(weights)
-
-
 def target_plane(model: CompactificationModel) -> WeightedProjectiveSpace:
     """The plane ``P(a, c, n)`` the model projects to."""
     _require_cyclic(model)
-    return _plane((model.a, model.c, model.n))
+    return WeightedProjectiveSpace((model.a, model.c, model.n))
 
 
 def _root_triples(model: CompactificationModel) -> tuple[tuple[int, int, int], ...]:
@@ -193,7 +188,6 @@ class BlowupModel:
     exceed one.
     """
 
-    base: CompactificationModel
     chart_actions: tuple[tuple[int, tuple[int, int]], ...]
     new_singularities: tuple[QuotientSingularity, QuotientSingularity]
     exceptional_orders: tuple[int, ...]
@@ -208,7 +202,6 @@ def blowup_at_R2(model: CompactificationModel) -> BlowupModel:
         normalize(QuotientSingularity(order, weights)) for order, weights in actions
     )
     return BlowupModel(
-        base=model,
         chart_actions=actions,
         new_singularities=new,
         exceptional_orders=tuple(o for o in (c, n) if o > 1),

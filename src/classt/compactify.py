@@ -286,10 +286,6 @@ class WeightEnumeration:
     ``a, b >= 1``.
     """
 
-    d: int
-    n: int
-    m: int
-    c: int
     u: int
     pairs: tuple[WeightPair, ...]
     reduced: tuple[WeightPair, ...]
@@ -371,12 +367,9 @@ def enumerate_weights(d: int, n: int, m: int, c: int) -> WeightEnumeration:
         raise BadInput(f"c = {c} must be prime to n = {n}")
     u = mod_inverse(m_c, n)
     degree = d * n * c
-    if n == 1:
-        candidates = list(range(1, degree))
-    else:
-        target = (c * u) % n
-        first = target if target else n
-        candidates = list(range(first, degree, n))
+    target = (c * u) % n
+    first = target if target else n
+    candidates = range(first, degree, n)
     primary = []
     reduced = []
     seen = set()
@@ -391,10 +384,6 @@ def enumerate_weights(d: int, n: int, m: int, c: int) -> WeightEnumeration:
             seen.add((ra, rb, rc))
             reduced.append(WeightPair(a=ra, b=rb, c=rc, reduced_from=(a, b, c)))
     return WeightEnumeration(
-        d=d,
-        n=n,
-        m=m_c,
-        c=c,
         u=u,
         pairs=tuple(primary),
         reduced=tuple(reduced),
@@ -541,19 +530,9 @@ def build_rdp(
     )
 
 
-@dataclass(frozen=True)
-class FiberStatus:
-    """Interior smoothness of a cyclic-variant fibre."""
-
-    a_indices: tuple[int, ...]
-
-    @property
-    def smooth(self) -> bool:
-        return not self.a_indices
-
-
-def smoothness_status(roots: RootConfig) -> FiberStatus:
-    """Interior double points read off the expanded root polynomial.
+def smoothness_status(roots: RootConfig) -> tuple[int, ...]:
+    """The sorted indices ``k`` of the interior ``A_k`` points, read off
+    the expanded root polynomial; empty when the fibre is smooth.
 
     Runs the squarefree decomposition of ``P(z)`` and converts each
     multiplicity-``k`` factor of degree ``e`` into ``e`` double points
@@ -564,8 +543,7 @@ def smoothness_status(roots: RootConfig) -> FiberStatus:
     for deg, mult in multiplicity_profile(roots.polynomial):
         if mult >= 2:
             indices.extend([mult - 1] * deg)
-    indices.sort()
-    return FiberStatus(a_indices=tuple(indices))
+    return tuple(sorted(indices))
 
 
 def topology(model: CompactificationModel) -> TopologyInvariants:
@@ -583,20 +561,12 @@ def topology(model: CompactificationModel) -> TopologyInvariants:
     return TopologyInvariants(pi1_order_M=1, b2_M=model.descriptor.index)
 
 
-@dataclass(frozen=True)
-class ResolvedModel:
-    """Model with its interior double points replaced by (-2)-chains."""
-
-    base: CompactificationModel
-    exceptional_chains: tuple[tuple[str, HJChain], ...]
-
-
-def minimal_resolution(model: CompactificationModel) -> ResolvedModel:
-    """Resolve the interior ``A_k`` points; the boundary data is
-    untouched (the quotient points at infinity stay as they are, and the
-    anticanonical proportionality survives pullback)."""
-    chains = []
-    for lbl, k in model.interior_singularities:
-        chain = hj_resolution(QuotientSingularity(k + 1, (1, k)))
-        chains.append((lbl, chain))
-    return ResolvedModel(base=model, exceptional_chains=tuple(chains))
+def minimal_resolution(model: CompactificationModel) -> tuple[tuple[str, HJChain], ...]:
+    """The ``(label, chain)`` of each interior ``A_k`` point, resolved by
+    its chain of ``(-2)``-curves; the boundary data is untouched (the
+    quotient points at infinity stay as they are, and the anticanonical
+    proportionality survives pullback)."""
+    return tuple(
+        (lbl, hj_resolution(QuotientSingularity(k + 1, (1, k))))
+        for lbl, k in model.interior_singularities
+    )

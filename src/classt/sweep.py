@@ -25,7 +25,6 @@ from .arith import hj_evaluate, mod_inverse
 from .birational import blowup_at_R2, blowup_description, plane_points, roundtrip_check
 from .compactify import (
     CompactificationModel,
-    FiberStatus,
     RootConfig,
     WeightEnumeration,
     build_cyclic,
@@ -127,13 +126,13 @@ def _check_ale_end(out: SuiteResult, model: CompactificationModel) -> None:
         out.fail(f"{model.label()}: end at infinity is not S^3/Gamma with |Gamma| = {order}, |H_1| = {h1}")
 
 
-def _check_topology(out: SuiteResult, model: CompactificationModel, status: FiberStatus) -> None:
+def _check_topology(out: SuiteResult, model: CompactificationModel, a_indices: tuple[int, ...]) -> None:
     out.tick()
     label = model.label()
     model_indices = tuple(sorted(k for _, k in model.interior_singularities))
-    if status.a_indices != model_indices:
-        out.fail(f"{label}: fibre status {status.a_indices} != {model_indices}")
-    for lbl, chain in minimal_resolution(model).exceptional_chains:
+    if a_indices != model_indices:
+        out.fail(f"{label}: fibre status {a_indices} != {model_indices}")
+    for lbl, chain in minimal_resolution(model):
         if any(e != 2 for e in chain.entries):
             out.fail(f"{label}: chain at {lbl} not all (-2)")
 
@@ -186,7 +185,7 @@ def _walk_box(
     box: list[tuple[int, int, int, int, int, RootConfig]] = []
     # Per d: the simple roots, the fully degenerate roots and each one's
     # status, so each polynomial is expanded once per walk.
-    configs_by_d: dict[int, list[tuple[RootConfig, FiberStatus]]] = {}
+    configs_by_d: dict[int, list[tuple[RootConfig, tuple[int, ...]]]] = {}
     for d, n, m, c in cyclic_tuples(max_d, max_n, max_c):
         configs = configs_by_d.get(d)
         if configs is None:

@@ -2,10 +2,13 @@
 
 import json
 import re
+import sys
 import time
 
+import pytest
+
 from classt import compactify, reports
-from classt.cli import run_command
+from classt.cli import main, run_command
 from classt.reports import DIAGNOSTIC_TAGS
 
 from oracles import box_params
@@ -246,6 +249,24 @@ def test_usage_exit_two(capsys):
     assert run(capsys, ["build"])[0] == 2
     assert run(capsys, ["enumerate", "-d", "2"])[0] == 2
     assert run(capsys, ["check", "--frobnicate"])[0] == 2
+
+
+def test_main_exits_with_the_command_code(capsys, monkeypatch):
+    # main reads sys.argv past the program name and exits with
+    # run_command's code, writing what run_command writes.
+    cases = [
+        (["classify", "--order", "18", "--weights", "1,5"], 0),
+        (["resolve", "--order", "1", "--weights", "3,5"], 1),
+        ([], 2),
+    ]
+    for argv, expected in cases:
+        direct = run(capsys, argv)
+        assert direct[0] == expected, argv
+        monkeypatch.setattr(sys, "argv", ["classt"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            main()
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == direct, argv
 
 
 def test_subcommand_with_corpus_is_a_usage_error(capsys, tmp_path):

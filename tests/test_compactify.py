@@ -146,12 +146,22 @@ def test_enumerate_family_closed_form():
 
 
 def test_enumerate_pairs_satisfy_conditions():
-    for enum in (enumerate_weights(2, 3, 2, 2), enumerate_weights(3, 4, 3, 3)):
-        degree = enum.d * enum.n * enum.c
-        for p in enum.pairs:
+    for d, n, m, c in ((2, 3, 2, 2), (3, 4, 3, 3)):
+        degree = d * n * c
+        for p in enumerate_weights(d, n, m, c).pairs:
             assert p.a + p.b == degree
-            assert (p.a * enum.m - p.c) % enum.n == 0
-            assert gcd(p.a, p.c) == 1 and gcd(p.c, enum.n) == 1
+            assert (p.a * m - p.c) % n == 0
+            assert gcd(p.a, p.c) == 1 and gcd(p.c, n) == 1
+
+
+def test_enumerate_n1_runs_over_every_weight_prime_to_c():
+    # At n = 1 the inverse u is 0, so the candidates are all of 1..d*c-1.
+    for d in range(1, 6):
+        for c in range(1, 5):
+            enum = enumerate_weights(d, 1, 1, c)
+            assert enum.u == 0
+            assert enum.raw_count == d * c - 1
+            assert [p.a for p in enum.pairs] == [a for a in range(1, d * c) if gcd(a, c) == 1]
 
 
 def test_enumerate_bad_input():
@@ -365,26 +375,20 @@ def test_rdp_model_rejects_cyclic_accessors():
 
 
 def test_smoothness_status_simple_roots():
-    status = smoothness_status(RootConfig.simple([1, 2, 3]))
-    assert status.smooth and status.a_indices == ()
+    assert smoothness_status(RootConfig.simple([1, 2, 3])) == ()
 
 
 def test_smoothness_status_repeated_roots():
-    status = smoothness_status(RootConfig.of([(1, 2), (2, 1)]))
-    assert not status.smooth
-    assert status.a_indices == (1,)
-    status = smoothness_status(RootConfig.of([(1, 3)]))
-    assert status.a_indices == (2,)
-    status = smoothness_status(RootConfig.of([(1, 2), (2, 2), (3, 1)]))
-    assert status.a_indices == (1, 1)
+    assert smoothness_status(RootConfig.of([(1, 2), (2, 1)])) == (1,)
+    assert smoothness_status(RootConfig.of([(1, 3)])) == (2,)
+    assert smoothness_status(RootConfig.of([(1, 2), (2, 2), (3, 1)])) == (1, 1)
 
 
 def test_smoothness_status_matches_interior_list():
     for pairs in ([(1, 1), (2, 1)], [(1, 2)], [(1, 2), (2, 3)], [(5, 4)]):
         roots = RootConfig.of(pairs)
         model = build_cyclic(roots.total, 2, 1, 1, 1, roots)
-        status = smoothness_status(roots)
-        assert tuple(sorted(k for _, k in model.interior_singularities)) == status.a_indices
+        assert tuple(sorted(k for _, k in model.interior_singularities)) == smoothness_status(roots)
 
 
 # -------------------------------------------------------------- topology
@@ -406,9 +410,6 @@ def test_topology_rdp():
 
 
 def test_derived_values_follow_their_source():
-    status = smoothness_status(RootConfig.simple([1, 2]))
-    assert status.smooth
-    assert not replace(status, a_indices=(9,)).smooth
     inv = replace(topology(build_cyclic(2, 3, 1, 1, 1, RootConfig.simple([1, 2]))), b2_M=5)
     assert (inv.b2_Mbar, inv.chi_M, inv.chi_Mbar) == (6, 6, 8)
     model = build_cyclic(2, 3, 1, 1, 1, RootConfig.simple([1, 2]))
@@ -423,17 +424,15 @@ def test_derived_values_follow_their_source():
 def test_minimal_resolution_chains():
     model = build_cyclic(3, 2, 1, 1, 1, RootConfig.of([(1, 3)]))
     resolved = minimal_resolution(model)
-    assert resolved.base is model
-    assert len(resolved.exceptional_chains) == 1
-    lbl, chain = resolved.exceptional_chains[0]
+    assert len(resolved) == 1
+    lbl, chain = resolved[0]
     assert lbl == "S_1"
     assert chain.entries == (2, 2)
     assert chain.self_intersections() == (-2, -2)
 
 
 def test_minimal_resolution_no_interior():
-    resolved = minimal_resolution(build_cyclic(2, 2, 1, 1, 1, RootConfig.simple([1, 2])))
-    assert resolved.exceptional_chains == ()
+    assert minimal_resolution(build_cyclic(2, 2, 1, 1, 1, RootConfig.simple([1, 2]))) == ()
 
 
 def test_model_is_frozen():
