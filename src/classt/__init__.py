@@ -12,10 +12,8 @@ from .arith import (
 )
 from .birational import (
     BlowupModel,
-    BlowupSurfaceDescription,
     WPoint,
     blowup_at_R2,
-    blowup_description,
     evaluate_pi_chart,
     project_pi,
     roundtrip_check,
@@ -97,11 +95,9 @@ __all__ = [
     "orbifold_adjunction_residual",
     "WPoint",
     "BlowupModel",
-    "BlowupSurfaceDescription",
     "target_plane",
     "project_pi",
     "blowup_at_R2",
     "evaluate_pi_chart",
-    "blowup_description",
     "roundtrip_check",
 ]

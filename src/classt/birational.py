@@ -243,39 +243,6 @@ def evaluate_pi_chart(
     raise BadInput(f"chart must be 'T' or 'S', got {chart!r}")
 
 
-@dataclass(frozen=True)
-class BlowupSurfaceDescription:
-    """The model as an iterated blow-up of its target plane.
-
-    One blow-up for each simple root, an iterated ``k``-fold blow-up
-    for each ``k``-fold root, all on the line ``(z^n = a_j w^c)``
-    locus; afterwards the proper transforms of ``(x = 0)`` and
-    ``(w = 0)`` are the curves removed to recover the open fibre.
-    """
-
-    base_plane: WeightedProjectiveSpace
-    centers: tuple[tuple[Fraction, int], ...]
-    removed_divisors = ("x=0", "w=0")
-
-    @property
-    def total_blowups(self) -> int:
-        return sum(k for _, k in self.centers)
-
-    @property
-    def euler_characteristic(self) -> int:
-        """``chi`` of the blown-up plane: 3 for the plane plus one per
-        blow-up."""
-        return 3 + self.total_blowups
-
-
-def blowup_description(model: CompactificationModel) -> BlowupSurfaceDescription:
-    _require_cyclic(model)
-    return BlowupSurfaceDescription(
-        base_plane=target_plane(model),
-        centers=model.roots.pairs,
-    )
-
-
 # Chart coordinates are drawn from the numerators -6..6 over 1, 2 and 3.
 _SAMPLE_POOL = tuple((num, den) for num in range(-6, 7) for den in (1, 2, 3))
 # Scalings t of the lift; the powers 2^w already separate every weight.

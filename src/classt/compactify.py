@@ -424,6 +424,22 @@ def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
     )
 
 
+def _boundary(weights: tuple[int, int, int, int], degree: int, orders: tuple[int, ...]) -> tuple:
+    """The ambient ``P(a, b, c, n)``, beta and boundary curve ``C = (w = 0)``
+    of a degree-``degree`` hypersurface, ``C`` meeting quotient points of
+    ``orders`` (order one is a smooth point).  beta and C^2 are read off the
+    ambient intersection theory rather than restated: K = O(t) with
+    t = adjunction_class and C = O(n) restricted, so beta = -t/n."""
+    ambient = WeightedProjectiveSpace(weights)
+    X = HypersurfaceClass(ambient, degree)
+    n = weights[3]
+    curve = CurveAtInfinity(
+        self_intersection=hypersurface_intersection(X, n, n),
+        orbifold_points=tuple(sorted(o for o in orders if o > 1)),
+    )
+    return ambient, Fraction(-adjunction_class(X), n), curve
+
+
 # A corpus repeats each weight tuple with several root configurations, and
 # everything but the interior points depends on the tuple alone.  The CLI
 # clears this memo when each command starts, so a command pays for each of
@@ -438,46 +454,20 @@ def _cyclic_frame(d: int, n: int, m_c: int, c: int, a: int) -> tuple:
     and the quotient points ``R1`` and ``R2`` at infinity."""
     degree = d * n * c
     b = degree - a
-    ambient = WeightedProjectiveSpace((a, b, c, n))
-    X = HypersurfaceClass(ambient, degree)
-    # beta and C^2 are read off the ambient intersection theory rather
-    # than restated: K = O(t) with t = -(c + n), C = O(n) restricted.
-    t = adjunction_class(X)
-    beta = Fraction(-t, n)
-    csq = hypersurface_intersection(X, n, n)
+    ambient, beta, curve = _boundary((a, b, c, n), degree, (a, b))
     r1 = normalize(QuotientSingularity(a, (c, n)))
     r2 = normalize(QuotientSingularity(b, (c, n)))
-    curve = CurveAtInfinity(
-        self_intersection=csq,
-        orbifold_points=tuple(sorted(o for o in (a, b) if o > 1)),
-    )
     descriptor = CyclicTDescriptor(d=d, n=n, m=m_c, solutions=((d, n, m_c),))
     return descriptor, ambient, degree, beta, curve, r1, r2
 
 
-_RDP_WEIGHTS = {
-    ("E", 6): (3, 4, 6),
-    ("E", 7): (4, 6, 9),
-    ("E", 8): (6, 10, 15),
+# The weights (a, b, c) of P(a, b, c, 1) and the orbifold orders at infinity
+# of E6, E7 and E8; build_rdp writes those of D_k.
+_E_FRAMES = {
+    6: ((3, 4, 6), (3, 3, 2)),
+    7: ((4, 6, 9), (2, 3, 4)),
+    8: ((6, 10, 15), (2, 3, 5)),
 }
-
-_RDP_INFINITY = {
-    ("E", 6): (3, 3, 2),
-    ("E", 7): (2, 3, 4),
-    ("E", 8): (2, 3, 5),
-}
-
-
-def _rdp_weights(ade: str, index: int) -> tuple[int, int, int]:
-    if ade == "D":
-        return (index - 2, 2, index - 1)
-    return _RDP_WEIGHTS[(ade, index)]
-
-
-def _rdp_infinity_orders(ade: str, index: int) -> tuple[int, int, int]:
-    if ade == "D":
-        return (2, 2, index - 2)
-    return _RDP_INFINITY[(ade, index)]
 
 
 def build_rdp(
@@ -496,7 +486,10 @@ def build_rdp(
             "A-type models are cyclic: use the cyclic builder with n = 1, d = index + 1"
         )
     data = rdp_data(ade, index)
-    a, b, c = _rdp_weights(ade, index)
+    if ade == "D":
+        (a, b, c), orders = (index - 2, 2, index - 1), (2, 2, index - 2)
+    else:
+        (a, b, c), orders = _E_FRAMES[index]
     degree = a + b + c - 1
     if coefficients is None:
         coeffs = (Fraction(0),) * data.milnor_number
@@ -506,17 +499,9 @@ def build_rdp(
             raise BadInput(
                 f"{data.label()} needs {data.milnor_number} coefficients, got {len(coeffs)}"
             )
-    ambient = WeightedProjectiveSpace((a, b, c, 1))
-    X = HypersurfaceClass(ambient, degree)
-    beta = Fraction(-adjunction_class(X), 1)
-    csq = hypersurface_intersection(X, 1, 1)
-    orders = _rdp_infinity_orders(ade, index)
+    ambient, beta, curve = _boundary((a, b, c, 1), degree, orders)
     infinity = tuple(
         (f"P{i + 1}", QuotientSingularity(r, (1, 1))) for i, r in enumerate(orders)
-    )
-    curve = CurveAtInfinity(
-        self_intersection=csq,
-        orbifold_points=tuple(sorted(orders)),
     )
     return CompactificationModel(
         descriptor=data,

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable
 
 from .arith import as_fraction, hj_evaluate
-from .birational import blowup_at_R2, blowup_description, plane_points, roundtrip_check
+from .birational import blowup_at_R2, plane_points, roundtrip_check, target_plane
 from .compactify import (
     CompactificationModel,
     RootConfig,
@@ -192,6 +192,8 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
         _check_rational_text("root entry", entry.strip())
     roots = RootConfig.parse(text)
     _check_degree(d, n, c)
+    # hom needs 1 <= a <= d*n*c - 1 <= 399; a larger |a| only grows b = d*n*c - a.
+    _check_range("a", a, -_MAX_DEGREE, _MAX_DEGREE)
     _check_roots(roots)
     conditions = weight_conditions(d, n, m, c, a, roots)
     report = None
@@ -372,11 +374,11 @@ def birational_report(
 
     def finish(model: CompactificationModel, _: TianYauReport) -> tuple:
         blow = blowup_at_R2(model)
-        desc = blowup_description(model)
+        plane, centers, total = target_plane(model).label(), model.roots.pairs, model.roots.total
         points_match = blow.new_singularities == plane_points(model)
         rt_ok = roundtrip_check(model, samples, seed)
         outputs = {
-            "target_plane": desc.base_plane.label(),
+            "target_plane": plane,
             "projection": "[x:y:z:w] -> [x:z:w]",
             "blowup": {
                 "chart_actions": [
@@ -387,18 +389,20 @@ def birational_report(
             },
             "plane_points_match": points_match,
             "description": {
-                "base_plane": desc.base_plane.label(),
-                "centers": [{"root": rational_str(r), "iterations": k} for r, k in desc.centers],
-                "total_blowups": desc.total_blowups,
-                "removed_divisors": list(desc.removed_divisors),
-                "euler_characteristic": desc.euler_characteristic,
+                "base_plane": plane,
+                "centers": [{"root": rational_str(r), "iterations": k} for r, k in centers],
+                "total_blowups": total,
+                # The proper transforms of x = 0 and w = 0 bound the open fibre.
+                "removed_divisors": ["x=0", "w=0"],
+                # chi of the plane, 3, plus one per blow-up.
+                "euler_characteristic": 3 + total,
             },
             # 3 + the blow-up count is chi_Mbar + 1 = d + 3 once man-cond holds.
             "euler_count_consistent": True,
             "roundtrip": {"samples": samples, "seed": seed, "passed": rt_ok},
         }
         ok = points_match and rt_ok
-        return outputs, 0 if ok else 1, lambda: render_blowup_dot(desc)
+        return outputs, 0 if ok else 1, lambda: render_blowup_dot(plane, centers)
 
     return _cyclic_report(
         "birational", (d, n, m, c, a, roots), {"samples": samples, "seed": seed}, finish
@@ -493,14 +497,14 @@ def render_model_dot(model: CompactificationModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_blowup_dot(desc) -> str:
+def render_blowup_dot(plane: str, centers: tuple[tuple[Fraction, int], ...]) -> str:
     lines = ["graph blowup_surface {", "  rankdir=TB;"]
-    lines.append(f'  plane [shape=box, label="{desc.base_plane.label()}"];')
+    lines.append(f'  plane [shape=box, label="{plane}"];')
     lines.append('  Lx [shape=box, label="(x=0) proper transform, removed"];')
     lines.append('  Lw [shape=box, label="(w=0) proper transform, removed"];')
     lines.append("  plane -- Lx;")
     lines.append("  plane -- Lw;")
-    for j, (root, k) in enumerate(desc.centers, start=1):
+    for j, (_, k) in enumerate(centers, start=1):
         prev = "Lx"
         for i in range(1, k + 1):
             node = f"s{j}_{i}"

@@ -22,7 +22,7 @@ from math import gcd, isqrt, prod
 from typing import Iterator
 
 from .arith import hj_evaluate, mod_inverse
-from .birational import blowup_at_R2, blowup_description, plane_points, roundtrip_check
+from .birational import blowup_at_R2, plane_points, roundtrip_check, target_plane
 from .compactify import (
     CompactificationModel,
     RootConfig,
@@ -149,14 +149,13 @@ def _check_blowup(out: SuiteResult, model: CompactificationModel) -> None:
     blow = blowup_at_R2(model)
     if blow.new_singularities != plane_points(model):
         out.fail(f"{label}: blow-up points {blow.new_singularities}")
-    # K^2 of Mbar blown up at R2, two ways.  The description's plane
-    # P(a, c, n) has K^2 = (a + c + n)^2/(acn), less one per blow-up.  On
+    # K^2 of Mbar blown up at R2, two ways.  The target plane P(a, c, n)
+    # has K^2 = (a + c + n)^2/(acn), less one per blow-up.  On
     # Mbar, K = -beta C gives beta^2 C^2, and blowing up the centre 1/b(c, n)
     # with weights (c, n) (E^2 = -b/(cn), discrepancy (c + n)/b - 1)
     # takes away (c + n - b)^2/(bcn); the centre is read off the charts.
-    desc = blowup_description(model)
-    a, c, n = desc.base_plane.weights
-    plane_side = Fraction((a + c + n) ** 2, a * c * n) - desc.total_blowups
+    a, c, n = target_plane(model).weights
+    plane_side = Fraction((a + c + n) ** 2, a * c * n) - model.roots.total
     (order_c, (b, _)), (order_n, _) = blow.chart_actions
     centre_side = model.beta**2 * model.curve.self_intersection - Fraction(
         (order_c + order_n - b) ** 2, b * order_c * order_n

@@ -15,7 +15,6 @@ from classt import (
     WPoint,
     WeightedProjectiveSpace,
     blowup_at_R2,
-    blowup_description,
     build_cyclic,
     build_rdp,
     evaluate_pi_chart,
@@ -27,7 +26,7 @@ from classt import (
     topology,
     UniPoly,
 )
-from classt import birational
+from classt import birational, reports
 from classt.birational import surface_residue
 
 from oracles import box_models, box_params, noether_euler, product_residue, roundtrip_oracle, same_weighted_point
@@ -251,7 +250,7 @@ def test_blowup_matches_plane_coordinate_points():
 def test_blowup_rejects_rdp():
     model = build_rdp("E", 6)
     message = re.escape("this construction needs a cyclic-variant model")
-    for fn in (target_plane, blowup_at_R2, blowup_description):
+    for fn in (target_plane, blowup_at_R2):
         with pytest.raises(BadInput, match=message):
             fn(model)
     with pytest.raises(BadInput, match=message):
@@ -351,13 +350,14 @@ def test_coordinate_count_and_text_coordinates_are_bad_input():
 
 
 def test_blowup_description():
+    # The birational report's description of the model (3, 2, 1, 1, 1).
     model = build_cyclic(3, 2, 1, 1, 1, RootConfig.of([(1, 2), (2, 1)]))
-    desc = blowup_description(model)
-    assert desc.base_plane == target_plane(model)
-    assert desc.centers == ((Fraction(1), 2), (Fraction(2), 1))
-    assert desc.removed_divisors == ("x=0", "w=0")
-    assert desc.total_blowups == 3
-    assert desc.euler_characteristic == 6
+    desc = reports.birational_report(3, 2, 1, 1, 1, "1:2,2:1", 5, 0).outputs["description"]
+    assert desc["base_plane"] == target_plane(model).label() == "P(1,1,2)"
+    assert desc["centers"] == [{"root": "1/1", "iterations": 2}, {"root": "2/1", "iterations": 1}]
+    assert desc["removed_divisors"] == ["x=0", "w=0"]
+    assert desc["total_blowups"] == 3
+    assert desc["euler_characteristic"] == 6
 
 
 def test_euler_count_matches_topology():
@@ -366,7 +366,9 @@ def test_euler_count_matches_topology():
     for model in (d1_model(), d2_model(), c2_model(), *box_models(5, 6, 4)):
         euler = noether_euler(model)
         assert euler == topology(model).chi_Mbar, model.label()
-        assert euler == blowup_description(model).euler_characteristic - 1, model.label()
+        # The plane blown up once per root, with multiplicity, has chi 3 + total:
+        # one more than Mbar.
+        assert euler == 2 + model.roots.total, model.label()
 
 
 def test_noether_euler_fails_on_a_wrong_beta():

@@ -2,8 +2,10 @@
 
 import json
 import re
+import shlex
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -326,6 +328,33 @@ def test_failed_conditions_exit_one(capsys):
             assert data["outputs"] == {"conditions_failed": [*details, "adjunction-residual"]}
             failing = {d["name"]: d["detail"] for d in data["diagnostics"] if not d["passed"]}
             assert failing == {**details, **unbuilt}, args
+
+
+def test_huge_a_exits_one_without_a_traceback(capsys):
+    # At a = -(10^4300 - 1), b = d*n*c - a has 4,301 digits, past the
+    # int-to-str limit, so writing the hom sentence raised ValueError.
+    huge = "9" * 4300
+    for command in (["check"], ["build", "cyclic"], ["birational"]):
+        for a in ("-" + huge, huge):
+            argv = command + ["-d", "1", "-n", "1", "-m", "1", "-c", "1", "-a", a, "--roots", "1"]
+            code, out, err = run(capsys, argv)
+            assert (code, out, err.count("\n")) == (1, "", 1), command
+            assert err.startswith(f"error: a must be between -400 and 400, got {a[:20]}"), command
+    # At the cap, a still fails only hom, in a report.
+    argv = ["check", "-d", "1", "-n", "1", "-m", "1", "-c", "1", "-a", "-400", "--roots", "1"]
+    code, data, err = run_json(capsys, argv)
+    assert (code, err) == (1, "")
+    assert data["outputs"]["conditions_failed"] == ["hom", "adjunction-residual"]
+
+
+def test_readme_examples_run_cleanly(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) == 7 and all(line.startswith("$ classt ") for line in lines)
+    for line in lines:
+        code, _, err = run(capsys, shlex.split(line.removeprefix("$ classt ")))
+        assert (code, err) == (0, ""), line
 
 
 # ------------------------------------------------------------- diagnostics
