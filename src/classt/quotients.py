@@ -26,13 +26,15 @@ from .arith import hj_expand, mod_inverse
 from .errors import BadInput
 
 
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class QuotientSingularity:
     """Cyclic quotient germ ``1/order(weights[0], weights[1])``.
 
     Instances are treated as immutable.
     """
 
-    __slots__ = ("order", "weights")
+    order: int
+    weights: tuple[int, int]
 
     def __init__(self, order: int, weights: tuple[int, int]):
         if order < 1:
@@ -47,17 +49,6 @@ class QuotientSingularity:
                 )
         self.order = order
         self.weights = weights
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.order == other.order and self.weights == other.weights
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.weights))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(order={self.order!r}, weights={self.weights!r})"
 
     @classmethod
     def _standard(cls, order: int, q: int) -> "QuotientSingularity":
@@ -99,27 +90,14 @@ def normalize(s: QuotientSingularity) -> QuotientSingularity:
     return QuotientSingularity._standard(r, q2 * pow(q1, -1, r) % r)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class HJChain:
     """Resolution chain; entry ``b_i`` means a curve of self-intersection ``-b_i``.
 
     Instances are treated as immutable.
     """
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]):
-        self.entries = entries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(entries={self.entries!r})"
+    entries: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -258,20 +236,6 @@ class RDPData:
         return f"{self.ade}_{self.index}" if self.ade != "E" else f"E{self.index}"
 
 
-def _validate_ade(ade: str, index: int) -> None:
-    if ade == "A":
-        if index < 1:
-            raise BadInput(f"A-type index must be >= 1, got {index}")
-    elif ade == "D":
-        if index < 4:
-            raise BadInput(f"D-type index must be >= 4, got {index}")
-    elif ade == "E":
-        if index not in (6, 7, 8):
-            raise BadInput(f"E-type index must be 6, 7 or 8, got {index}")
-    else:
-        raise BadInput(f"unknown type {ade!r}; expected A, D or E")
-
-
 def rdp_data(ade: str, index: int) -> RDPData:
     """Equation and monomial Milnor basis for ``A_k``, ``D_k`` (k >= 4),
     ``E6``, ``E7``, ``E8``.
@@ -280,20 +244,27 @@ def rdp_data(ade: str, index: int) -> RDPData:
     ``E6: x^4 + y^3 + z^2``, ``E7: x^3*y + y^3 + z^2``,
     ``E8: x^5 + y^3 + z^2``.  The Milnor number equals the index.
     """
-    _validate_ade(ade, index)
     if ade == "A":
+        if index < 1:
+            raise BadInput(f"A-type index must be >= 1, got {index}")
         poly = (((1, 1, 0), 1), ((0, 0, index + 1), 1))
         basis = tuple((0, 0, t) for t in range(index))
     elif ade == "D":
+        if index < 4:
+            raise BadInput(f"D-type index must be >= 4, got {index}")
         poly = (((2, 1, 0), 1), ((0, index - 1, 0), 1), ((0, 0, 2), 1))
         basis = ((0, 0, 0), (1, 0, 0)) + tuple((0, t, 0) for t in range(1, index - 1))
+    elif ade != "E":
+        raise BadInput(f"unknown type {ade!r}; expected A, D or E")
     elif index == 6:
         poly = (((4, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 2), 1))
         basis = tuple((i, j, 0) for j in range(2) for i in range(3))
     elif index == 7:
         poly = (((3, 1, 0), 1), ((0, 3, 0), 1), ((0, 0, 2), 1))
         basis = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 0), (1, 2, 0))
-    else:
+    elif index == 8:
         poly = (((5, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 2), 1))
         basis = tuple((i, j, 0) for j in range(2) for i in range(4))
+    else:
+        raise BadInput(f"E-type index must be 6, 7 or 8, got {index}")
     return RDPData(ade=ade, index=index, defining_poly=poly, milnor_basis=basis)

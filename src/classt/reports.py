@@ -60,6 +60,9 @@ _MAX_SAMPLES = 1000
 # on a 2-CPU Xeon VM.  The weight enumeration and the A_k chains of the
 # interior points grow with the degree too.
 _MAX_DEGREE = 400
+# Each of d, n and c is bounded before their product is formed: a product
+# past 4300 digits cannot be printed in the degree message.
+_MAX_FACTOR = 10**6
 # The roundtrip's integers grow with the roots' numerators and denominators
 # too: 1000 samples at degree 400 take 0.9 s with roots 1..400, 1.2 s with
 # roots (1000 + j)/997 and 2.6 s with (10^6 + j)/999983 on the same VM.
@@ -94,6 +97,8 @@ def _check_order(order: int) -> None:
 def _check_degree(d: int, n: int, c: int) -> None:
     # A non-positive d, n or c is the library's error, with its own message.
     if min(d, n, c) >= 1:
+        for name, factor in (("d", d), ("n", n), ("c", c)):
+            _check_range(name, factor, 1, _MAX_FACTOR)
         _check_range("degree d*n*c", d * n * c, 1, _MAX_DEGREE)
 
 

@@ -74,11 +74,11 @@ def well_formed_reduction(
 ) -> WeightedProjectiveSpace:
     """Divide the indicated weights by their shared factor prime to the rest.
 
-    Repeats until the indicated weights have no common factor that is
-    coprime to every remaining weight; a gcd of one returns the space
-    unchanged.  Raises BadInput when the indicated weights
-    do share a factor > 1 but none of it could ever be divided out
-    because every prime of it also divides a remaining weight.
+    ``p`` is the gcd ``g`` of the indicated weights with every prime it
+    shares with a remaining weight taken out; ``g == 1`` returns the space
+    unchanged.  One division by ``p`` suffices, as every prime left in
+    ``g / p`` divides a remaining weight.  Raises BadInput when ``g > 1``
+    but ``p == 1``: every prime of ``g`` divides a remaining weight.
     """
     idx = sorted(set(indices))
     if not idx:
@@ -90,25 +90,18 @@ def well_formed_reduction(
         raise BadInput("reduction needs at least one remaining weight")
     ws = list(space.weights)
     rest = [i for i in range(len(ws)) if i not in idx]
-    divided = False
-    while True:
-        g = 0
-        for i in idx:
-            g = gcd(g, ws[i])
-        if g == 1:
-            break
-        p = g
-        for i in rest:
-            while (shared := gcd(p, ws[i])) > 1:
-                p //= shared
-        if p == 1:
-            if divided:
-                break
-            raise BadInput(
-                f"weights at {tuple(idx)} share the factor {g}, but every prime of it "
-                "divides a remaining weight"
-            )
-        for i in idx:
-            ws[i] //= p
-        divided = True
+    g = 0
+    for i in idx:
+        g = gcd(g, ws[i])
+    p = g
+    for i in rest:
+        while (shared := gcd(p, ws[i])) > 1:
+            p //= shared
+    if g > 1 and p == 1:
+        raise BadInput(
+            f"weights at {tuple(idx)} share the factor {g}, but every prime of it "
+            "divides a remaining weight"
+        )
+    for i in idx:
+        ws[i] //= p
     return WeightedProjectiveSpace(tuple(ws))

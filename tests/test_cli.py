@@ -347,6 +347,32 @@ def test_huge_a_exits_one_without_a_traceback(capsys):
     assert data["outputs"]["conditions_failed"] == ["hom", "adjunction-residual"]
 
 
+def test_huge_degree_factor_exits_one_without_a_traceback(capsys, tmp_path):
+    # With d = 10^4300 - 1 and n = 2, d*n*c has 4,301 digits, past the
+    # int-to-str limit, so writing the degree message raised ValueError.
+    huge = "9" * 4300
+    model = ["-a", "1", "--roots", "1"]
+    for command, extra in ((["enumerate"], []), (["check"], model), (["build", "cyclic"], model), (["birational"], model)):
+        for name in ("d", "n", "c"):
+            factors = {"d": "2", "n": "2", "c": "2", name: huge}
+            argv = command + ["-m", "1"] + [arg for k, v in factors.items() for arg in (f"-{k}", v)] + extra
+            code, out, err = run(capsys, argv)
+            assert (code, out, err.count("\n")) == (1, "", 1), (command, name)
+            assert err.startswith(f"error: {name} must be between 1 and 1000000, got 9999"), (command, name)
+            assert "Traceback" not in err
+    rows = [
+        {"id": "huge-d", "kind": "enumerate", "parameters": {"d": int(huge), "n": 2, "m": 1}},
+        {"id": "huge-n", "kind": "check", "parameters": {"d": 2, "n": int(huge), "m": 1, "a": 1, "roots": "1"}},
+    ]
+    code, data, err = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
+    assert (code, err) == (1, "")
+    assert data["outputs"]["failed_ids"] == ["huge-d", "huge-n"]
+    for result, name in zip(data["outputs"]["results"], "dn"):
+        [mismatch] = result["mismatches"]
+        assert mismatch.startswith(f"error: {name} must be between 1 and 1000000, got 9999")
+        assert "\n" not in mismatch
+
+
 def test_readme_examples_run_cleanly(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
@@ -811,8 +837,9 @@ def test_corpus_invalid_json_quotes_json_loads(capsys, tmp_path):
 
 def test_corpus_line_nested_past_the_recursion_limit(capsys, tmp_path):
     # Valid JSON, but json.loads raises RecursionError rather than ValueError.
+    # 3.13 parses a 3,000-deep array; 100,000 is past the limit of 3.10 to 3.13.
     path = tmp_path / "deep.jsonl"
-    path.write_text("[" * 3000 + "]" * 3000 + "\n", encoding="utf-8")
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
     code, out, err = run(capsys, ["--corpus", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}:1: invalid JSON: ") and err.count("\n") == 1

@@ -63,6 +63,8 @@ def test_value_types_keep_the_dataclass_behaviour():
     assert hash(chain) == hash(((2, 2, 3),))
     assert {chain: 7}[HJChain((2, 2, 3))] == 7 and HJChain((3, 2, 2)) not in {chain}
     assert len(chain) == 3 and chain.self_intersections() == (-2, -2, -3)
+    # Both keep their slots: no instance carries a __dict__.
+    assert not hasattr(s, "__dict__") and not hasattr(chain, "__dict__")
 
     # The checks run in order: order, weight count, freeness.
     for order, weights, message in (

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import classt.sweep
 from classt import birational
+from classt.arith import hj_evaluate
 from classt.compactify import (
     RootConfig,
     build_cyclic,
@@ -13,7 +14,7 @@ from classt.compactify import (
     enumerate_weights,
     smoothness_status,
 )
-from classt.quotients import QuotientSingularity, hj_resolution
+from classt.quotients import HJChain, QuotientSingularity, hj_resolution
 from classt.sweep import (
     SuiteResult,
     blowup_suite,
@@ -182,6 +183,20 @@ def test_topology_suite_reports_a_chain_off_minus_two(monkeypatch):
     suite = topology_suite(*box)
     assert suite.failure_count == len(expected)
     assert suite.failures == [f"{label}: chain at S_1 not all (-2)" for label in expected]
+
+
+def test_hj_suite_reports_an_entry_below_two(monkeypatch):
+    # 4 - 1/(1 - 1/2) = 2, so this chain for 1/2(1, 1) evaluates to 2/1 and
+    # only the check on the smallest entry can catch it.
+    def wrong_resolution(s):
+        if (s.order, s.weights) == (2, (1, 1)):
+            return HJChain((4, 1, 2))
+        return hj_resolution(s)
+
+    assert hj_evaluate((4, 1, 2)) == 2 and hj_suite(3).passed
+    monkeypatch.setattr(classt.sweep, "hj_resolution", wrong_resolution)
+    suite = hj_suite(3)
+    assert suite.failures == ["1/2(1,1): entry below 2"] and suite.failure_count == 1
 
 
 def test_blowup_suite_reports_swapped_plane_points(monkeypatch):

@@ -1,7 +1,9 @@
 """Weighted projective spaces and hypersurface classes."""
 
+import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -68,6 +70,27 @@ def test_well_formed_reduction_iterates():
     # may be divided out, here 3.
     reduced = well_formed_reduction(WeightedProjectiveSpace((12, 18, 2)), (0, 1))
     assert reduced.weights == (4, 6, 2)
+
+
+def test_well_formed_reduction_matches_the_largest_coprime_divisor():
+    # The divisor is found by trying every divisor of the gcd, not by
+    # stripping shared primes as the library does.
+    rng = random.Random(26)
+    for _ in range(2000):
+        weights = tuple(rng.choice((rng.randint(1, 40), 6 * rng.randint(1, 6), 30)) for _ in range(rng.randint(2, 5)))
+        indices = set(rng.sample(range(len(weights)), rng.randint(1, len(weights) - 1)))
+        g = 0
+        for i in indices:
+            g = gcd(g, weights[i])
+        rest = [w for i, w in enumerate(weights) if i not in indices]
+        p = max(e for e in range(1, g + 1) if g % e == 0 and all(gcd(e, w) == 1 for w in rest))
+        space = WeightedProjectiveSpace(weights)
+        if p == 1 < g:
+            with pytest.raises(BadInput, match=re.escape(f"share the factor {g}, but every prime")):
+                well_formed_reduction(space, indices)
+        else:
+            expected = tuple(w // p if i in indices else w for i, w in enumerate(weights))
+            assert well_formed_reduction(space, indices).weights == expected, (weights, indices)
 
 
 def test_well_formed_reduction_errors():
