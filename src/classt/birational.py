@@ -249,6 +249,38 @@ _SAMPLE_POOL = tuple((num, den) for num in range(-6, 7) for den in (1, 2, 3))
 _SCALES = ((2, 1), (-2, 1), (1, 2), (-3, 2), (3, 1))
 
 
+# The chart values of one polynomial ``P``, its roots and ``n``, filled per
+# pool index as samples draw it.  A sweep walks the models of one
+# ``(d, n)`` in a row, and they share ``P`` and the roots, so one entry is
+# enough; a larger memo costs a corpus, whose rows each have their own
+# roots.  The CLI clears it when each command starts.
+@lru_cache(maxsize=1)
+def _chart_table(
+    cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, int], ...], n: int
+) -> dict[int, tuple[int, int, int, int]]:
+    return {}
+
+
+def _chart_values(
+    ints: tuple[int, ...], roots: tuple[tuple[int, int, int], ...], rn: int, rd: int, n: int
+) -> tuple[int, int, int, int]:
+    """``(value, q^deg, q^mult, product)`` at ``r = rn/rd``, with
+    ``p/q = r^n``: ``P(r^n) = value / (D q^deg)`` by the homogeneous Horner
+    recurrence of ``UniPoly.__call__`` on the cleared coefficients, and
+    ``product = prod_j (p*rq_j - rp_j*q)^(k_j)`` over the roots ``rp_j/rq_j``
+    of multiplicity ``k_j``, which sum to ``mult``."""
+    p, q = rn**n, rd**n
+    value, qpow = ints[-1], 1
+    for coeff in ints[-2::-1]:
+        qpow *= q
+        value = value * p + coeff * qpow
+    mult, product = 0, 1
+    for rp, rq, k in roots:
+        mult += k
+        product *= (p * rq - rp * q) ** k
+    return value, qpow, q**mult, product
+
+
 def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) -> bool:
     """Sample chart T, lift each point to the surface, rescale, project,
     and compare with the chart image.
@@ -269,10 +301,18 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     read once per call.  Each pool index is drawn as ``getrandbits(6)``
     and redrawn while it is 39 or more, which is what ``Random.choice``
     does on the 39 entries, so the samples are those of
-    ``rng.choice(_SAMPLE_POOL)``.  The loop body computes ``P(r^n)`` by
-    the integer Horner recurrence of ``UniPoly.__call__`` and the residue
-    ``x*y - prod_j (z^n - a_j w^c)^(k_j)`` of ``surface_residue`` on
-    integers; ``_same_orbit`` is the one comparison.
+    ``rng.choice(_SAMPLE_POOL)``.  The values that depend on ``r`` alone,
+    ``P(r^n)`` and the root factors of ``r^n = p/q`` at ``w = 1``, are
+    ``_chart_values``, kept in the ``_chart_table`` of ``(P, roots, n)``
+    by pool index, so the models of a sweep that share ``P`` and ``n``
+    compute each once.  The rescaling leaves the sample: at the lift
+    rescaled by ``t/s``, ``x*y`` gains the factor ``(t/s)^(a+b)`` and each
+    root factor is ``z^n - a_j w^c = (t/s)^(cn) (p*rq_j - rp_j*q) /
+    (q*rq_j)``.  So the residue ``x*y - prod_j (z^n - a_j w^c)^(k_j)`` of
+    ``surface_residue`` is zero iff ``x*y * q^mult * prod_j rq_j^(k_j) *
+    t^(a+b) s^(cn*mult)`` equals ``product * t^(cn*mult) s^(a+b)``, where
+    ``mult`` sums the ``k_j``; the two powers are constants of the scaling.
+    ``_same_orbit`` is the one comparison of points.
     """
     _require_cyclic(model)
     if sample_count < 1:
@@ -282,20 +322,22 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     size, bits = len(pool), len(pool).bit_length()
     plane_weights = target_plane(model).weights
     a, b, c, n = model.ambient.weights
-    ints, den = model.roots.polynomial._cleared
-    lead, lower = ints[-1], ints[-2::-1]
+    cleared = model.roots.polynomial._cleared
+    ints, den = cleared
     roots = _root_triples(model)
-    # Over the common denominator zw of z^n and w^c (zq * s^(cn) below),
-    # the root product has denominator prod_j (zw * q_j)^(k_j), which is
-    # zw^mult * root_dens.
+    table = _chart_table(cleared, roots, n)
     mult, root_dens = 0, 1
     for _, rq, k in roots:
         mult += k
         root_dens *= rq**k
-    # For each scaling t/s: t^(a+b), s^(a+b) scale x*y; t^a, s^a, t^c, s^c,
-    # t^n, s^n scale the image; t^(cn), s^(cn) scale both z^n and w^c.
+    # For each scaling t/s: the sides of the residue, then t^a, s^a, t^c,
+    # s^c, t^n, s^n, which scale the image.
     scales = [
-        (t ** (a + b), s ** (a + b), t**a, s**a, t**c, s**c, t**n, s**n, t ** (c * n), s ** (c * n))
+        (
+            t ** (a + b) * s ** (c * n * mult) * root_dens,
+            t ** (c * n * mult) * s ** (a + b),
+            t**a, s**a, t**c, s**c, t**n, s**n,
+        )
         for t, s in _SCALES
     ]
     done = 0
@@ -314,28 +356,18 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
         if not wn:
             continue
         rn, rd = pool[j]
-        # x = w' * P(r^n), by the homogeneous Horner recurrence of
-        # UniPoly.__call__ on the cleared coefficients.
-        p, q = rn**n, rd**n
-        value, qpow = lead, 1
-        for coeff in lower:
-            qpow *= q
-            value = value * p + coeff * qpow
+        values = table.get(j)
+        if values is None:
+            values = table[j] = _chart_values(ints, roots, rn, rd, n)
+        value, qpow, qmult, product = values
         if not value:
             continue
+        # x = w' * P(r^n).  The rescaled lift is [x t^a : t^b / w' : r t^c :
+        # t^n], since y = P(r^n) / x = 1 / w'.  Its w = t^n is not 0, so it
+        # is never the indeterminacy point [0:1:0:0].
         xn, xd = wn * value, wd * den * qpow
-        tab, sab, ta, sa, tc, sc, tn, sn, tcn, scn = scales[done % len(scales)]
-        # The rescaled lift is [x t^a : t^b / w' : r t^c : t^n], since
-        # y = P(r^n) / x = 1 / w'.  Its w = t^n is not 0, so it is never
-        # the indeterminacy point [0:1:0:0].  Its residue is
-        # x*y - prod_j (z^n - a_j w^c)^(k_j), with z^n = p t^(cn) / zq and
-        # w^c = t^(cn) / s^(cn).
-        zq = q * scn
-        big_z, big_w = p * tcn * scn, tcn * zq
-        num = 1
-        for rp, rq, k in roots:
-            num *= (big_z * rq - rp * big_w) ** k
-        if xn * wd * tab * (zq * scn) ** mult * root_dens != num * xd * wn * sab:
+        left, right, ta, sa, tc, sc, tn, sn = scales[done % len(scales)]
+        if xn * wd * qmult * left != product * xd * wn * right:
             return False
         image = ((xn * ta, xd * sa), (rn * tc, rd * sc), (tn, sn))
         if not _same_orbit(plane_weights, image, ((xn, xd), (rn, rd), (1, 1))):

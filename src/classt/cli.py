@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import compactify, reports
+from . import birational, compactify, reports
 from .errors import BadInput, ClassTError
 
 _DOTLESS = "this command has no graph form; use --format text or json"
@@ -109,8 +109,12 @@ def _params(args: argparse.Namespace) -> dict:
 
 
 def run_command(argv: list[str]) -> int:
-    # Each command builds its own model frames, as a one-shot process would.
+    # Each command builds its own model frames and roundtrip chart tables,
+    # as a one-shot process would: a command pays for each once and never
+    # reuses another command's, so its output and its cost do not depend on
+    # the commands run before it in the same process.
     compactify._cyclic_frame.cache_clear()
+    birational._chart_table.cache_clear()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

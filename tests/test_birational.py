@@ -409,6 +409,47 @@ def test_roundtrip_fails_on_a_wrong_expansion(monkeypatch):
     assert not roundtrip_check(model, 10, seed=7)
 
 
+def test_roundtrip_fails_on_a_wrong_y_weight():
+    # y = 1/w' rescales by t^b, and b enters only the residue's x*y, so a
+    # model whose ambient names b + 1 must fail on its first sample.
+    for i, model in enumerate(box_models(5, 6, 4)):
+        a, b, c, n = model.ambient.weights
+        wrong = replace(model, ambient=WeightedProjectiveSpace((a, b + 1, c, n)))
+        assert not roundtrip_check(wrong, 10, i), model.label()
+
+
+def test_warm_chart_tables_give_the_cold_roundtrip(monkeypatch):
+    # The box walked in order, each model's roundtrip on the table its
+    # predecessors of the same (d, n) filled, then on an empty table every
+    # time: the points compared and the verdicts agree sample by sample.
+    same_orbit = birational._same_orbit
+    table = birational._chart_table
+    compared = []
+
+    def recording(ws, p, q):
+        verdict = same_orbit(ws, p, q)
+        compared.append((ws, p, q, verdict))
+        return verdict
+
+    monkeypatch.setattr(birational, "_same_orbit", recording)
+    models = list(box_models(5, 6, 4))
+    walks = []
+    for cold in (False, True):
+        table.cache_clear()
+        compared.clear()
+        verdicts = []
+        for i, model in enumerate(models):
+            if cold:
+                table.cache_clear()
+            verdicts.append(roundtrip_check(model, 10, i))
+        walks.append((verdicts, list(compared)))
+        # The box's 30 values of (d, n) each run over consecutive models.
+        assert table.cache_info().hits == (0 if cold else len(models) - 30)
+    table.cache_clear()
+    assert walks[0] == walks[1]
+    assert all(walks[0][0]) and len(walks[0][1]) == 10 * len(models)
+
+
 def _walk_box_against_the_oracle(monkeypatch, reverse, models=None):
     # The points the kernel compares and its verdicts, against the same
     # draws lifted, rescaled and compared with Fractions; under reversed

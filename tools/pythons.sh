@@ -10,6 +10,9 @@
 #
 # * the stdlib-only import of .github/workflows/tier1.yml (-I -S, so no
 #   site-packages are on the path);
+# * tools/json_check.py, also under -I -S, which compares the JSON writer
+#   and the corpus row decoder with that version's json module and needs
+#   no pytest;
 # * tier-1, with the site-packages of the `python3` on PATH appended to
 #   PYTHONPATH, so an interpreter without its own pytest borrows those
 #   pure-Python packages.  Tier-1 is not run when pytest does not import.
@@ -39,6 +42,13 @@ $py: every step (interpreter not found)"
         echo "stdlib-only import: ok"
     else
         echo "stdlib-only import: FAILED"
+        failed=1
+    fi
+    if out=$("$py" -I -S tools/json_check.py 2>&1); then
+        echo "$out"
+    else
+        printf '%s\n' "$out" | tail -n 5
+        echo "json check: FAILED"
         failed=1
     fi
     if ! why=$(PYTHONPATH=$path "$py" -c 'import pytest' 2>&1); then
