@@ -257,28 +257,31 @@ _SCALES = ((2, 1), (-2, 1), (1, 2), (-3, 2), (3, 1))
 @lru_cache(maxsize=1)
 def _chart_table(
     cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, int], ...], n: int
-) -> dict[int, tuple[int, int, int, int]]:
+) -> dict[int, tuple[int, int, bool]]:
     return {}
 
 
 def _chart_values(
-    ints: tuple[int, ...], roots: tuple[tuple[int, int, int], ...], rn: int, rd: int, n: int
-) -> tuple[int, int, int, int]:
-    """``(value, q^deg, q^mult, product)`` at ``r = rn/rd``, with
-    ``p/q = r^n``: ``P(r^n) = value / (D q^deg)`` by the homogeneous Horner
-    recurrence of ``UniPoly.__call__`` on the cleared coefficients, and
-    ``product = prod_j (p*rq_j - rp_j*q)^(k_j)`` over the roots ``rp_j/rq_j``
-    of multiplicity ``k_j``, which sum to ``mult``."""
+    cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, int], ...],
+    rn: int, rd: int, n: int,
+) -> tuple[int, int, bool]:
+    """``(value, D q^deg, expands)`` at ``r = rn/rd``, with ``p/q = r^n``:
+    ``P(r^n) = value / (D q^deg)`` by the homogeneous Horner recurrence of
+    ``UniPoly.__call__`` on the cleared coefficients, and ``expands`` tells
+    whether that equals the product ``prod_j (p/q - rp_j/rq_j)^(k_j)`` of
+    the root factors over the roots ``rp_j/rq_j`` of multiplicity ``k_j``."""
+    ints, den = cleared
     p, q = rn**n, rd**n
     value, qpow = ints[-1], 1
     for coeff in ints[-2::-1]:
         qpow *= q
         value = value * p + coeff * qpow
-    mult, product = 0, 1
+    product, product_den = 1, 1
     for rp, rq, k in roots:
-        mult += k
         product *= (p * rq - rp * q) ** k
-    return value, qpow, q**mult, product
+        product_den *= (q * rq) ** k
+    den *= qpow
+    return value, den, value * product_den == product * den
 
 
 def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) -> bool:
@@ -295,51 +298,35 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     factors) and its projection equals the chart image in the plane
     ``P(a, c, n)``.
 
-    Everything runs on integers in one loop; no Fraction or WPoint is
-    built.  The model's integers (its weights, the cleared coefficients of
-    ``P``, the ``_root_triples`` and the powers of the five scalings) are
-    read once per call.  Each pool index is drawn as ``getrandbits(6)``
-    and redrawn while it is 39 or more, which is what ``Random.choice``
-    does on the 39 entries, so the samples are those of
-    ``rng.choice(_SAMPLE_POOL)``.  The values that depend on ``r`` alone,
-    ``P(r^n)`` and the root factors of ``r^n = p/q`` at ``w = 1``, are
-    ``_chart_values``, kept in the ``_chart_table`` of ``(P, roots, n)``
-    by pool index, so the models of a sweep that share ``P`` and ``n``
-    compute each once.  The rescaling leaves the sample: at the lift
-    rescaled by ``t/s``, ``x*y`` gains the factor ``(t/s)^(a+b)`` and each
-    root factor is ``z^n - a_j w^c = (t/s)^(cn) (p*rq_j - rp_j*q) /
-    (q*rq_j)``.  So the residue ``x*y - prod_j (z^n - a_j w^c)^(k_j)`` of
-    ``surface_residue`` is zero iff ``x*y * q^mult * prod_j rq_j^(k_j) *
-    t^(a+b) s^(cn*mult)`` equals ``product * t^(cn*mult) s^(a+b)``, where
-    ``mult`` sums the ``k_j``; the two powers are constants of the scaling.
-    ``_same_orbit`` is the one comparison of points.
+    The lift has ``x*y = P(r^n)`` whatever ``w'`` is, and the rescaling
+    multiplies ``x*y`` by ``t^(a+b)`` and the root product by
+    ``t^(c*n*mult)``, where ``mult`` sums the multiplicities.  So the
+    rescaled lift is on the surface iff ``a + b == c*n*mult``, tested once
+    per call, and the expanded ``P(r^n)`` equals the root product, a flag
+    of the pool index of ``r``.  The values that depend on ``r`` alone are
+    ``_chart_values``, kept in the ``_chart_table`` of ``(P, roots, n)`` by
+    pool index, so the models of a sweep that share ``P`` and ``n`` compute
+    each once.  ``_same_orbit`` compares the points of each sample, on
+    integers; no Fraction or WPoint is built.  Each pool index is drawn as
+    ``getrandbits(6)`` and redrawn while it is 39 or more, which is what
+    ``Random.choice`` does on the 39 entries, so the samples are those of
+    ``rng.choice(_SAMPLE_POOL)``.
     """
     _require_cyclic(model)
     if sample_count < 1:
         raise BadInput("sample_count must be positive")
+    a, b, c, n = model.ambient.weights
+    if a + b != c * n * model.roots.total:
+        return False
     getrandbits = random.Random(seed).getrandbits
     pool = _SAMPLE_POOL
     size, bits = len(pool), len(pool).bit_length()
     plane_weights = target_plane(model).weights
-    a, b, c, n = model.ambient.weights
     cleared = model.roots.polynomial._cleared
-    ints, den = cleared
     roots = _root_triples(model)
     table = _chart_table(cleared, roots, n)
-    mult, root_dens = 0, 1
-    for _, rq, k in roots:
-        mult += k
-        root_dens *= rq**k
-    # For each scaling t/s: the sides of the residue, then t^a, s^a, t^c,
-    # s^c, t^n, s^n, which scale the image.
-    scales = [
-        (
-            t ** (a + b) * s ** (c * n * mult) * root_dens,
-            t ** (c * n * mult) * s ** (a + b),
-            t**a, s**a, t**c, s**c, t**n, s**n,
-        )
-        for t, s in _SCALES
-    ]
+    # For each scaling t/s: t^a, s^a, t^c, s^c, t^n, s^n.
+    scales = [(t**a, s**a, t**c, s**c, t**n, s**n) for t, s in _SCALES]
     done = 0
     attempts = 0
     while done < sample_count:
@@ -358,17 +345,17 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
         rn, rd = pool[j]
         values = table.get(j)
         if values is None:
-            values = table[j] = _chart_values(ints, roots, rn, rd, n)
-        value, qpow, qmult, product = values
+            values = table[j] = _chart_values(cleared, roots, rn, rd, n)
+        value, value_den, expands = values
         if not value:
             continue
+        if not expands:
+            return False
         # x = w' * P(r^n).  The rescaled lift is [x t^a : t^b / w' : r t^c :
         # t^n], since y = P(r^n) / x = 1 / w'.  Its w = t^n is not 0, so it
         # is never the indeterminacy point [0:1:0:0].
-        xn, xd = wn * value, wd * den * qpow
-        left, right, ta, sa, tc, sc, tn, sn = scales[done % len(scales)]
-        if xn * wd * qmult * left != product * xd * wn * right:
-            return False
+        xn, xd = wn * value, wd * value_den
+        ta, sa, tc, sc, tn, sn = scales[done % len(scales)]
         image = ((xn * ta, xd * sa), (rn * tc, rd * sc), (tn, sn))
         if not _same_orbit(plane_weights, image, ((xn, xd), (rn, rd), (1, 1))):
             return False

@@ -410,12 +410,14 @@ def test_roundtrip_fails_on_a_wrong_expansion(monkeypatch):
 
 
 def test_roundtrip_fails_on_a_wrong_y_weight():
-    # y = 1/w' rescales by t^b, and b enters only the residue's x*y, so a
-    # model whose ambient names b + 1 must fail on its first sample.
+    # The rescaling multiplies the lift's x*y by t^(a+b) and the root
+    # product by t^(c*n*d), so a model whose ambient names b + 1, a + 1 or
+    # c + 1 breaks a + b == c*n*d and must fail.
     for i, model in enumerate(box_models(5, 6, 4)):
         a, b, c, n = model.ambient.weights
-        wrong = replace(model, ambient=WeightedProjectiveSpace((a, b + 1, c, n)))
-        assert not roundtrip_check(wrong, 10, i), model.label()
+        for weights in ((a, b + 1, c, n), (a + 1, b, c, n), (a, b, c + 1, n)):
+            wrong = replace(model, ambient=WeightedProjectiveSpace(weights))
+            assert not roundtrip_check(wrong, 10, i), (model.label(), weights)
 
 
 def test_warm_chart_tables_give_the_cold_roundtrip(monkeypatch):

@@ -13,4 +13,4 @@ def test_json_check_passes(capsys):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.main() == 0
-    assert capsys.readouterr().out.startswith("json check: 2009 values ")
+    assert capsys.readouterr().out.startswith("json check: 2022 values ")
