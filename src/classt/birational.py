@@ -249,7 +249,7 @@ _SAMPLE_POOL = tuple((num, den) for num in range(-6, 7) for den in (1, 2, 3))
 _SCALES = ((2, 1), (-2, 1), (1, 2), (-3, 2), (3, 1))
 
 
-# The chart values of one polynomial ``P``, its roots and ``n``, filled per
+# The chart flags of one polynomial ``P``, its roots and ``n``, filled per
 # pool index as samples draw it.  A sweep walks the models of one
 # ``(d, n)`` in a row, and they share ``P`` and the roots, so one entry is
 # enough; a larger memo costs a corpus, whose rows each have their own
@@ -257,15 +257,15 @@ _SCALES = ((2, 1), (-2, 1), (1, 2), (-3, 2), (3, 1))
 @lru_cache(maxsize=1)
 def _chart_table(
     cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, int], ...], n: int
-) -> dict[int, tuple[int, int, bool]]:
+) -> dict[int, tuple[bool, bool]]:
     return {}
 
 
 def _chart_values(
     cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, int], ...],
     rn: int, rd: int, n: int,
-) -> tuple[int, int, bool]:
-    """``(value, D q^deg, expands)`` at ``r = rn/rd``, with ``p/q = r^n``:
+) -> tuple[bool, bool]:
+    """``(P(r^n) != 0, expands)`` at ``r = rn/rd``, with ``p/q = r^n``:
     ``P(r^n) = value / (D q^deg)`` by the homogeneous Horner recurrence of
     ``UniPoly.__call__`` on the cleared coefficients, and ``expands`` tells
     whether that equals the product ``prod_j (p/q - rp_j/rq_j)^(k_j)`` of
@@ -280,8 +280,7 @@ def _chart_values(
     for rp, rq, k in roots:
         product *= (p * rq - rp * q) ** k
         product_den *= (q * rq) ** k
-    den *= qpow
-    return value, den, value * product_den == product * den
+    return value != 0, value * product_den == product * den * qpow
 
 
 def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) -> bool:
@@ -303,14 +302,18 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     ``t^(c*n*mult)``, where ``mult`` sums the multiplicities.  So the
     rescaled lift is on the surface iff ``a + b == c*n*mult``, tested once
     per call, and the expanded ``P(r^n)`` equals the root product, a flag
-    of the pool index of ``r``.  The values that depend on ``r`` alone are
-    ``_chart_values``, kept in the ``_chart_table`` of ``(P, roots, n)`` by
-    pool index, so the models of a sweep that share ``P`` and ``n`` compute
-    each once.  ``_same_orbit`` compares the points of each sample, on
-    integers; no Fraction or WPoint is built.  Each pool index is drawn as
-    ``getrandbits(6)`` and redrawn while it is 39 or more, which is what
-    ``Random.choice`` does on the 39 entries, so the samples are those of
-    ``rng.choice(_SAMPLE_POOL)``.
+    of the pool index of ``r`` from ``_chart_values``, kept in the
+    ``_chart_table`` of ``(P, roots, n)``, so the models of a sweep that
+    share ``P`` and ``n`` compute each once.  The projection
+    ``[x t^a : r t^c : t^n]`` of the rescaled lift, divided coordinatewise
+    by the chart image, is ``t^(a, c, n)`` whatever the sample: ``x != 0``
+    after the rejection, and ``r`` is zero in both points or in neither,
+    where a zero ``r`` leaves a subset of the same ratios.  So one
+    ``_same_orbit`` of ``t^(a, c, n)`` against ``[1 : 1 : 1]`` per scaling,
+    before any draw, decides the comparison of every sample.  Each pool
+    index is drawn as ``getrandbits(6)`` and redrawn while it is 39 or
+    more, which is what ``Random.choice`` does on the 39 entries, so the
+    samples are those of ``rng.choice(_SAMPLE_POOL)``.
     """
     _require_cyclic(model)
     if sample_count < 1:
@@ -318,15 +321,20 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     a, b, c, n = model.ambient.weights
     if a + b != c * n * model.roots.total:
         return False
+    plane_weights = target_plane(model).weights
+    unit = ((1, 1),) * 3
+    planes = [
+        _same_orbit(plane_weights, ((t**a, s**a), (t**c, s**c), (t**n, s**n)), unit)
+        for t, s in _SCALES
+    ]
+    if not all(planes):
+        return False
     getrandbits = random.Random(seed).getrandbits
     pool = _SAMPLE_POOL
     size, bits = len(pool), len(pool).bit_length()
-    plane_weights = target_plane(model).weights
     cleared = model.roots.polynomial._cleared
     roots = _root_triples(model)
     table = _chart_table(cleared, roots, n)
-    # For each scaling t/s: t^a, s^a, t^c, s^c, t^n, s^n.
-    scales = [(t**a, s**a, t**c, s**c, t**n, s**n) for t, s in _SCALES]
     done = 0
     attempts = 0
     while done < sample_count:
@@ -339,25 +347,15 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
         j = getrandbits(bits)
         while j >= size:
             j = getrandbits(bits)
-        wn, wd = pool[i]
-        if not wn:
+        if not pool[i][0]:
             continue
-        rn, rd = pool[j]
-        values = table.get(j)
-        if values is None:
-            values = table[j] = _chart_values(cleared, roots, rn, rd, n)
-        value, value_den, expands = values
-        if not value:
+        flags = table.get(j)
+        if flags is None:
+            flags = table[j] = _chart_values(cleared, roots, *pool[j], n)
+        nonzero, expands = flags
+        if not nonzero:
             continue
         if not expands:
-            return False
-        # x = w' * P(r^n).  The rescaled lift is [x t^a : t^b / w' : r t^c :
-        # t^n], since y = P(r^n) / x = 1 / w'.  Its w = t^n is not 0, so it
-        # is never the indeterminacy point [0:1:0:0].
-        xn, xd = wn * value, wd * value_den
-        ta, sa, tc, sc, tn, sn = scales[done % len(scales)]
-        image = ((xn * ta, xd * sa), (rn * tc, rd * sc), (tn, sn))
-        if not _same_orbit(plane_weights, image, ((xn, xd), (rn, rd), (1, 1))):
             return False
         done += 1
     return True

@@ -312,11 +312,12 @@ def roundtrip_oracle(model, sample_count: int, seed: int, plane_weights) -> list
     two choices per attempt, and rejects ``w' = 0`` and ``P(r^n) = 0``
     with ``P(r^n)`` the root product.  The chart image ``[x : r : 1]``,
     ``x = w' P(r^n)``, lifts to ``[x : 1/w' : r : 1]``, which is rescaled
-    by ``t^(a, b, c, n)``.  Each sample gives ``(image, chart image,
-    verdict)``: the projection ``[x : z : w]`` of the rescaled lift, and
-    whether the lift lies on the surface (``product_residue``) and its
-    image is the chart image in ``P(plane_weights)`` (``same_weighted_point``).
-    The list stops after the first sample whose verdict is False.
+    by ``t^(a, b, c, n)``.  Each sample gives ``(index, r, residue, plane)``:
+    the index of its scaling, the drawn ``r``, whether the rescaled
+    lift lies on the surface (``product_residue``), and whether its
+    projection ``[x : z : w]`` is the chart image in ``P(plane_weights)``
+    (``same_weighted_point``).  The list stops after the first sample that
+    fails either.
     """
     rng = random.Random(seed)
     a, b, c, n = model.ambient.weights
@@ -331,12 +332,13 @@ def roundtrip_oracle(model, sample_count: int, seed: int, plane_weights) -> list
         x = w1 * prod((rn - root) ** k for root, k in model.roots.pairs)
         if not x:
             continue
-        ta, tb, tc, tn = scalings[len(samples) % len(scalings)]
+        index = len(samples) % len(scalings)
+        ta, tb, tc, tn = scalings[index]
         lift = (x * ta, tb / w1, r * tc, tn)
-        image, chart = (lift[0], lift[2], lift[3]), (x, r, Fraction(1))
-        verdict = product_residue(model, lift) == 0 and same_weighted_point(plane_weights, image, chart)
-        samples.append((image, chart, verdict))
-        if not verdict:
+        residue = product_residue(model, lift) == 0
+        plane = same_weighted_point(plane_weights, (lift[0], lift[2], lift[3]), (x, r, Fraction(1)))
+        samples.append((index, r, residue, plane))
+        if not (residue and plane):
             break
     return samples
 

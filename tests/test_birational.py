@@ -423,58 +423,85 @@ def test_roundtrip_fails_on_a_wrong_y_weight():
 def test_warm_chart_tables_give_the_cold_roundtrip(monkeypatch):
     # The box walked in order, each model's roundtrip on the table its
     # predecessors of the same (d, n) filled, then on an empty table every
-    # time: the points compared and the verdicts agree sample by sample.
+    # time: the verdicts and the plane comparisons agree, and every flag a
+    # cold call filled in is the one the warm table holds.
     same_orbit = birational._same_orbit
     table = birational._chart_table
     compared = []
+    entries = []
 
     def recording(ws, p, q):
         verdict = same_orbit(ws, p, q)
         compared.append((ws, p, q, verdict))
         return verdict
 
+    def entry(*key):
+        entries.append(table(*key))
+        return entries[-1]
+
     monkeypatch.setattr(birational, "_same_orbit", recording)
+    monkeypatch.setattr(birational, "_chart_table", entry)
     models = list(box_models(5, 6, 4))
     walks = []
     for cold in (False, True):
         table.cache_clear()
         compared.clear()
-        verdicts = []
+        verdicts, flags = [], []
         for i, model in enumerate(models):
             if cold:
                 table.cache_clear()
             verdicts.append(roundtrip_check(model, 10, i))
-        walks.append((verdicts, list(compared)))
+            flags.append(dict(entries[-1]))
+        walks.append((verdicts, list(compared), flags))
         # The box's 30 values of (d, n) each run over consecutive models.
         assert table.cache_info().hits == (0 if cold else len(models) - 30)
     table.cache_clear()
-    assert walks[0] == walks[1]
-    assert all(walks[0][0]) and len(walks[0][1]) == 10 * len(models)
+    (warm, warm_compared, warm_flags), (cold, cold_compared, cold_flags) = walks
+    assert warm == cold and warm_compared == cold_compared
+    assert all(w.items() >= c.items() for w, c in zip(warm_flags, cold_flags))
+    assert all(warm) and len(warm_compared) == len(birational._SCALES) * len(models)
 
 
 def _walk_box_against_the_oracle(monkeypatch, reverse, models=None):
-    # The points the kernel compares and its verdicts, against the same
-    # draws lifted, rescaled and compared with Fractions; under reversed
-    # plane weights the oracle compares in P(n, c, a) too.  The models
-    # default to the box with the roots 1..d.
+    # Each model's roundtrip on an empty chart table against the same draws
+    # lifted, rescaled and compared with Fractions: the kernel's verdict at
+    # each scaling is the oracle's plane verdict of every sample at that
+    # scaling, the table's flag of each drawn r is the oracle's residue
+    # verdict, and the model verdicts agree.  Under reversed plane weights
+    # the oracle compares in P(n, c, a) too.  The models default to the box
+    # with the roots 1..d.
     same_orbit = birational._same_orbit
-    compared = []
+    table = birational._chart_table
+    planes = []
 
     def recording(ws, p, q):
         verdict = same_orbit(ws[::-1] if reverse else ws, p, q)
-        compared.append((tuple(Fraction(*v) for v in p), tuple(Fraction(*v) for v in q), verdict))
+        planes.append(verdict)
         return verdict
 
     monkeypatch.setattr(birational, "_same_orbit", recording)
     models = list(box_models(5, 6, 4)) if models is None else models
     passed = []
     for i, model in enumerate(models):
-        compared.clear()
+        planes.clear()
+        table.cache_clear()
         plane = (model.a, model.c, model.n)
         expected = roundtrip_oracle(model, 10, i, plane[::-1] if reverse else plane)
         passed.append(roundtrip_check(model, 10, i))
-        assert compared == expected, model.label()
-        assert passed[-1] == expected[-1][2], model.label()
+        assert len(planes) == len(birational._SCALES), model.label()
+        assert all(planes[k] == agrees for k, _, _, agrees in expected), model.label()
+        if all(planes):
+            key = (model.roots.polynomial._cleared, birational._root_triples(model), model.n)
+            flags = {
+                Fraction(*birational._SAMPLE_POOL[j]): expands
+                for j, (nonzero, expands) in table(*key).items()
+                if nonzero
+            }
+            drawn = [(r, residue) for _, r, residue, _ in expected]
+            assert [(r, flags.get(r)) for r, _ in drawn] == drawn, model.label()
+            assert set(flags) == {r for r, _ in drawn}, model.label()
+        assert passed[-1] == all(on and agrees for _, _, on, agrees in expected), model.label()
+    table.cache_clear()
     return models, passed
 
 
@@ -520,11 +547,33 @@ def test_roundtrip_detects_reversed_equality_weights(monkeypatch):
 
 
 def test_roundtrip_detects_a_wrong_plane_weight(monkeypatch):
-    monkeypatch.setattr(
-        birational, "target_plane", lambda m: WeightedProjectiveSpace((m.a, m.c, m.n + 1))
-    )
-    for i, model in enumerate(box_models(5, 6, 4)):
-        assert not roundtrip_check(model, 10, i), model.label()
+    # The planes (a, c, n + 1), (a + 1, c, n) and (a, c + 1, n).
+    for shift in ((0, 0, 1), (1, 0, 0), (0, 1, 0)):
+        monkeypatch.setattr(
+            birational,
+            "target_plane",
+            lambda m, s=shift: WeightedProjectiveSpace((m.a + s[0], m.c + s[1], m.n + s[2])),
+        )
+        for i, model in enumerate(box_models(5, 6, 4)):
+            assert not roundtrip_check(model, 10, i), (model.label(), shift)
+
+
+def test_roundtrip_compares_the_plane_once_per_scaling(monkeypatch):
+    # At the degree cap with c = 400 each comparison raises ratios of about
+    # a bits to the power c, so it runs once per scaling, not per sample.
+    same_orbit = birational._same_orbit
+    calls = []
+
+    def counting(ws, p, q):
+        calls.append(ws)
+        return same_orbit(ws, p, q)
+
+    monkeypatch.setattr(birational, "_same_orbit", counting)
+    model = build_cyclic(1, 1, 1, 400, 399, RootConfig.simple([1]))
+    for samples in (1000, 1):
+        calls.clear()
+        assert roundtrip_check(model, samples, 0)
+        assert len(calls) == len(birational._SCALES), samples
 
 
 def test_roundtrip_validation():

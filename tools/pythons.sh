@@ -16,6 +16,10 @@
 # * tier-1, with the site-packages of the `python3` on PATH appended to
 #   PYTHONPATH, so an interpreter without its own pytest borrows those
 #   pure-Python packages.  Tier-1 is not run when pytest does not import.
+#   It runs with PYTEST_DISABLE_PLUGIN_AUTOLOAD=1, because a plugin borrowed
+#   from another version may fail to load (trio's does on 3.13.13, with
+#   `TypeError: ('parser', <class 'module'>)` before any test is collected);
+#   the tests need no plugin.
 #
 # It ends with the steps it could not run and exits 1 when a step that ran
 # failed.
@@ -58,7 +62,7 @@ $py: every step (interpreter not found)"
 $version: tier-1 ($why)"
         continue
     fi
-    if out=$(PYTHONPATH=$path "$py" -m pytest -q --continue-on-collection-errors -p no:cacheprovider 2>&1); then
+    if out=$(PYTHONPATH=$path PYTEST_DISABLE_PLUGIN_AUTOLOAD=1 "$py" -m pytest -q --continue-on-collection-errors -p no:cacheprovider 2>&1); then
         echo "tier-1: $(printf '%s\n' "$out" | tail -n 1)"
     else
         printf '%s\n' "$out" | grep -E '^(FAILED|ERROR) '
