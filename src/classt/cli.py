@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import birational, compactify, reports
 from .errors import BadInput, ClassTError
@@ -46,6 +47,7 @@ def _add_dnmc_command(sub, name: str, common: argparse.ArgumentParser, help_text
         parser.add_argument("--roots", required=True, help='root:multiplicity list, e.g. "1:1,2:1"')
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="classt",
@@ -112,7 +114,9 @@ def run_command(argv: list[str]) -> int:
     # Each command builds its own model frames and roundtrip chart tables,
     # as a one-shot process would: a command pays for each once and never
     # reuses another command's, so its output and its cost do not depend on
-    # the commands run before it in the same process.
+    # the commands run before it in the same process.  The parser is built
+    # once per process: it keeps no state between parses, and argparse
+    # reads the terminal width when it formats, not when it is built.
     compactify._cyclic_frame.cache_clear()
     birational._chart_table.cache_clear()
     parser = build_parser()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from classt import birational, compactify, reports
-from classt.cli import main, run_command
+from classt.cli import build_parser, main, run_command
 from classt.reports import DIAGNOSTIC_TAGS
 
 from oracles import box_params
@@ -1028,6 +1028,22 @@ def test_each_command_starts_with_an_empty_chart_table(capsys, monkeypatch):
         assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
     assert sizes == [0, 0, 0]
     assert table.cache_info().maxsize == 1
+
+
+def test_the_one_parser_formats_help_at_each_width(capsys, monkeypatch):
+    # argparse reads COLUMNS when it formats, not when the parser is built,
+    # so the parser a process builds once wraps --help as a fresh one does.
+    assert build_parser() is build_parser()
+    helps = []
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["check", "--help"]):
+            with pytest.raises(SystemExit):
+                build_parser.__wrapped__().parse_args(argv)
+            fresh = capsys.readouterr()
+            assert run(capsys, argv) == (0, fresh.out, fresh.err), (columns, argv)
+            helps.append(fresh.out)
+    assert helps[0] != helps[2] and helps[1] != helps[3]
 
 
 def test_corpus_tolerates_blank_lines(capsys, tmp_path):
