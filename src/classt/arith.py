@@ -113,7 +113,7 @@ class UniPoly:
         With ``coeffs[i] == N_i / D`` the value is
         ``sum_i N_i p^i q^(deg-i) / (D q^deg)``; the numerator is a
         homogeneous Horner recurrence on integers, which
-        ``birational._chart_values`` repeats once per sampled ``r``.
+        ``birational._expands`` runs with ``q = 1`` at ``x = 0..deg``.
         """
         xf = as_fraction(x)
         ints, den = self._cleared

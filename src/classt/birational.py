@@ -28,7 +28,6 @@ parameter ``t``.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,77 +242,63 @@ def evaluate_pi_chart(
     raise BadInput(f"chart must be 'T' or 'S', got {chart!r}")
 
 
-# Chart coordinates are drawn from the numerators -6..6 over 1, 2 and 3.
-_SAMPLE_POOL = tuple((num, den) for num in range(-6, 7) for den in (1, 2, 3))
 # Scalings t of the lift; the powers 2^w already separate every weight.
 _SCALES = ((2, 1), (-2, 1), (1, 2), (-3, 2), (3, 1))
 
 
-# The chart flags of one polynomial ``P``, its roots and ``n``, filled per
-# pool index as samples draw it.  A sweep walks the models of one
-# ``(d, n)`` in a row, and they share ``P`` and the roots, so one entry is
-# enough; a larger memo costs a corpus, whose rows each have their own
-# roots.  The CLI clears it when each command starts.
+# The expansion verdict of one polynomial ``P`` and its roots.  A sweep
+# walks the models of one ``d`` in a row, and they share ``P`` and the
+# roots, so one entry is enough; a larger memo costs a corpus, whose rows
+# each have their own roots.  The CLI clears it when each command starts.
 @lru_cache(maxsize=1)
-def _chart_table(
-    cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, int], ...], n: int
-) -> dict[int, tuple[bool, bool]]:
-    return {}
-
-
-def _chart_values(
-    cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, int], ...],
-    rn: int, rd: int, n: int,
-) -> tuple[bool, bool]:
-    """``(P(r^n) != 0, expands)`` at ``r = rn/rd``, with ``p/q = r^n``:
-    ``P(r^n) = value / (D q^deg)`` by the homogeneous Horner recurrence of
-    ``UniPoly.__call__`` on the cleared coefficients, and ``expands`` tells
-    whether that equals the product ``prod_j (p/q - rp_j/rq_j)^(k_j)`` of
-    the root factors over the roots ``rp_j/rq_j`` of multiplicity ``k_j``."""
+def _expands(cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, int], ...]) -> bool:
+    """Whether the cleared ``P = ints / D`` is ``prod_j (x - rp_j/rq_j)^(k_j)``
+    over the roots ``rp_j/rq_j`` of multiplicity ``k_j``.  Both sides have
+    degree at most ``deg``, so they are equal iff ``ints`` by Horner times
+    ``prod_j rq_j^(k_j)`` is ``D * prod_j (x*rq_j - rp_j)^(k_j)`` at the
+    ``deg + 1`` integers ``x = 0..deg``."""
     ints, den = cleared
-    p, q = rn**n, rd**n
-    value, qpow = ints[-1], 1
-    for coeff in ints[-2::-1]:
-        qpow *= q
-        value = value * p + coeff * qpow
-    product, product_den = 1, 1
-    for rp, rq, k in roots:
-        product *= (p * rq - rp * q) ** k
-        product_den *= (q * rq) ** k
-    return value != 0, value * product_den == product * den * qpow
+    deg = max(len(ints) - 1, sum(k for _, _, k in roots))
+    root_den = 1
+    for _, rq, k in roots:
+        root_den *= rq**k
+    for x in range(deg + 1):
+        value = 0
+        for coeff in reversed(ints):
+            value = value * x + coeff
+        product = den
+        for rp, rq, k in roots:
+            product *= (x * rq - rp) ** k
+        if value * root_den != product:
+            return False
+    return True
 
 
 def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) -> bool:
-    """Sample chart T, lift each point to the surface, rescale, project,
-    and compare with the chart image.
+    """Whether every chart T point, lifted to the surface and rescaled,
+    projects back to its chart image.
 
-    Each sample draws ``(w', r)`` with ``w' != 0`` and ``P(r^n) != 0``
-    (rejected draws are not counted).  Its chart image is
-    ``[x : r : 1]`` with ``x = w' * P(r^n)``, which lifts to
+    A chart point ``(w', r)`` with ``w' != 0`` and ``P(r^n) != 0`` has the
+    image ``[x : r : 1]`` with ``x = w' * P(r^n)``, which lifts to
     ``[x : 1/w' : r : 1]`` on the ``w = 1`` slice.  The lift is rescaled
-    by ``t^(a, b, c, n)``, with ``t`` running through ``_SCALES``; the sample
-    fails unless the rescaled lift satisfies the defining equation
-    (``P`` is the expanded polynomial, the equation uses the root
-    factors) and its projection equals the chart image in the plane
-    ``P(a, c, n)``.
+    by ``t^(a, b, c, n)``, with ``t`` running through ``_SCALES``; it must
+    satisfy the defining equation (``P`` is the expanded polynomial, the
+    equation uses the root factors) and project to the chart image in the
+    plane ``P(a, c, n)``.
 
     The lift has ``x*y = P(r^n)`` whatever ``w'`` is, and the rescaling
     multiplies ``x*y`` by ``t^(a+b)`` and the root product by
-    ``t^(c*n*mult)``, where ``mult`` sums the multiplicities.  So the
-    rescaled lift is on the surface iff ``a + b == c*n*mult``, tested once
-    per call, and the expanded ``P(r^n)`` equals the root product, a flag
-    of the pool index of ``r`` from ``_chart_values``, kept in the
-    ``_chart_table`` of ``(P, roots, n)``, so the models of a sweep that
-    share ``P`` and ``n`` compute each once.  The projection
-    ``[x t^a : r t^c : t^n]`` of the rescaled lift, divided coordinatewise
-    by the chart image, is ``t^(a, c, n)`` whatever the sample: ``x != 0``
-    after the rejection, and ``r`` is zero in both points or in neither,
+    ``t^(c*n*mult)``, where ``mult`` sums the multiplicities.  So every
+    rescaled lift is on the surface iff ``a + b == c*n*mult`` and the
+    expanded ``P`` is the root product, which ``_expands`` decides once per
+    polynomial and roots.  The projection ``[x t^a : r t^c : t^n]`` of the rescaled lift,
+    divided coordinatewise by the chart image, is ``t^(a, c, n)`` whatever
+    the point: ``x != 0``, and ``r`` is zero in both points or in neither,
     where a zero ``r`` leaves a subset of the same ratios.  So one
-    ``_same_orbit`` of ``t^(a, c, n)`` against ``[1 : 1 : 1]`` per scaling,
-    before any draw, decides the comparison of every sample.  Each pool
-    index is drawn as ``getrandbits(6)`` and redrawn while it is 39 or
-    more, which is what ``Random.choice`` does on the 39 entries, so the
-    samples are those of ``rng.choice(_SAMPLE_POOL)``.
+    ``_same_orbit`` of ``t^(a, c, n)`` against ``[1 : 1 : 1]`` per scaling
+    decides the comparison of every point.  No point is drawn: the check
+    is complete, ``sample_count`` must be positive, and it and ``seed`` are
+    only echoed by the reports.
     """
     _require_cyclic(model)
     if sample_count < 1:
@@ -329,33 +314,4 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     ]
     if not all(planes):
         return False
-    getrandbits = random.Random(seed).getrandbits
-    pool = _SAMPLE_POOL
-    size, bits = len(pool), len(pool).bit_length()
-    cleared = model.roots.polynomial._cleared
-    roots = _root_triples(model)
-    table = _chart_table(cleared, roots, n)
-    done = 0
-    attempts = 0
-    while done < sample_count:
-        attempts += 1
-        if attempts > 200 * sample_count:
-            raise BadInput("rejection sampling failed to produce enough chart points")
-        i = getrandbits(bits)
-        while i >= size:
-            i = getrandbits(bits)
-        j = getrandbits(bits)
-        while j >= size:
-            j = getrandbits(bits)
-        if not pool[i][0]:
-            continue
-        flags = table.get(j)
-        if flags is None:
-            flags = table[j] = _chart_values(cleared, roots, *pool[j], n)
-        nonzero, expands = flags
-        if not nonzero:
-            continue
-        if not expands:
-            return False
-        done += 1
-    return True
+    return _expands(model.roots.polynomial._cleared, _root_triples(model))

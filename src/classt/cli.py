@@ -111,14 +111,14 @@ def _params(args: argparse.Namespace) -> dict:
 
 
 def run_command(argv: list[str]) -> int:
-    # Each command builds its own model frames and roundtrip chart tables,
+    # Each command builds its own model frames and roundtrip expansion verdicts,
     # as a one-shot process would: a command pays for each once and never
     # reuses another command's, so its output and its cost do not depend on
     # the commands run before it in the same process.  The parser is built
     # once per process: it keeps no state between parses, and argparse
     # reads the terminal width when it formats, not when it is built.
     compactify._cyclic_frame.cache_clear()
-    birational._chart_table.cache_clear()
+    birational._expands.cache_clear()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -55,19 +55,20 @@ _NOT_CHECKED = (True, "not applicable to this command")
 _MAX_BOX = 10
 _MAX_D_INDEX = 100
 _MAX_SAMPLES = 1000
-# The roundtrip rescales each lift by t^(a, b, c, n), so its integers grow
-# with the degree d*n*c: 1000 samples at this degree took 0.02 to 0.07 s
-# with d = 400, 0.005 s with n = 200 or c = 200 and 0.03 s with c = 400,
-# where each scaling's _same_orbit raises ratios of about a bits to the
-# power c, on a 2-CPU Xeon VM under Python 3.11.  The weight enumeration
-# and the A_k chains of the interior points grow with the degree too.
+# The roundtrip rescales by t^(a, b, c, n) and tests the expansion of P at
+# d + 1 points, so its integers grow with the degree d*n*c: a call at this
+# degree, whatever its samples, took 0.045 s with d = 400, 0.02 s with
+# c = 400, where each scaling's _same_orbit raises ratios of about a bits
+# to the power c, and under 0.003 s with n = 400 or c = 200, best of 5 on
+# a 2-CPU Xeon VM under Python 3.11.  The weight enumeration and the A_k
+# chains of the interior points grow with the degree too.
 _MAX_DEGREE = 400
 # Each of d, n and c is bounded before their product is formed: a product
 # past 4300 digits cannot be printed in the degree message.
 _MAX_FACTOR = 10**6
 # The roundtrip's integers grow with the roots' numerators and denominators
-# too: 1000 samples at d = 400 took 0.02 to 0.07 s with roots 1..400 and
-# 0.03 to 0.11 s with roots (1000 - j)/999 on the same VM.
+# too: a call at d = 400 took 0.045 s with the roots 1..400 and 0.13 s with
+# the roots (1000 - j)/999 for j = 0..399 on the same VM.
 _MAX_ROOT = 1000
 # A resolution chain has up to order - 1 entries; the DOT form of the
 # longest at this order is about 6 MB.

@@ -10,7 +10,8 @@ c, a)`` box are one walk, which enumerates each weight tuple and builds
 each box model once for all of them.  Each of those suites on its own
 returns its slice of a full walk; the sizes and seed it does not take are
 seed 0, ``run_all``'s blow-up count and, since no other slice reads the
-roundtrip, one roundtrip sample per model.
+roundtrip, a sample count of one, which the complete roundtrip only
+range-checks.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .quotients import QuotientSingularity, detect_class_T, hj_resolution
 from .tianyau import orbifold_adjunction_residual
 
 _MAX_RECORDED = 12
-# Sizes the command line does not set: roundtrip samples per model, blow-up
-# models sampled, largest germ order (class T and chains), largest D index.
+# Sizes the command line does not set: the roundtrip's sample count (only
+# range-checked), blow-up models sampled, largest germ order (class T and
+# chains), largest D index.
 _SAMPLES = 10
 _BLOWUP_COUNT = 20
 _MAX_R = 80
@@ -242,9 +244,9 @@ def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
 def roundtrip_suite(
     max_d: int, max_n: int, max_c: int, samples: int, seed: int
 ) -> SuiteResult:
-    """Chart samples of every model, lifted, rescaled and projected back
-    to the plane ``P(a, c, n)`` by ``roundtrip_check``, with seed ``seed +
-    index`` for the model's index in walk order."""
+    """The ``roundtrip_check`` of every model: its chart points lifted,
+    rescaled and projected back to the plane ``P(a, c, n)``.  ``samples``
+    is range-checked and ``seed`` reaches no verdict."""
     return _walk_box(max_d, max_n, max_c, samples, seed, _BLOWUP_COUNT)[3]
 
 

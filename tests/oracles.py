@@ -299,18 +299,18 @@ def product_residue(model, coords) -> Fraction:
     return x * y - product
 
 
-# The projection roundtrip draws chart coordinates from this pool and
-# rescales its k-th lift by the k-th scaling, cycled.
+# The sampled roundtrip draws chart coordinates from this pool and rescales
+# its k-th lift by the k-th scaling, cycled.
 _ROUNDTRIP_POOL = tuple((num, den) for num in range(-6, 7) for den in (1, 2, 3))
 _ROUNDTRIP_SCALES = tuple(Fraction(t) for t in ("2", "-2", "1/2", "-3/2", "3"))
 
 
 def roundtrip_oracle(model, sample_count: int, seed: int, plane_weights) -> list[tuple]:
-    """The samples of the projection roundtrip, computed with Fractions.
+    """Samples of the projection roundtrip, computed with Fractions.
 
-    Draws ``(w', r)`` from ``random.Random(seed)`` as the roundtrip does,
-    two choices per attempt, and rejects ``w' = 0`` and ``P(r^n) = 0``
-    with ``P(r^n)`` the root product.  The chart image ``[x : r : 1]``,
+    Draws ``(w', r)`` from ``random.Random(seed)``, two choices per
+    attempt, and rejects ``w' = 0`` and ``P(r^n) = 0`` with ``P(r^n)`` the
+    root product.  The chart image ``[x : r : 1]``,
     ``x = w' P(r^n)``, lifts to ``[x : 1/w' : r : 1]``, which is rescaled
     by ``t^(a, b, c, n)``.  Each sample gives ``(index, r, residue, plane)``:
     the index of its scaling, the drawn ``r``, whether the rescaled
@@ -341,6 +341,20 @@ def roundtrip_oracle(model, sample_count: int, seed: int, plane_weights) -> list
         if not (residue and plane):
             break
     return samples
+
+
+def expansion_oracle(model) -> bool:
+    """Whether the expanded polynomial is the root product, compared with
+    Fractions at ``x = 0..deg``: the coefficients summed term by term
+    against ``prod_j (x - a_j)^(k_j)``.  Both sides have degree at most
+    ``deg``, so agreeing at ``deg + 1`` points makes them equal."""
+    coeffs = model.roots.polynomial.coeffs
+    deg = max(len(coeffs) - 1, model.roots.total)
+    for x in map(Fraction, range(deg + 1)):
+        value = sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
+        if value != prod(((x - root) ** k for root, k in model.roots.pairs), start=Fraction(1)):
+            return False
+    return True
 
 
 def _hj_chain(r: int, q: int) -> list[int]:

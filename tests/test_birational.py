@@ -29,7 +29,16 @@ from classt import (
 from classt import birational, reports
 from classt.birational import surface_residue
 
-from oracles import box_models, box_params, noether_euler, product_residue, roundtrip_oracle, same_weighted_point
+from oracles import (
+    box_models,
+    box_params,
+    expansion_oracle,
+    noether_euler,
+    poly_product,
+    product_residue,
+    roundtrip_oracle,
+    same_weighted_point,
+)
 
 
 def d1_model():
@@ -300,7 +309,7 @@ def test_project_pi_matches_both_charts():
     # coordinate; rescaled by t^(a, b, c, n), the lift must lie on the
     # surface and project to the chart image.
     rng = random.Random(31)
-    pool = [Fraction(num, den) for num, den in birational._SAMPLE_POOL]
+    pool = [Fraction(num, den) for num in range(-6, 7) for den in (1, 2, 3)]
     units = [p for p in pool if p]
     scales = [Fraction(t) for t in ("2", "-2", "1/2", "-3/2", "3")]
     samples = on_c = x_zero = 0
@@ -409,6 +418,44 @@ def test_roundtrip_fails_on_a_wrong_expansion(monkeypatch):
     assert not roundtrip_check(model, 10, seed=7)
 
 
+# The 27 distinct values of r drawn from the numerators -6..6 over 1, 2 and
+# 3, the chart coordinates a sampled roundtrip tries.
+_SAMPLED_R = sorted({Fraction(num, den) for num in range(-6, 7) for den in (1, 2, 3)})
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(j, 1) for j in range(1, 31)],
+        [(Fraction(1, 2), 3), (Fraction(-2, 3), 2)] + [(j, 1) for j in range(1, 26)],
+    ],
+    ids=["roots 1..30", "fractional, repeated"],
+)
+def test_roundtrip_fails_on_a_wrong_expansion_that_vanishes_where_sampled(monkeypatch, pairs):
+    # A monic P of degree 30 plus the product of (x - v) over every value v
+    # of r^n that a sampled r gives is still monic of degree 30, and equals
+    # the root product at each of those values, so only a complete test of
+    # the expansion sees that it is wrong, whatever the samples and seed.
+    roots = RootConfig.of(pairs)
+    assert roots.total == 30
+    models = [build_cyclic(30, n, 1, 1, 1, roots) for n in (1, 2)]
+    for model in models:
+        assert roundtrip_check(model, 25, seed=0)
+    right = roots.polynomial
+    for model in models:
+        values = sorted({r**model.n for r in _SAMPLED_R})
+        assert len(values) == (27 if model.n == 1 else 14)
+        extra = poly_product([[-v, 1] for v in values])
+        padded = extra + [0] * (len(right.coeffs) - len(extra))
+        wrong = UniPoly.of(a + b for a, b in zip(right.coeffs, padded))
+        assert wrong.degree == 30 and wrong.coeffs[-1] == 1
+        assert all(wrong(v) == right(v) for v in values)
+        monkeypatch.setitem(roots.__dict__, "polynomial", wrong)
+        for seed in range(5):
+            for samples in (1, 25, 1000):
+                assert not roundtrip_check(model, samples, seed), (model.n, seed, samples)
+
+
 def test_roundtrip_fails_on_a_wrong_y_weight():
     # The rescaling multiplies the lift's x*y by t^(a+b) and the root
     # product by t^(c*n*d), so a model whose ambient names b + 1, a + 1 or
@@ -420,58 +467,61 @@ def test_roundtrip_fails_on_a_wrong_y_weight():
             assert not roundtrip_check(wrong, 10, i), (model.label(), weights)
 
 
-def test_warm_chart_tables_give_the_cold_roundtrip(monkeypatch):
-    # The box walked in order, each model's roundtrip on the table its
-    # predecessors of the same (d, n) filled, then on an empty table every
-    # time: the verdicts and the plane comparisons agree, and every flag a
-    # cold call filled in is the one the warm table holds.
+def test_warm_expansion_cache_gives_the_cold_roundtrip(monkeypatch):
+    # The box walked in order, each model's roundtrip on the verdict its
+    # predecessors of the same d cached, then on an empty cache every time:
+    # the model verdicts, the plane comparisons and the expansion verdicts
+    # agree, and the warm walk decides the expansion once per d.
     same_orbit = birational._same_orbit
-    table = birational._chart_table
+    expands = birational._expands
     compared = []
-    entries = []
+    decided = []
 
     def recording(ws, p, q):
         verdict = same_orbit(ws, p, q)
         compared.append((ws, p, q, verdict))
         return verdict
 
-    def entry(*key):
-        entries.append(table(*key))
-        return entries[-1]
+    def deciding(*key):
+        decided.append(expands(*key))
+        return decided[-1]
 
     monkeypatch.setattr(birational, "_same_orbit", recording)
-    monkeypatch.setattr(birational, "_chart_table", entry)
+    monkeypatch.setattr(birational, "_expands", deciding)
     models = list(box_models(5, 6, 4))
     walks = []
     for cold in (False, True):
-        table.cache_clear()
+        expands.cache_clear()
         compared.clear()
-        verdicts, flags = [], []
+        decided.clear()
+        verdicts = []
         for i, model in enumerate(models):
             if cold:
-                table.cache_clear()
+                expands.cache_clear()
             verdicts.append(roundtrip_check(model, 10, i))
-            flags.append(dict(entries[-1]))
-        walks.append((verdicts, list(compared), flags))
-        # The box's 30 values of (d, n) each run over consecutive models.
-        assert table.cache_info().hits == (0 if cold else len(models) - 30)
-    table.cache_clear()
-    (warm, warm_compared, warm_flags), (cold, cold_compared, cold_flags) = walks
-    assert warm == cold and warm_compared == cold_compared
-    assert all(w.items() >= c.items() for w, c in zip(warm_flags, cold_flags))
+        walks.append((verdicts, list(compared), list(decided)))
+        # The box's 5 values of d each run over consecutive models, and the
+        # cache key holds P and the roots, not n.
+        info = expands.cache_info()
+        assert (info.hits, info.misses) == ((0, 1) if cold else (len(models) - 5, 5))
+    expands.cache_clear()
+    (warm, warm_compared, warm_decided), (cold, cold_compared, cold_decided) = walks
+    assert warm == cold and warm_compared == cold_compared and warm_decided == cold_decided
     assert all(warm) and len(warm_compared) == len(birational._SCALES) * len(models)
+    assert len(warm_decided) == len(models)
 
 
 def _walk_box_against_the_oracle(monkeypatch, reverse, models=None):
-    # Each model's roundtrip on an empty chart table against the same draws
-    # lifted, rescaled and compared with Fractions: the kernel's verdict at
-    # each scaling is the oracle's plane verdict of every sample at that
-    # scaling, the table's flag of each drawn r is the oracle's residue
-    # verdict, and the model verdicts agree.  Under reversed plane weights
-    # the oracle compares in P(n, c, a) too.  The models default to the box
-    # with the roots 1..d.
+    # Each model's roundtrip on an empty expansion cache against sampled
+    # lifts, rescaled and compared with Fractions, and against the
+    # expansion compared with Fractions: the kernel's verdict at each
+    # scaling is the oracle's plane verdict of every sample at that
+    # scaling, the cached expansion verdict is the oracle's, an expansion
+    # that holds leaves every sampled lift on the surface, and the model
+    # verdicts agree.  Under reversed plane weights the oracle compares in
+    # P(n, c, a) too.  The models default to the box with the roots 1..d.
     same_orbit = birational._same_orbit
-    table = birational._chart_table
+    expands = birational._expands
     planes = []
 
     def recording(ws, p, q):
@@ -484,24 +534,21 @@ def _walk_box_against_the_oracle(monkeypatch, reverse, models=None):
     passed = []
     for i, model in enumerate(models):
         planes.clear()
-        table.cache_clear()
+        expands.cache_clear()
         plane = (model.a, model.c, model.n)
         expected = roundtrip_oracle(model, 10, i, plane[::-1] if reverse else plane)
+        identity = expansion_oracle(model)
         passed.append(roundtrip_check(model, 10, i))
         assert len(planes) == len(birational._SCALES), model.label()
         assert all(planes[k] == agrees for k, _, _, agrees in expected), model.label()
         if all(planes):
-            key = (model.roots.polynomial._cleared, birational._root_triples(model), model.n)
-            flags = {
-                Fraction(*birational._SAMPLE_POOL[j]): expands
-                for j, (nonzero, expands) in table(*key).items()
-                if nonzero
-            }
-            drawn = [(r, residue) for _, r, residue, _ in expected]
-            assert [(r, flags.get(r)) for r, _ in drawn] == drawn, model.label()
-            assert set(flags) == {r for r, _ in drawn}, model.label()
+            key = (model.roots.polynomial._cleared, birational._root_triples(model))
+            assert expands(*key) == identity, model.label()
+            assert expands.cache_info().misses == 1, model.label()
+        assert not identity or all(on for _, _, on, _ in expected), model.label()
         assert passed[-1] == all(on and agrees for _, _, on, agrees in expected), model.label()
-    table.cache_clear()
+        assert passed[-1] == (all(planes) and identity), model.label()
+    expands.cache_clear()
     return models, passed
 
 

@@ -1009,25 +1009,25 @@ def test_each_command_starts_with_an_empty_frame_memo(capsys, monkeypatch):
     assert compactify._cyclic_frame.cache_info().maxsize is not None
 
 
-def test_each_command_starts_with_an_empty_chart_table(capsys, monkeypatch):
-    # The roundtrip's chart table keeps one (P, roots, n) at a time; a
-    # birational command never starts on the table another one filled.
-    table = birational._chart_table
+def test_each_command_starts_with_an_empty_expansion_cache(capsys, monkeypatch):
+    # The roundtrip's expansion cache keeps one (P, roots) at a time; a
+    # birational command never starts on the verdict another one cached.
+    expands = birational._expands
     sizes = []
     run_case = reports.run_case
 
     def recording(kind, params, seed):
-        sizes.append(table.cache_info().currsize)
+        sizes.append(expands.cache_info().currsize)
         return run_case(kind, params, seed)
 
     monkeypatch.setattr(reports, "run_case", recording)
     for roots in ("1,2", "1:2", "1,2"):
         argv = ["birational", "-d", "2", "-n", "2", "-m", "1", "-a", "1", "--roots", roots]
         assert run(capsys, argv)[0] == 0
-        info = table.cache_info()
+        info = expands.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
     assert sizes == [0, 0, 0]
-    assert table.cache_info().maxsize == 1
+    assert expands.cache_info().maxsize == 1
 
 
 def test_the_one_parser_formats_help_at_each_width(capsys, monkeypatch):

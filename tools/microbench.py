@@ -15,9 +15,10 @@ by other load, moves less and is the column to compare between runs.
 The inputs are built once, so the package's memos (``build_cyclic``'s
 frame cache, ``UniPoly``'s cleared coefficients) are warm, as they are
 when a sweep revisits a model.  ``roundtrip_check`` is timed twice: cold
-empties its chart table before each call, as each new polynomial does,
-and warm reuses the table, as the next model of a sweep with the same
-polynomial and ``n`` does.
+empties its expansion cache before each call, as each new polynomial does,
+and warm reuses the cached verdict, as the next model of a sweep with the
+same polynomial does.  The expansion test ``_expands`` is timed on its own,
+cold.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from classt import (  # noqa: E402
     roundtrip_check,
     squarefree_decomposition,
 )
-from classt.birational import _chart_table, surface_residue  # noqa: E402
+from classt.birational import _expands, _root_triples, surface_residue  # noqa: E402
 from classt.reports import assemble, build_cyclic_report, render_json  # noqa: E402
 
 REPEATS = 11
@@ -94,8 +95,14 @@ def cases() -> list[tuple[str, object]]:
     unscaled = WPoint(model.ambient, (x, 1 / s, r, Fraction(1)))
     report = build_cyclic_report(2, 3, 2, 2, 1, "1,2").data
 
+    expansion = (poly._cleared, _root_triples(model))
+
+    def cold_expands():
+        _expands.cache_clear()
+        return _expands(*expansion)
+
     def cold_roundtrip():
-        _chart_table.cache_clear()
+        _expands.cache_clear()
         return roundtrip_check(model, 10, 11)
 
     corpus = corpus_report()
@@ -117,6 +124,7 @@ def cases() -> list[tuple[str, object]]:
         ("birational.project_pi", lambda: project_pi(model, on_surface)),
         ("birational.evaluate_pi_chart T", lambda: evaluate_pi_chart(model, "T", chart_point)),
         ("birational.evaluate_pi_chart S", lambda: evaluate_pi_chart(model, "S", chart_point)),
+        ("birational._expands cold", cold_expands),
         ("birational.roundtrip_check cold", cold_roundtrip),
         ("birational.roundtrip_check warm", lambda: roundtrip_check(model, 10, 11)),
         ("tianyau.check_hypotheses", lambda: check_hypotheses(model)),
