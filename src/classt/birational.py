@@ -291,14 +291,14 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     ``t^(c*n*mult)``, where ``mult`` sums the multiplicities.  So every
     rescaled lift is on the surface iff ``a + b == c*n*mult`` and the
     expanded ``P`` is the root product, which ``_expands`` decides once per
-    polynomial and roots.  The projection ``[x t^a : r t^c : t^n]`` of the rescaled lift,
-    divided coordinatewise by the chart image, is ``t^(a, c, n)`` whatever
-    the point: ``x != 0``, and ``r`` is zero in both points or in neither,
-    where a zero ``r`` leaves a subset of the same ratios.  So one
-    ``_same_orbit`` of ``t^(a, c, n)`` against ``[1 : 1 : 1]`` per scaling
-    decides the comparison of every point.  No point is drawn: the check
-    is complete, ``sample_count`` must be positive, and it and ``seed`` are
-    only echoed by the reports.
+    polynomial and roots.  The projection ``[x t^a : r t^c : t^n]`` of the
+    rescaled lift, divided coordinatewise by the chart image, is
+    ``t^(a, c, n)`` whatever the point: ``x != 0``, and ``r`` is zero in
+    both points or in neither, where a zero ``r`` leaves a subset of the
+    same ratios.  So one ``_same_orbit`` of ``t^(a, c, n)`` against
+    ``[1 : 1 : 1]`` per scaling decides the comparison of every point.  No
+    point is drawn: the check is complete, ``sample_count`` must be
+    positive, and it and ``seed`` are only echoed by the reports.
     """
     _require_cyclic(model)
     if sample_count < 1:
