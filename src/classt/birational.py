@@ -274,7 +274,7 @@ def _expands(cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, 
     return True
 
 
-def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) -> bool:
+def roundtrip_check(model: CompactificationModel) -> bool:
     """Whether every chart T point, lifted to the surface and rescaled,
     projects back to its chart image.
 
@@ -296,13 +296,10 @@ def roundtrip_check(model: CompactificationModel, sample_count: int, seed: int) 
     ``t^(a, c, n)`` whatever the point: ``x != 0``, and ``r`` is zero in
     both points or in neither, where a zero ``r`` leaves a subset of the
     same ratios.  So one ``_same_orbit`` of ``t^(a, c, n)`` against
-    ``[1 : 1 : 1]`` per scaling decides the comparison of every point.  No
-    point is drawn: the check is complete, ``sample_count`` must be
-    positive, and it and ``seed`` are only echoed by the reports.
+    ``[1 : 1 : 1]`` per scaling decides the comparison of every point, and
+    no point is drawn.
     """
     _require_cyclic(model)
-    if sample_count < 1:
-        raise BadInput("sample_count must be positive")
     a, b, c, n = model.ambient.weights
     if a + b != c * n * model.roots.total:
         return False

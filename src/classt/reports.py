@@ -54,14 +54,13 @@ _NOT_CHECKED = (True, "not applicable to this command")
 # no command runs unbounded; the library functions take any size.
 _MAX_BOX = 10
 _MAX_D_INDEX = 100
-_MAX_SAMPLES = 1000
 # The roundtrip rescales by t^(a, b, c, n) and tests the expansion of P at
 # d + 1 points, so its integers grow with the degree d*n*c: a call at this
-# degree, whatever its samples, took 0.045 s with d = 400, 0.02 s with
-# c = 400, where each scaling's _same_orbit raises ratios of about a bits
-# to the power c, and under 0.003 s with n = 400 or c = 200, best of 5 on
-# a 2-CPU Xeon VM under Python 3.11.  The weight enumeration and the A_k
-# chains of the interior points grow with the degree too.
+# degree took 0.045 s with d = 400, 0.02 s with c = 400, where each
+# scaling's _same_orbit raises ratios of about a bits to the power c, and
+# under 0.003 s with n = 400 or c = 200, best of 5 on a 2-CPU Xeon VM
+# under Python 3.11.  The weight enumeration and the A_k chains of the
+# interior points grow with the degree too.
 _MAX_DEGREE = 400
 # Each of d, n and c is bounded before their product is formed: a product
 # past 4300 digits cannot be printed in the degree message.
@@ -378,13 +377,14 @@ def _check_outputs(model: CompactificationModel, report: TianYauReport) -> tuple
 def birational_report(
     d: int, n: int, m: int, c: int, a: int, roots: str, samples: int, seed: int
 ) -> CommandReport:
-    _check_range("samples", samples, 1, _MAX_SAMPLES)
+    # The roundtrip draws no sample: samples keeps its range and is only echoed.
+    _check_range("samples", samples, 1, 1000)
 
     def finish(model: CompactificationModel, _: TianYauReport) -> tuple:
         blow = blowup_at_R2(model)
         plane, centers, total = target_plane(model).label(), model.roots.pairs, model.roots.total
         points_match = blow.new_singularities == plane_points(model)
-        rt_ok = roundtrip_check(model, samples, seed)
+        rt_ok = roundtrip_check(model)
         outputs = {
             "target_plane": plane,
             "projection": "[x:y:z:w] -> [x:z:w]",

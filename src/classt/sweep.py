@@ -8,10 +8,8 @@ The suites are what the command line ``sweep`` subcommand runs and what
 the acceptance tests call directly.  The five suites over the ``(d, n, m,
 c, a)`` box are one walk, which enumerates each weight tuple and builds
 each box model once for all of them.  Each of those suites on its own
-returns its slice of a full walk; the sizes and seed it does not take are
-seed 0, ``run_all``'s blow-up count and, since no other slice reads the
-roundtrip, a sample count of one, which the complete roundtrip only
-range-checks.
+returns its slice of a full walk, with ``run_all``'s blow-up count and
+seed 0 where it does not take them.
 """
 
 from __future__ import annotations
@@ -39,10 +37,8 @@ from .quotients import QuotientSingularity, detect_class_T, hj_resolution
 from .tianyau import orbifold_adjunction_residual
 
 _MAX_RECORDED = 12
-# Sizes the command line does not set: the roundtrip's sample count (only
-# range-checked), blow-up models sampled, largest germ order (class T and
-# chains), largest D index.
-_SAMPLES = 10
+# Sizes the command line does not set: blow-up models sampled, largest germ
+# order (class T and chains), largest D index.
 _BLOWUP_COUNT = 20
 _MAX_R = 80
 _MAX_DK = 12
@@ -139,9 +135,9 @@ def _check_topology(out: SuiteResult, model: CompactificationModel, a_indices: t
             out.fail(f"{label}: chain at {lbl} not all (-2)")
 
 
-def _check_roundtrip(out: SuiteResult, model: CompactificationModel, samples: int, seed: int) -> None:
+def _check_roundtrip(out: SuiteResult, model: CompactificationModel) -> None:
     out.tick()
-    if not roundtrip_check(model, samples, seed):
+    if not roundtrip_check(model):
         out.fail(f"{model.label()}: roundtrip mismatch")
 
 
@@ -166,16 +162,13 @@ def _check_blowup(out: SuiteResult, model: CompactificationModel) -> None:
         out.fail(f"{label}: K^2 {plane_side} from the plane, {centre_side} from the blow-up")
 
 
-def _walk_box(
-    max_d: int, max_n: int, max_c: int, samples: int, seed: int, count: int
-) -> list[SuiteResult]:
+def _walk_box(max_d: int, max_n: int, max_c: int, seed: int, count: int) -> list[SuiteResult]:
     """Walk ``cyclic_tuples`` once and run the five per-box suites.
 
     Each tuple's weights are enumerated once and each box model is built
-    once; the residual and the roundtrip (seed ``seed + index`` for the
-    model's index in walk order) run on every model, the topology on the
-    first pair of each tuple and its fully degenerate model, and the
-    weight family on the ``c = 1, n >= 2`` tuples.  The D/E residuals,
+    once; the residual and the roundtrip run on every model, the topology
+    on the first pair of each tuple and its fully degenerate model, and
+    the weight family on the ``c = 1, n >= 2`` tuples.  The D/E residuals,
     each with its ALE group check, and the blow-up suite's ``count``
     models, sampled from the box's parameters with ``random.Random(seed)``,
     run after the walk.
@@ -204,7 +197,7 @@ def _walk_box(
             if k == 0:
                 _check_topology(top, model, status)
                 _check_topology(top, build_cyclic(d, n, m, c, pair.a, degenerate), degenerate_status)
-            _check_roundtrip(rt, model, samples, seed + len(box))
+            _check_roundtrip(rt, model)
             box.append(params)
     for model in rdp_models():
         _check_residual(res, model)
@@ -217,7 +210,7 @@ def _walk_box(
 def weight_family_suite(max_d: int, max_n: int) -> SuiteResult:
     """At ``c = 1`` and ``n >= 2`` the admissible weights must be exactly
     the ``d`` pairs ``(u + k*n, (d - k)*n - u)`` for ``k = 0..d-1``."""
-    return _walk_box(max_d, max_n, 1, 1, 0, _BLOWUP_COUNT)[0]
+    return _walk_box(max_d, max_n, 1, 0, _BLOWUP_COUNT)[0]
 
 
 def residual_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
@@ -226,7 +219,7 @@ def residual_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
     intersection theory, against the orbifold Euler side, read off the
     boundary point orders.  Each D/E case also checks its end at infinity
     against the ALE group of its label (``_check_ale_end``)."""
-    return _walk_box(max_d, max_n, max_c, 1, 0, _BLOWUP_COUNT)[1]
+    return _walk_box(max_d, max_n, max_c, 0, _BLOWUP_COUNT)[1]
 
 
 def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
@@ -238,16 +231,13 @@ def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
     by ``(-2)``-curves.  The two root configurations and their status are
     built once per ``d``.
     """
-    return _walk_box(max_d, max_n, max_c, 1, 0, _BLOWUP_COUNT)[2]
+    return _walk_box(max_d, max_n, max_c, 0, _BLOWUP_COUNT)[2]
 
 
-def roundtrip_suite(
-    max_d: int, max_n: int, max_c: int, samples: int, seed: int
-) -> SuiteResult:
+def roundtrip_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
     """The ``roundtrip_check`` of every model: its chart points lifted,
-    rescaled and projected back to the plane ``P(a, c, n)``.  ``samples``
-    is range-checked and ``seed`` reaches no verdict."""
-    return _walk_box(max_d, max_n, max_c, samples, seed, _BLOWUP_COUNT)[3]
+    rescaled and projected back to the plane ``P(a, c, n)``."""
+    return _walk_box(max_d, max_n, max_c, 0, _BLOWUP_COUNT)[3]
 
 
 def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> SuiteResult:
@@ -258,7 +248,7 @@ def blowup_suite(max_d: int, max_n: int, max_c: int, count: int, seed: int) -> S
     blow-up must agree from the plane ``P(a, c, n)`` blown up once per
     root multiplicity, ``(a + c + n)^2/(acn) - d``, and from the model,
     ``beta^2 C^2 - (c + n - b)^2/(bcn)``."""
-    return _walk_box(max_d, max_n, max_c, 1, seed, count)[4]
+    return _walk_box(max_d, max_n, max_c, seed, count)[4]
 
 
 def brute_force_class_t(r: int, q: int) -> list[tuple[int, int, int]]:
@@ -329,5 +319,5 @@ def hj_suite(max_r: int) -> SuiteResult:
 
 def run_all(max_d: int, max_n: int, max_c: int, seed: int = 0) -> list[SuiteResult]:
     """Every suite, with one walk of the box for the five per-box suites."""
-    box = _walk_box(max_d, max_n, max_c, _SAMPLES, seed, _BLOWUP_COUNT)
+    box = _walk_box(max_d, max_n, max_c, seed, _BLOWUP_COUNT)
     return [*box, class_t_suite(_MAX_R), hj_suite(_MAX_R)]

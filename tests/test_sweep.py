@@ -101,7 +101,7 @@ def test_box_models_use_default_roots(monkeypatch):
 
 def test_sweep_box_case_counts():
     assert topology_suite(*SWEEP_BOX).cases == 338
-    assert roundtrip_suite(*SWEEP_BOX, samples=1, seed=0).cases == 730
+    assert roundtrip_suite(*SWEEP_BOX).cases == 730
 
 
 def test_topology_status_reaches_every_case(monkeypatch):
@@ -235,12 +235,12 @@ def test_roundtrip_suite_reports_a_mismatch(monkeypatch):
     # a == n (see test_birational.py).
     same_orbit = birational._same_orbit
     box = (2, 2, 2)
-    assert roundtrip_suite(*box, samples=10, seed=0).passed
+    assert roundtrip_suite(*box).passed
     monkeypatch.setattr(birational, "_same_orbit", lambda ws, p, q: same_orbit(ws[::-1], p, q))
     models = list(box_models(*box))
     expected = [m.label() for m in models if m.a != m.n]
     assert 0 < len(expected) <= 12 and len(expected) < len(models)
-    suite = roundtrip_suite(*box, samples=10, seed=0)
+    suite = roundtrip_suite(*box)
     assert suite.failure_count == len(expected)
     assert suite.failures == [f"{label}: roundtrip mismatch" for label in expected]
 
@@ -294,19 +294,22 @@ def test_run_all_walks_the_box_once(monkeypatch):
         assert counts == {"build": 919, "enumerate": 170}
     assert len(list(cyclic_tuples(*SWEEP_BOX))) == 170
 
-    # The walk keeps the roundtrip's seed + index in model order.
+    # The walk checks the roundtrip of each box model once, in the closed
+    # form's order, with the model alone, and the suite makes the same calls.
     seen = []
 
-    def recording_roundtrip(model, samples, seed):
-        seen.append((model.label(), samples, seed))
+    def recording_roundtrip(*args):
+        seen.append(args)
         return True
 
     monkeypatch.setattr(classt.sweep, "roundtrip_check", recording_roundtrip)
+    expected = [(model,) for model in box_models(*SWEEP_BOX)]
+    assert len(expected) == 730
     run_all(*SWEEP_BOX, seed=3)
-    walked, seen[:] = seen[:], []
-    roundtrip_suite(*SWEEP_BOX, samples=classt.sweep._SAMPLES, seed=3)
-    assert walked == seen
-    assert [seed for _, _, seed in seen] == list(range(3, 3 + 730))
+    assert seen == expected
+    seen.clear()
+    roundtrip_suite(*SWEEP_BOX)
+    assert seen == expected
 
 
 def test_brute_force_class_t_examples():
@@ -321,7 +324,7 @@ def test_individual_suites_pass():
     assert weight_family_suite(3, 4).passed
     assert residual_suite(2, 3, 2).passed
     assert topology_suite(2, 3, 2).passed
-    assert roundtrip_suite(2, 2, 1, samples=4, seed=1).passed
+    assert roundtrip_suite(2, 2, 1).passed
     assert class_t_suite(40).passed
     assert hj_suite(40).passed
 
