@@ -134,12 +134,22 @@ def main(argv=None) -> int:
     p.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     args = p.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = bench["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
+    known = [w["name"] for w in bench["workloads"]]
     plan = []
     for item in args.workload:
         name, _, pairs = item.partition(":")
-        plan.append((name, int(pairs or 1)))
+        if name not in known:
+            raise SystemExit(f"error: workload {name!r} is not one of {', '.join(known)}")
+        try:
+            count = int(pairs or 1)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise SystemExit(f"error: --workload {item}: PAIRS must be a positive integer")
+        plan.append((name, count))
     claims = [item.partition(":")[::2] for item in args.claim]
     for workload, metric in claims:
         if workload not in dict(plan) or metric not in better:
