@@ -242,10 +242,6 @@ def evaluate_pi_chart(
     raise BadInput(f"chart must be 'T' or 'S', got {chart!r}")
 
 
-# Scalings t of the lift; the powers 2^w already separate every weight.
-_SCALES = ((2, 1), (-2, 1), (1, 2), (-3, 2), (3, 1))
-
-
 # The expansion verdict of one polynomial ``P`` and its roots.  A sweep
 # walks the models of one ``d`` in a row, and they share ``P`` and the
 # roots, so one entry is enough; a larger memo costs a corpus, whose rows
@@ -281,10 +277,9 @@ def roundtrip_check(model: CompactificationModel) -> bool:
     A chart point ``(w', r)`` with ``w' != 0`` and ``P(r^n) != 0`` has the
     image ``[x : r : 1]`` with ``x = w' * P(r^n)``, which lifts to
     ``[x : 1/w' : r : 1]`` on the ``w = 1`` slice.  The lift is rescaled
-    by ``t^(a, b, c, n)``, with ``t`` running through ``_SCALES``; it must
-    satisfy the defining equation (``P`` is the expanded polynomial, the
-    equation uses the root factors) and project to the chart image in the
-    plane ``P(a, c, n)``.
+    by ``t^(a, b, c, n)`` for any ``t != 0``; it must satisfy the defining
+    equation (``P`` is the expanded polynomial, the equation uses the root
+    factors) and project to the chart image in the plane ``P(a, c, n)``.
 
     The lift has ``x*y = P(r^n)`` whatever ``w'`` is, and the rescaling
     multiplies ``x*y`` by ``t^(a+b)`` and the root product by
@@ -292,23 +287,12 @@ def roundtrip_check(model: CompactificationModel) -> bool:
     rescaled lift is on the surface iff ``a + b == c*n*mult`` and the
     expanded ``P`` is the root product, which ``_expands`` decides once per
     polynomial and roots.  The projection ``[x t^a : r t^c : t^n]`` of the
-    rescaled lift, divided coordinatewise by the chart image, is
-    ``t^(a, c, n)`` whatever the point: ``x != 0``, and ``r`` is zero in
-    both points or in neither, where a zero ``r`` leaves a subset of the
-    same ratios.  So one ``_same_orbit`` of ``t^(a, c, n)`` against
-    ``[1 : 1 : 1]`` per scaling decides the comparison of every point, and
-    no point is drawn.
+    rescaled lift is ``t^(a, c, n)`` times the chart image, which is that
+    image in ``P(a, c, n)`` by the definition of its weights, so nothing
+    is compared and no point is drawn.
     """
     _require_cyclic(model)
     a, b, c, n = model.ambient.weights
     if a + b != c * n * model.roots.total:
-        return False
-    plane_weights = target_plane(model).weights
-    unit = ((1, 1),) * 3
-    planes = [
-        _same_orbit(plane_weights, ((t**a, s**a), (t**c, s**c), (t**n, s**n)), unit)
-        for t, s in _SCALES
-    ]
-    if not all(planes):
         return False
     return _expands(model.roots.polynomial._cleared, _root_triples(model))

@@ -56,17 +56,16 @@ _MAX_BOX = 10
 _MAX_D_INDEX = 100
 # The roundtrip rescales by t^(a, b, c, n) and tests the expansion of P at
 # d + 1 points, so its integers grow with the degree d*n*c: a call at this
-# degree took 0.045 s with d = 400, 0.02 s with c = 400, where each
-# scaling's _same_orbit raises ratios of about a bits to the power c, and
-# under 0.003 s with n = 400 or c = 200, best of 5 on a 2-CPU Xeon VM
-# under Python 3.11.  The weight enumeration and the A_k chains of the
-# interior points grow with the degree too.
+# degree took 0.04 s with d = 400 and under 0.0001 s with c = 400 or
+# n = 400, best of 5 on a 2-CPU Xeon VM under Python 3.11.  The weight
+# enumeration and the A_k chains of the interior points grow with the
+# degree too.
 _MAX_DEGREE = 400
 # Each of d, n and c is bounded before their product is formed: a product
 # past 4300 digits cannot be printed in the degree message.
 _MAX_FACTOR = 10**6
 # The roundtrip's integers grow with the roots' numerators and denominators
-# too: a call at d = 400 took 0.045 s with the roots 1..400 and 0.13 s with
+# too: a call at d = 400 took 0.04 s with the roots 1..400 and 0.12 s with
 # the roots (1000 - j)/999 for j = 0..399 on the same VM.
 _MAX_ROOT = 1000
 # A resolution chain has up to order - 1 entries; the DOT form of the

@@ -235,8 +235,9 @@ def topology_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
 
 
 def roundtrip_suite(max_d: int, max_n: int, max_c: int) -> SuiteResult:
-    """The ``roundtrip_check`` of every model: its chart points lifted,
-    rescaled and projected back to the plane ``P(a, c, n)``."""
+    """The ``roundtrip_check`` of every model: the weights against the
+    degree of the root product, and the expanded polynomial against its
+    root factors."""
     return _walk_box(max_d, max_n, max_c, 0, _BLOWUP_COUNT)[3]
 
 

@@ -305,7 +305,7 @@ _ROUNDTRIP_POOL = tuple((num, den) for num in range(-6, 7) for den in (1, 2, 3))
 _ROUNDTRIP_SCALES = tuple(Fraction(t) for t in ("2", "-2", "1/2", "-3/2", "3"))
 
 
-def roundtrip_oracle(model, sample_count: int, seed: int, plane_weights) -> list[tuple]:
+def roundtrip_oracle(model, sample_count: int, seed: int) -> list[tuple]:
     """Samples of the projection roundtrip, computed with Fractions.
 
     Draws ``(w', r)`` from ``random.Random(seed)``, two choices per
@@ -315,7 +315,7 @@ def roundtrip_oracle(model, sample_count: int, seed: int, plane_weights) -> list
     by ``t^(a, b, c, n)``.  Each sample gives ``(index, r, residue, plane)``:
     the index of its scaling, the drawn ``r``, whether the rescaled
     lift lies on the surface (``product_residue``), and whether its
-    projection ``[x : z : w]`` is the chart image in ``P(plane_weights)``
+    projection ``[x : z : w]`` is the chart image in ``P(a, c, n)``
     (``same_weighted_point``).  The list stops after the first sample that
     fails either.
     """
@@ -336,7 +336,7 @@ def roundtrip_oracle(model, sample_count: int, seed: int, plane_weights) -> list
         ta, tb, tc, tn = scalings[index]
         lift = (x * ta, tb / w1, r * tc, tn)
         residue = product_residue(model, lift) == 0
-        plane = same_weighted_point(plane_weights, (lift[0], lift[2], lift[3]), (x, r, Fraction(1)))
+        plane = same_weighted_point((a, c, n), (lift[0], lift[2], lift[3]), (x, r, Fraction(1)))
         samples.append((index, r, residue, plane))
         if not (residue and plane):
             break

@@ -401,6 +401,8 @@ def test_roundtrip_is_true_and_deterministic():
     assert roundtrip_check(model)
     assert roundtrip_check(model)
     assert roundtrip_check(c2_model())
+    # At the degree cap with c = 400.
+    assert roundtrip_check(build_cyclic(1, 1, 1, 400, 399, RootConfig.simple([1])))
 
 
 def test_roundtrip_repeated_roots():
@@ -468,90 +470,66 @@ def test_roundtrip_fails_on_a_wrong_y_weight():
 def test_warm_expansion_cache_gives_the_cold_roundtrip(monkeypatch):
     # The box walked in order, each model's roundtrip on the verdict its
     # predecessors of the same d cached, then on an empty cache every time:
-    # the model verdicts, the plane comparisons and the expansion verdicts
-    # agree, and the warm walk decides the expansion once per d.
-    same_orbit = birational._same_orbit
+    # the model verdicts and the expansion verdicts agree, and the warm walk
+    # decides the expansion once per d.
     expands = birational._expands
-    compared = []
     decided = []
-
-    def recording(ws, p, q):
-        verdict = same_orbit(ws, p, q)
-        compared.append((ws, p, q, verdict))
-        return verdict
 
     def deciding(*key):
         decided.append(expands(*key))
         return decided[-1]
 
-    monkeypatch.setattr(birational, "_same_orbit", recording)
     monkeypatch.setattr(birational, "_expands", deciding)
     models = list(box_models(5, 6, 4))
     walks = []
     for cold in (False, True):
         expands.cache_clear()
-        compared.clear()
         decided.clear()
         verdicts = []
         for model in models:
             if cold:
                 expands.cache_clear()
             verdicts.append(roundtrip_check(model))
-        walks.append((verdicts, list(compared), list(decided)))
+        walks.append((verdicts, list(decided)))
         # The box's 5 values of d each run over consecutive models, and the
         # cache key holds P and the roots, not n.
         info = expands.cache_info()
         assert (info.hits, info.misses) == ((0, 1) if cold else (len(models) - 5, 5))
     expands.cache_clear()
-    (warm, warm_compared, warm_decided), (cold, cold_compared, cold_decided) = walks
-    assert warm == cold and warm_compared == cold_compared and warm_decided == cold_decided
-    assert all(warm) and len(warm_compared) == len(birational._SCALES) * len(models)
-    assert len(warm_decided) == len(models)
+    (warm, warm_decided), (cold, cold_decided) = walks
+    assert warm == cold and warm_decided == cold_decided
+    assert all(warm) and len(warm_decided) == len(models)
 
 
-def _walk_box_against_the_oracle(monkeypatch, reverse, models=None):
+def _walk_box_against_the_oracle(models=None):
     # Each model's roundtrip on an empty expansion cache against sampled
     # lifts, rescaled and compared with Fractions, and against the
-    # expansion compared with Fractions: the kernel's verdict at each
-    # scaling is the oracle's plane verdict of every sample at that
-    # scaling, the cached expansion verdict is the oracle's, an expansion
-    # that holds leaves every sampled lift on the surface, and the model
-    # verdicts agree.  Under reversed plane weights the oracle compares in
-    # P(n, c, a) too.  The models default to the box with the roots 1..d.
-    same_orbit = birational._same_orbit
+    # expansion compared with Fractions: the oracle projects every sampled
+    # lift back to its chart image, the cached expansion verdict is the
+    # oracle's, an expansion that holds leaves every sampled lift on the
+    # surface, and the model verdicts agree.  The models default to the
+    # box with the roots 1..d.
     expands = birational._expands
-    planes = []
-
-    def recording(ws, p, q):
-        verdict = same_orbit(ws[::-1] if reverse else ws, p, q)
-        planes.append(verdict)
-        return verdict
-
-    monkeypatch.setattr(birational, "_same_orbit", recording)
     models = list(box_models(5, 6, 4)) if models is None else models
     passed = []
     for i, model in enumerate(models):
-        planes.clear()
         expands.cache_clear()
-        plane = (model.a, model.c, model.n)
-        expected = roundtrip_oracle(model, 10, i, plane[::-1] if reverse else plane)
+        expected = roundtrip_oracle(model, 10, i)
         identity = expansion_oracle(model)
         passed.append(roundtrip_check(model))
-        assert len(planes) == len(birational._SCALES), model.label()
-        assert all(planes[k] == agrees for k, _, _, agrees in expected), model.label()
-        if all(planes):
-            key = (model.roots.polynomial._cleared, birational._root_triples(model))
-            assert expands(*key) == identity, model.label()
-            assert expands.cache_info().misses == 1, model.label()
+        assert all(agrees for _, _, _, agrees in expected), model.label()
+        key = (model.roots.polynomial._cleared, birational._root_triples(model))
+        assert expands(*key) == identity, model.label()
+        assert expands.cache_info().misses == 1, model.label()
         assert not identity or all(on for _, _, on, _ in expected), model.label()
-        assert passed[-1] == all(on and agrees for _, _, on, agrees in expected), model.label()
-        assert passed[-1] == (all(planes) and identity), model.label()
+        assert passed[-1] == all(on for _, _, on, _ in expected), model.label()
+        assert passed[-1] == identity, model.label()
     expands.cache_clear()
-    return models, passed
+    return passed
 
 
-def test_roundtrip_matches_the_fraction_oracle(monkeypatch):
-    assert all(_walk_box_against_the_oracle(monkeypatch, reverse=False)[1])
+def test_roundtrip_matches_the_fraction_oracle():
+    assert all(_walk_box_against_the_oracle())
 
 
 def _fractional_roots(rng, d):
@@ -572,7 +550,7 @@ def _fractional_roots(rng, d):
     return RootConfig.of(list(roots.items()))
 
 
-def test_roundtrip_matches_the_fraction_oracle_on_fractional_roots(monkeypatch):
+def test_roundtrip_matches_the_fraction_oracle_on_fractional_roots():
     # The box walk sees only the simple integer roots 1..d; here the cleared
     # denominators of P and the repeated root factors differ from 1.
     rng = random.Random(15)
@@ -580,40 +558,4 @@ def test_roundtrip_matches_the_fraction_oracle_on_fractional_roots(monkeypatch):
     models = [build_cyclic(*p, _fractional_roots(rng, p[0])) for p in params]
     assert sum(any(root.denominator > 1 for root in m.roots.roots) for m in models) > 150
     assert sum(any(k > 1 for _, k in m.roots.pairs) for m in models) > 50
-    assert all(_walk_box_against_the_oracle(monkeypatch, reverse=False, models=models)[1])
-
-
-def test_roundtrip_detects_reversed_equality_weights(monkeypatch):
-    # Under a rescaling by t = 2 the reversed plane weights (n, c, a) agree
-    # with (a, c, n) only when a == n, and the first sample uses t = 2.
-    models, passed = _walk_box_against_the_oracle(monkeypatch, reverse=True)
-    assert passed == [model.a == model.n for model in models]
-    assert passed.count(False) == 711
-
-
-def test_roundtrip_detects_a_wrong_plane_weight(monkeypatch):
-    # The planes (a, c, n + 1), (a + 1, c, n) and (a, c + 1, n).
-    for shift in ((0, 0, 1), (1, 0, 0), (0, 1, 0)):
-        monkeypatch.setattr(
-            birational,
-            "target_plane",
-            lambda m, s=shift: WeightedProjectiveSpace((m.a + s[0], m.c + s[1], m.n + s[2])),
-        )
-        for model in box_models(5, 6, 4):
-            assert not roundtrip_check(model), (model.label(), shift)
-
-
-def test_roundtrip_compares_the_plane_once_per_scaling(monkeypatch):
-    # At the degree cap with c = 400 each comparison raises ratios of about
-    # a bits to the power c, so it runs once per scaling.
-    same_orbit = birational._same_orbit
-    calls = []
-
-    def counting(ws, p, q):
-        calls.append(ws)
-        return same_orbit(ws, p, q)
-
-    monkeypatch.setattr(birational, "_same_orbit", counting)
-    model = build_cyclic(1, 1, 1, 400, 399, RootConfig.simple([1]))
-    assert roundtrip_check(model)
-    assert len(calls) == len(birational._SCALES)
+    assert all(_walk_box_against_the_oracle(models))

@@ -82,6 +82,15 @@ def test_out_of_range_inputs_exit_one(capsys, tmp_path):
             ["check", "-d", "2", "-n", "1", "-m", "1", "-a", "1", "--roots", TWIN_ROOTS],
             "error: roots must be distinct, got 1 more than once\n",
         ),
+        (
+            ["classify", "--order", "7", "--weights", "1,2,3"],
+            "error: --weights takes two comma-separated integers, got '1,2,3'\n",
+        ),
+        (
+            ["classify", "--order", "7", "--weights", "5"],
+            "error: --weights takes two comma-separated integers, got '5'\n",
+        ),
+        (["classify", "--order", "7", "--weights", "1,x"], "error: cannot parse weights '1,x'\n"),
     ]
     for argv, message in cases:
         for fmt in ("text", "json"):
@@ -739,6 +748,12 @@ def test_out_flag_writes_identical_payload(capsys, tmp_path):
     assert code == code_out == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == stdout_payload
+    # A target in a directory that does not exist is one error line.
+    target = tmp_path / "absent" / "r.json"
+    code, out, err = run(capsys, argv + ["--out", str(target)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 # ----------------------------------------------------------------- corpus
@@ -785,12 +800,20 @@ def test_corpus_passes(capsys, tmp_path):
 def test_corpus_detects_mismatch(capsys, tmp_path):
     rows = [dict(PASSING_ROWS[1])]
     rows[0] = {**rows[0], "expected": {"count": 3}}
+    # A key the outputs lack, and an object where the output is a scalar.
+    check = PASSING_ROWS[2]
+    rows.append({**check, "id": "absent", "expected": {"nope": 1}})
+    rows.append({**check, "id": "scalar", "expected": {"all_satisfied": {"x": 1}}})
     path = write_corpus(tmp_path, rows)
     code, data, _ = run_json(capsys, ["--corpus", path])
     assert code == 1
     out = data["outputs"]
-    assert out["failed_ids"] == ["enum-2-2"]
+    assert out["failed_ids"] == ["enum-2-2", "absent", "scalar"]
     assert "outputs.count" in out["results"][0]["mismatches"][0]
+    assert [r["mismatches"] for r in out["results"][1:]] == [
+        ["outputs.nope: missing"],
+        ["outputs.all_satisfied: expected object, got bool"],
+    ]
 
 
 def test_corpus_case_error_is_a_failure(capsys, tmp_path):
@@ -882,6 +905,9 @@ def test_corpus_parameters_must_have_their_json_types(capsys, tmp_path):
     bir = {"d": 1, "n": 2, "m": 1, "a": 1, "roots": "1"}
     rows = [
         {"id": "ok", "kind": "check", "parameters": check},
+        # JSON integers are coefficients as they stand.
+        {"id": "coeffs-int", "kind": "build-rdp", "parameters": {"type": "D", "index": 4, "coeffs": [1, 0, 0, -2]},
+         "expected": {"coefficients": ["1/1", "0/1", "0/1", "-2/1"]}},
         {"id": "d", "kind": "check", "parameters": {**check, "d": 2.9}},
         {"id": "order", "kind": "classify", "parameters": {"order": True, "weights": [1, 1]}},
         {"id": "weights", "kind": "classify", "parameters": {"order": 5, "weights": "12"}},
@@ -899,8 +925,9 @@ def test_corpus_parameters_must_have_their_json_types(capsys, tmp_path):
     ]
     code, data, err = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
     assert (code, err) == (1, "")
-    assert data["outputs"]["failed_ids"] == [row["id"] for row in rows[1:]]
+    assert data["outputs"]["failed_ids"] == [row["id"] for row in rows[2:]]
     assert [r["mismatches"] for r in data["outputs"]["results"]] == [
+        [],
         [],
         ["error: d must be a JSON integer, got float"],
         ["error: order must be a JSON integer, got bool"],

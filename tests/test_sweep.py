@@ -14,7 +14,7 @@ from classt.compactify import (
     enumerate_weights,
     smoothness_status,
 )
-from classt.quotients import HJChain, QuotientSingularity, hj_resolution
+from classt.quotients import HJChain, QuotientSingularity, detect_class_T, hj_resolution
 from classt.sweep import (
     SuiteResult,
     blowup_suite,
@@ -30,6 +30,7 @@ from classt.sweep import (
     topology_suite,
     weight_family_suite,
 )
+from classt.wps import WeightedProjectiveSpace
 
 from oracles import box_models, box_params
 
@@ -199,6 +200,68 @@ def test_hj_suite_reports_an_entry_below_two(monkeypatch):
     assert suite.failures == ["1/2(1,1): entry below 2"] and suite.failure_count == 1
 
 
+def test_class_t_suite_reports_each_wrong_reading(monkeypatch):
+    # A missed germ, a reading of a germ that has none, an extra solution
+    # and a primary reading that is not the first solution.
+    reading = detect_class_T(QuotientSingularity(4, (1, 1)))
+
+    def wrong_detector(s):
+        found = detect_class_T(s)
+        key = (s.order, s.weights)
+        if key == (4, (1, 1)):
+            return None
+        if key == (7, (1, 3)):
+            return reading
+        if key == (9, (1, 5)):
+            return replace(found, solutions=found.solutions + ((9, 1, 1),))
+        if key == (8, (1, 3)):
+            return replace(found, d=2, n=1, m=1)
+        return found
+
+    clean = class_t_suite(9)
+    assert clean.passed and clean.cases == 28
+    monkeypatch.setattr(classt.sweep, "detect_class_T", wrong_detector)
+    suite = class_t_suite(9)
+    assert suite.cases == 28
+    assert suite.failures == [
+        "1/4(1,1): missed [(1, 2, 1)]",
+        f"1/7(1,3): false positive {reading}",
+        "1/8(1,3): primary reading off",
+        "1/9(1,5): ((1, 3, 2), (9, 1, 1)) != [(1, 3, 2)]",
+    ]
+    assert suite.failure_count == 4
+
+
+def test_hj_suite_reports_a_chain_off_its_value(monkeypatch):
+    # The chain (3) has every entry at least 2 and evaluates to 3/1, not 2/1.
+    def wrong_resolution(s):
+        if (s.order, s.weights) == (2, (1, 1)):
+            return HJChain((3,))
+        return hj_resolution(s)
+
+    assert hj_suite(3).passed
+    monkeypatch.setattr(classt.sweep, "hj_resolution", wrong_resolution)
+    suite = hj_suite(3)
+    assert suite.cases == 3
+    assert suite.failures == ["1/2(1,1): chain does not evaluate to 2/1"] and suite.failure_count == 1
+
+
+def test_blowup_suite_reports_a_wrong_plane_weight(monkeypatch):
+    # The planes (a, c, n + 1), (a + 1, c, n) and (a, c + 1, n) each move
+    # K^2 of the plane side on every box model.
+    box_size = len(list(box_params(*SWEEP_BOX)))
+    assert box_size == 730 and blowup_suite(*SWEEP_BOX, box_size, 0).passed
+    for shift in ((0, 0, 1), (1, 0, 0), (0, 1, 0)):
+        monkeypatch.setattr(
+            classt.sweep,
+            "target_plane",
+            lambda m, s=shift: WeightedProjectiveSpace((m.a + s[0], m.c + s[1], m.n + s[2])),
+        )
+        suite = blowup_suite(*SWEEP_BOX, box_size, 0)
+        assert suite.cases == 730 and suite.failure_count == 730, shift
+        assert all(": K^2 " in message for message in suite.failures), shift
+
+
 def test_blowup_suite_reports_swapped_plane_points(monkeypatch):
     # Swapping 1/c(a, n) and 1/n(a, c) changes the pair unless c = n = 1.
     box, count, seed = (3, 2, 2), 12, 4
@@ -231,15 +294,20 @@ def test_blowup_suite_reports_a_centre_moved_to_R1(monkeypatch):
 
 
 def test_roundtrip_suite_reports_a_mismatch(monkeypatch):
-    # The reversed plane weights (n, c, a) agree with (a, c, n) only when
-    # a == n (see test_birational.py).
-    same_orbit = birational._same_orbit
+    # An expansion verdict that is wrong for every P of degree d = 2 fails
+    # exactly the box models with d = 2.
+    expands = birational._expands
+
+    def wrong_for_d2(cleared, roots):
+        verdict = expands(cleared, roots)
+        return not verdict if sum(k for _, _, k in roots) == 2 else verdict
+
     box = (2, 2, 2)
     assert roundtrip_suite(*box).passed
-    monkeypatch.setattr(birational, "_same_orbit", lambda ws, p, q: same_orbit(ws[::-1], p, q))
+    monkeypatch.setattr(birational, "_expands", wrong_for_d2)
     models = list(box_models(*box))
-    expected = [m.label() for m in models if m.a != m.n]
-    assert 0 < len(expected) <= 12 and len(expected) < len(models)
+    expected = [m.label() for m in models if m.roots.total == 2]
+    assert len(expected) == 5 and len(expected) < len(models)
     suite = roundtrip_suite(*box)
     assert suite.failure_count == len(expected)
     assert suite.failures == [f"{label}: roundtrip mismatch" for label in expected]

@@ -14,6 +14,10 @@ over:
 * ``build cyclic``, ``check`` and ``birational`` over ``d <= 3``,
   ``n <= 4``, ``0 <= m <= n + 1``, ``c <= 3``, ``-1 <= a <= d*n*c + 1``
   with the roots ``1,...,d``, ``1:d+1`` and ``1/2:d``, in JSON, text and DOT;
+* ``build cyclic``, ``check`` and ``birational`` at the degree cap
+  ``d*n*c = 400``, where the roundtrip's integers are largest: ``c = 400``,
+  ``n = 400``, and ``d = 400`` with the roots ``1,...,400`` and with the
+  roots ``(1000 - j)/999`` for ``j = 0..399``, in JSON, text and DOT;
 * ``enumerate`` over the ``(d, n, m, c)`` of that grid, ``gcd(m, n) > 1``
   and ``gcd(c, n) > 1`` included, in JSON, text and DOT;
 * ``build rdp --type D`` for the indices 4 to 12, and ``build rdp --type E``
@@ -163,6 +167,16 @@ def main() -> None:
     for d, n, m, c in grid_dnmc():
         args = ["-d", str(d), "-n", str(n), "-m", str(m), "-c", str(c)]
         runs.extend(["enumerate", *args, "--format", fmt] for fmt in ("json", "text", "dot"))
+    at_cap = [
+        (1, 1, 400, 399, "1"),
+        (1, 400, 1, 1, "1"),
+        (400, 1, 1, 1, ",".join(map(str, range(1, 401)))),
+        (400, 1, 1, 1, ",".join(f"{1000 - j}/999" for j in range(400))),
+    ]
+    for d, n, c, a, roots in at_cap:
+        args = ["-d", str(d), "-n", str(n), "-m", "1", "-c", str(c), "-a", str(a), "--roots", roots]
+        for command in (["build", "cyclic"], ["check"], ["birational"]):
+            runs.extend([*command, *args, "--format", fmt] for fmt in ("json", "text", "dot"))
     for argv in runs:
         print(run(run_command, argv))
 
