@@ -139,8 +139,8 @@ def target_plane(model: CompactificationModel) -> WeightedProjectiveSpace:
 
 
 def _root_triples(model: CompactificationModel) -> tuple[tuple[int, int, int], ...]:
-    """``(p, q, k)`` for each root ``p/q`` of multiplicity ``k``."""
-    return tuple((root.numerator, root.denominator, k) for root, k in model.roots.pairs)
+    """``(p, q, k)`` for each root ``p/q`` of multiplicity ``k``, kept by the RootConfig."""
+    return model.roots._triples
 
 
 def surface_residue(model: CompactificationModel, coords: tuple[RationalLike, ...]) -> Fraction:

@@ -115,6 +115,16 @@ class RootConfig:
         """The monic polynomial ``P(z) = prod (z - a_j)^(k_j)``."""
         return UniPoly.from_roots(self.pairs)
 
+    @cached_property
+    def _interior(self) -> tuple[tuple[str, int], ...]:
+        """``("S_j", k - 1)`` for the ``j``-th root if ``k >= 2``: the interior ``A_(k-1)`` points."""
+        return tuple((f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(self.pairs) if k >= 2)
+
+    @cached_property
+    def _triples(self) -> tuple[tuple[int, int, int], ...]:
+        """``(p, q, k)`` for each root ``p/q`` of multiplicity ``k``."""
+        return tuple((root.numerator, root.denominator, k) for root, k in self.pairs)
+
     def as_text(self) -> str:
         return ",".join(f"{r}:{k}" for r, k in self.pairs)
 
@@ -146,7 +156,7 @@ class CurveAtInfinity:
     def __post_init__(self):
         if self.self_intersection <= 0:
             raise BadInput("the boundary curve must have positive self-intersection")
-        if any(r < 2 for r in self.orbifold_points):
+        if self.orbifold_points and min(self.orbifold_points) < 2:
             raise BadInput("orbifold point orders must be at least 2")
 
 
@@ -280,16 +290,28 @@ class WeightEnumeration:
     with ``gcd(a, c) = 1``, listed by increasing ``a``; these are the
     weights usable at the requested ``c`` as they stand.  Candidates
     sharing a factor with ``c`` become well-formed models only after
-    dividing that factor out of ``(a, b, c)``; their reductions are
-    collected in ``reduced`` (deduplicated, each recording its raw
-    source).  ``raw_count`` counts all congruence candidates with
-    ``a, b >= 1``.
+    dividing that factor out of ``(a, b, c)``; ``_shared`` keeps them as
+    ``(a, b, c, n)`` by increasing ``a``, and ``reduced`` reduces them on
+    its first read (deduplicated, each recording its raw source), so a
+    caller that reads only ``pairs`` never pays for a reduction.
+    ``raw_count`` counts all congruence candidates with ``a, b >= 1``.
     """
 
     u: int
     pairs: tuple[WeightPair, ...]
-    reduced: tuple[WeightPair, ...]
     raw_count: int
+    _shared: tuple[tuple[int, int, int, int], ...] = ()
+
+    @cached_property
+    def reduced(self) -> tuple[WeightPair, ...]:
+        out, seen = [], set()
+        for weights in self._shared:
+            space = well_formed_reduction(WeightedProjectiveSpace(weights), (0, 1, 2))
+            abc = space.weights[:3]
+            if abc not in seen:
+                seen.add(abc)
+                out.append(WeightPair(*abc, reduced_from=weights[:3]))
+        return tuple(out)
 
     def pair_tuples(self) -> list[tuple[int, int]]:
         return [(p.a, p.b) for p in self.pairs]
@@ -358,9 +380,10 @@ def enumerate_weights(d: int, n: int, m: int, c: int) -> WeightEnumeration:
     """Enumerate weights ``(a, b)`` for the cyclic model of given
     ``(d, n, m)`` at third weight ``c``.
 
-    For ``n >= 2`` and ``c = 1`` the solutions form the ``d``-member
-    family ``a = u + k*n``, ``b = (d - k)*n - u`` for ``k = 0..d-1``,
-    where ``u`` is the inverse of ``m`` mod ``n``.
+    Candidates sharing a factor with ``c`` are reduced on the first read
+    of ``reduced``.  For ``n >= 2`` and ``c = 1`` the solutions form the
+    ``d``-member family ``a = u + k*n``, ``b = (d - k)*n - u`` for
+    ``k = 0..d-1``, where ``u`` is the inverse of ``m`` mod ``n``.
     """
     m_c = _reduced_m(d, n, m, c)
     if gcd(c, n) != 1:
@@ -371,24 +394,13 @@ def enumerate_weights(d: int, n: int, m: int, c: int) -> WeightEnumeration:
     first = target if target else n
     candidates = range(first, degree, n)
     primary = []
-    reduced = []
-    seen = set()
+    shared = []
     for a in candidates:
-        b = degree - a
         if gcd(a, c) == 1:
-            primary.append(WeightPair(a=a, b=b, c=c))
-            continue
-        space = well_formed_reduction(WeightedProjectiveSpace((a, b, c, n)), (0, 1, 2))
-        ra, rb, rc = space.weights[0], space.weights[1], space.weights[2]
-        if (ra, rb, rc) not in seen:
-            seen.add((ra, rb, rc))
-            reduced.append(WeightPair(a=ra, b=rb, c=rc, reduced_from=(a, b, c)))
-    return WeightEnumeration(
-        u=u,
-        pairs=tuple(primary),
-        reduced=tuple(reduced),
-        raw_count=len(candidates),
-    )
+            primary.append(WeightPair(a=a, b=degree - a, c=c))
+        else:
+            shared.append((a, degree - a, c, n))
+    return WeightEnumeration(u=u, pairs=tuple(primary), raw_count=len(candidates), _shared=tuple(shared))
 
 
 def build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CompactificationModel:
@@ -409,9 +421,6 @@ def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
         if not cond.passed:
             raise ConditionViolated(cond.tag, cond.detail)
     descriptor, ambient, degree, beta, curve, r1, r2 = _cyclic_frame(d, n, _reduced_m(d, n, m, c), c, a)
-    interior = tuple(
-        (f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(roots.pairs) if k >= 2
-    )
     return CompactificationModel(
         descriptor=descriptor,
         ambient=ambient,
@@ -419,7 +428,7 @@ def _build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig,
         beta=beta,
         curve=curve,
         infinity_singularities=(("R1", r1), ("R2", r2)),
-        interior_singularities=interior,
+        interior_singularities=roots._interior,
         roots=roots,
     )
 

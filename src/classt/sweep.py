@@ -165,10 +165,11 @@ def _check_blowup(out: SuiteResult, model: CompactificationModel) -> None:
 def _walk_box(max_d: int, max_n: int, max_c: int, seed: int, count: int) -> list[SuiteResult]:
     """Walk ``cyclic_tuples`` once and run the five per-box suites.
 
-    Each tuple's weights are enumerated once and each box model is built
-    once; the residual and the roundtrip run on every model, the topology
-    on the first pair of each tuple and its fully degenerate model, and
-    the weight family on the ``c = 1, n >= 2`` tuples.  The D/E residuals,
+    Each tuple's weights are enumerated once, and only their ``pairs`` are
+    read, so no reduction is made; each box model is built once.  The
+    residual and the roundtrip run on every model, the topology on the
+    first pair of each tuple and its fully degenerate model, and the
+    weight family on the ``c = 1, n >= 2`` tuples.  The D/E residuals,
     each with its ALE group check, and the blow-up suite's ``count``
     models, sampled from the box's parameters with ``random.Random(seed)``,
     run after the walk.

@@ -27,7 +27,7 @@ class WeightedProjectiveSpace:
     def __post_init__(self):
         if len(self.weights) < 2:
             raise BadInput("a projective space needs at least two weights")
-        if any(w < 1 for w in self.weights):
+        if min(self.weights) < 1:
             raise BadInput(f"weights must be positive, got {self.weights}")
 
     @property

@@ -14,6 +14,7 @@ from classt import (
     BadInput,
     CompactificationModel,
     ConditionViolated,
+    CurveAtInfinity,
     RootConfig,
     build_cyclic,
     build_rdp,
@@ -24,8 +25,9 @@ from classt import (
     topology,
 )
 from classt import compactify
-from classt.compactify import _parse_rational, weight_conditions
-from classt.wps import WeightedProjectiveSpace
+from classt.compactify import WeightPair, _parse_rational, weight_conditions
+from classt.sweep import cyclic_tuples
+from classt.wps import WeightedProjectiveSpace, well_formed_reduction
 
 from oracles import box_params
 
@@ -162,6 +164,37 @@ def test_enumerate_n1_runs_over_every_weight_prime_to_c():
             assert enum.u == 0
             assert enum.raw_count == d * c - 1
             assert [p.a for p in enum.pairs] == [a for a in range(1, d * c) if gcd(a, c) == 1]
+
+
+def eager_reduced(d, n, m, c):
+    """The reductions of the congruence candidates sharing a factor with
+    ``c``, made eagerly in one loop: the reference for the lazy ``reduced``."""
+    degree = d * n * c
+    reduced, seen = [], set()
+    for a in range(1, degree):
+        if (a * m - c) % n or gcd(a, c) == 1:
+            continue
+        space = well_formed_reduction(WeightedProjectiveSpace((a, degree - a, c, n)), (0, 1, 2))
+        ra, rb, rc = space.weights[:3]
+        if (ra, rb, rc) not in seen:
+            seen.add((ra, rb, rc))
+            reduced.append(WeightPair(a=ra, b=rb, c=rc, reduced_from=(a, degree - a, c)))
+    return tuple(reduced)
+
+
+def test_lazy_reductions_match_the_eager_loop():
+    reductions = 0
+    for params in cyclic_tuples(6, 6, 6):
+        enum, again = enumerate_weights(*params), enumerate_weights(*params)
+        assert enum == again and hash(enum) == hash(again)
+        reduced = enum.reduced
+        assert reduced == eager_reduced(*params), params
+        assert enum.reduced is reduced
+        # Reading the reductions changes neither equality nor the hash.
+        assert enum == again and hash(enum) == hash(again)
+        assert again.reduced == reduced
+        reductions += len(reduced)
+    assert reductions == 1167
 
 
 def test_enumerate_bad_input():
@@ -433,6 +466,21 @@ def test_minimal_resolution_chains():
 
 def test_minimal_resolution_no_interior():
     assert minimal_resolution(build_cyclic(2, 2, 1, 1, 1, RootConfig.simple([1, 2]))) == ()
+
+
+def test_curve_validation():
+    for c_squared, orders, message in (
+        (Fraction(0), (2,), "the boundary curve must have positive self-intersection"),
+        (Fraction(-1, 3), (), "the boundary curve must have positive self-intersection"),
+        (Fraction(1, 3), (3, 1), "orbifold point orders must be at least 2"),
+        (Fraction(1, 3), (0,), "orbifold point orders must be at least 2"),
+    ):
+        with pytest.raises(BadInput) as exc:
+            CurveAtInfinity(c_squared, orders)
+        assert str(exc.value) == message
+    # A boundary curve may meet only smooth points, as in P(1, 1, 1, 1).
+    assert CurveAtInfinity(Fraction(1, 3), ()).orbifold_points == ()
+    assert build_cyclic(2, 1, 1, 1, 1, RootConfig.simple([1, 2])).curve.orbifold_points == ()
 
 
 def test_model_is_frozen():

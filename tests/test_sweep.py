@@ -15,6 +15,7 @@ from classt.compactify import (
     smoothness_status,
 )
 from classt.quotients import HJChain, QuotientSingularity, detect_class_T, hj_resolution
+from classt.reports import enumerate_report
 from classt.sweep import (
     SuiteResult,
     blowup_suite,
@@ -30,7 +31,7 @@ from classt.sweep import (
     topology_suite,
     weight_family_suite,
 )
-from classt.wps import WeightedProjectiveSpace
+from classt.wps import WeightedProjectiveSpace, well_formed_reduction
 
 from oracles import box_models, box_params
 
@@ -378,6 +379,25 @@ def test_run_all_walks_the_box_once(monkeypatch):
     seen.clear()
     roundtrip_suite(*SWEEP_BOX)
     assert seen == expected
+
+
+def test_walk_makes_no_weight_reduction(monkeypatch):
+    # The walk reads only the pairs of each enumeration; the enumerate
+    # command reads the reductions too, so it still makes them.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return well_formed_reduction(*args)
+
+    monkeypatch.setattr(classt.compactify, "well_formed_reduction", counted)
+    run_all(*SWEEP_BOX)
+    assert calls == []
+    outputs = enumerate_report(2, 3, 2, 2).outputs
+    assert [(p["a"], p["b"], p["c"], p["reduced_from"]) for p in outputs["reduced"]] == [
+        (2, 4, 1, [4, 8, 2]), (5, 1, 1, [10, 2, 2]),
+    ]
+    assert [space.weights for space, _ in calls] == [(4, 8, 2, 3), (10, 2, 2, 3)]
 
 
 def test_brute_force_class_t_examples():

@@ -20,10 +20,16 @@ from oracles import is_well_formed
 
 
 def test_space_validation():
-    with pytest.raises(BadInput):
-        WeightedProjectiveSpace((1,))
-    with pytest.raises(BadInput):
-        WeightedProjectiveSpace((1, 0, 2))
+    for weights, message in (
+        ((1,), "a projective space needs at least two weights"),
+        ((), "a projective space needs at least two weights"),
+        ((1, 0, 2), "weights must be positive, got (1, 0, 2)"),
+        ((3, 2, -1), "weights must be positive, got (3, 2, -1)"),
+        ((0, 0), "weights must be positive, got (0, 0)"),
+    ):
+        with pytest.raises(BadInput) as exc:
+            WeightedProjectiveSpace(weights)
+        assert str(exc.value) == message
     assert WeightedProjectiveSpace((1, 3, 1, 2)).dim == 3
     assert WeightedProjectiveSpace((1, 3, 1, 2)).label() == "P(1,3,1,2)"
 
