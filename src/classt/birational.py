@@ -28,7 +28,6 @@ parameter ``t``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,46 +38,6 @@ from .compactify import CompactificationModel
 from .errors import BadInput
 from .quotients import QuotientSingularity, normalize
 from .wps import WeightedProjectiveSpace
-
-# A rational coordinate as integers (numerator, nonzero denominator), not
-# necessarily reduced; _same_orbit compares points given as these.
-_Pair = tuple[int, int]
-
-
-@lru_cache(maxsize=256)
-def _exponent_pairs(weights: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
-    """``(i, j, w_j/g, w_i/g)`` with ``g = gcd(w_i, w_j)``, for every ``i < j``."""
-    return tuple(
-        (i, j, wj // gcd(wi, wj), wi // gcd(wi, wj))
-        for j, wj in enumerate(weights)
-        for i, wi in enumerate(weights[:j])
-    )
-
-
-def _same_orbit(weights: tuple[int, ...], p: Sequence[_Pair], q: Sequence[_Pair]) -> bool:
-    """Weighted equality of two coordinate tuples of integer pairs.
-
-    The supports must agree, and every two nonzero coordinates ``i, j``
-    must satisfy ``l_i^(w_j/g) = l_j^(w_i/g)`` with ``g = gcd(w_i, w_j)``
-    for the ratios ``l_k = A_k / B_k = (pn_k * qd_k) / (qn_k * pd_k)`` in
-    lowest terms.  For points of one orbit ``l_k = t^(-w_k)``, so the
-    powers stay as small as the scaling however large the coordinates are.
-    """
-    ratios: list[_Pair | None] = []
-    for (pn, pd), (qn, qd) in zip(p, q):
-        if not pn or not qn:
-            if pn or qn:
-                return False
-            ratios.append(None)
-            continue
-        a, b = pn * qd, qn * pd
-        g = gcd(a, b)
-        ratios.append((a // g, b // g))
-    for i, j, ei, ej in _exponent_pairs(weights):
-        ri, rj = ratios[i], ratios[j]
-        if ri and rj and ri[0] ** ei * rj[1] ** ej != ri[1] ** ei * rj[0] ** ej:
-            return False
-    return True
 
 
 class WPoint:
@@ -95,11 +54,7 @@ class WPoint:
     __slots__ = ("ambient", "coords")
 
     def __init__(self, ambient: WeightedProjectiveSpace, coords: tuple[RationalLike, ...]):
-        cs = tuple(coords)
-        for c in cs:
-            if not isinstance(c, Fraction):
-                cs = tuple(map(as_fraction, cs))
-                break
+        cs = tuple(map(as_fraction, coords))
         if len(cs) != len(ambient.weights):
             raise BadInput(
                 f"{ambient.label()} needs {len(ambient.weights)} coordinates, got {len(cs)}"
@@ -115,11 +70,25 @@ class WPoint:
         if self.ambient != other.ambient:
             return False
         p, q = self.coords, other.coords
-        return p == q or _same_orbit(
-            self.ambient.weights,
-            [(c.numerator, c.denominator) for c in p],
-            [(c.numerator, c.denominator) for c in q],
-        )
+        if p == q:
+            return True
+        # The ratios q_k / p_k are raised to powers, not the coordinates: for
+        # one orbit each is t^(w_k), small however large the coordinates are.
+        ratios = []
+        for w, pk, qk in zip(self.ambient.weights, p, q):
+            if not pk or not qk:
+                if pk or qk:
+                    return False
+                continue
+            num, den = qk.numerator * pk.denominator, qk.denominator * pk.numerator
+            g = gcd(num, den)
+            ratios.append((w, num // g, den // g))
+        for j, (wj, nj, dj) in enumerate(ratios):
+            for wi, ni, di in ratios[:j]:
+                g = gcd(wi, wj)
+                if ni ** (wj // g) * dj ** (wi // g) != di ** (wj // g) * nj ** (wi // g):
+                    return False
+        return True
 
     __hash__ = None
 
@@ -136,11 +105,6 @@ def target_plane(model: CompactificationModel) -> WeightedProjectiveSpace:
     """The plane ``P(a, c, n)`` the model projects to."""
     _require_cyclic(model)
     return WeightedProjectiveSpace((model.a, model.c, model.n))
-
-
-def _root_triples(model: CompactificationModel) -> tuple[tuple[int, int, int], ...]:
-    """``(p, q, k)`` for each root ``p/q`` of multiplicity ``k``, kept by the RootConfig."""
-    return model.roots._triples
 
 
 def surface_residue(model: CompactificationModel, coords: tuple[RationalLike, ...]) -> Fraction:
@@ -295,4 +259,4 @@ def roundtrip_check(model: CompactificationModel) -> bool:
     a, b, c, n = model.ambient.weights
     if a + b != c * n * model.roots.total:
         return False
-    return _expands(model.roots.polynomial._cleared, _root_triples(model))
+    return _expands(model.roots.polynomial._cleared, model.roots._triples)

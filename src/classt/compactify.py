@@ -292,8 +292,10 @@ class WeightEnumeration:
     sharing a factor with ``c`` become well-formed models only after
     dividing that factor out of ``(a, b, c)``; ``_shared`` keeps them as
     ``(a, b, c, n)`` by increasing ``a``, and ``reduced`` reduces them on
-    its first read (deduplicated, each recording its raw source), so a
-    caller that reads only ``pairs`` never pays for a reduction.
+    its first read, each recording its raw source, so a caller that reads
+    only ``pairs`` never pays for a reduction.  As ``gcd(c, n) = 1``, each
+    reduces to ``(a, b, c) / gcd(a, c)``, whose ``c`` fixes the divisor and
+    so ``a``: distinct candidates give distinct reductions.
     ``raw_count`` counts all congruence candidates with ``a, b >= 1``.
     """
 
@@ -304,14 +306,13 @@ class WeightEnumeration:
 
     @cached_property
     def reduced(self) -> tuple[WeightPair, ...]:
-        out, seen = [], set()
-        for weights in self._shared:
-            space = well_formed_reduction(WeightedProjectiveSpace(weights), (0, 1, 2))
-            abc = space.weights[:3]
-            if abc not in seen:
-                seen.add(abc)
-                out.append(WeightPair(*abc, reduced_from=weights[:3]))
-        return tuple(out)
+        return tuple(
+            WeightPair(
+                *well_formed_reduction(WeightedProjectiveSpace(weights), (0, 1, 2)).weights[:3],
+                reduced_from=weights[:3],
+            )
+            for weights in self._shared
+        )
 
     def pair_tuples(self) -> list[tuple[int, int]]:
         return [(p.a, p.b) for p in self.pairs]

@@ -17,6 +17,7 @@ from classt import (
     blowup_at_R2,
     build_cyclic,
     build_rdp,
+    enumerate_weights,
     evaluate_pi_chart,
     normalize,
     project_pi,
@@ -125,9 +126,9 @@ def test_wpoint_equality_needs_one_scaling_for_every_pair():
 
 
 # Coordinates and coordinatewise factors small enough that the two points
-# of a pair are often one orbit, or miss it by a sign or a square.
+# of a pair are often one orbit, or miss it by a sign, a square or a zero.
 _SMALL = st.sampled_from([Fraction(v) for v in (0, 1, -1, 2, -2, 4, -8, "1/2", "-1/4")])
-_FACTORS = st.sampled_from([Fraction(v) for v in (1, -1, 2, -2, 4, -4, 8, 16, "1/2", "1/4")])
+_FACTORS = st.sampled_from([Fraction(v) for v in (0, 1, -1, 2, -2, 4, -4, 8, 16, "1/2", "1/4")])
 
 
 @settings(derandomize=True, database=None, max_examples=400)
@@ -138,10 +139,32 @@ def test_wpoint_equality_matches_the_bezout_oracle(data):
     p = data.draw(st.lists(_SMALL, min_size=size, max_size=size).filter(any), label="p")
     factors = data.draw(st.lists(_FACTORS, min_size=size, max_size=size), label="factors")
     q = [x * f for x, f in zip(p, factors)]
+    assume(any(q))
     space = WeightedProjectiveSpace(weights)
     expected = same_weighted_point(weights, p, q)
     assert (WPoint(space, p) == WPoint(space, q)) == expected
     assert (WPoint(space, q) == WPoint(space, p)) == expected
+
+
+def test_wpoint_equality_matches_the_oracle_at_the_degree_cap():
+    # In P(1, 399, 1, 400) the ratios are raised to powers up to 400.  A
+    # chart T lift rescaled by t is the lift's point; with z negated it is
+    # not, since x != 0 and x and z both have weight 1.
+    a = enumerate_weights(1, 400, 1, 1).pairs[0].a
+    model = build_cyclic(1, 400, 1, 1, a, RootConfig.simple([1]))
+    weights = model.ambient.weights
+    assert weights == (1, 399, 1, 400)
+    s, r = Fraction(2, 3), Fraction(-5, 2)
+    x = evaluate_pi_chart(model, "T", (s, r)).coords[0]
+    lift = (x, 1 / s, r, Fraction(1))
+    verdicts = []
+    for t in (Fraction(2), Fraction(-3, 2), Fraction(1, 3)):
+        scaled = [v * t**w for v, w in zip(lift, weights)]
+        for point in (scaled, [scaled[0], scaled[1], -scaled[2], scaled[3]]):
+            expected = same_weighted_point(weights, lift, point)
+            assert (WPoint(model.ambient, point) == WPoint(model.ambient, lift)) == expected
+            verdicts.append(expected)
+    assert verdicts == [True, False] * 3
 
 
 def test_wpoint_distinct_ambients_and_hash():
@@ -518,7 +541,7 @@ def _walk_box_against_the_oracle(models=None):
         identity = expansion_oracle(model)
         passed.append(roundtrip_check(model))
         assert all(agrees for _, _, _, agrees in expected), model.label()
-        key = (model.roots.polynomial._cleared, birational._root_triples(model))
+        key = (model.roots.polynomial._cleared, model.roots._triples)
         assert expands(*key) == identity, model.label()
         assert expands.cache_info().misses == 1, model.label()
         assert not identity or all(on for _, _, on, _ in expected), model.label()

@@ -54,7 +54,7 @@ from classt import (  # noqa: E402
     roundtrip_check,
     squarefree_decomposition,
 )
-from classt.birational import _expands, _root_triples, surface_residue  # noqa: E402
+from classt.birational import _expands, surface_residue  # noqa: E402
 from classt.reports import assemble, build_cyclic_report, render_json  # noqa: E402
 
 REPEATS = 11
@@ -98,7 +98,7 @@ def cases() -> list[tuple[str, object]]:
     unscaled = WPoint(model.ambient, (x, 1 / s, r, Fraction(1)))
     report = build_cyclic_report(2, 3, 2, 2, 1, "1,2").data
 
-    expansion = (poly._cleared, _root_triples(model))
+    expansion = (poly._cleared, model.roots._triples)
 
     def cold_expands():
         _expands.cache_clear()
