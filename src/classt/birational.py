@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .arith import RationalLike, as_fraction
@@ -206,34 +205,6 @@ def evaluate_pi_chart(
     raise BadInput(f"chart must be 'T' or 'S', got {chart!r}")
 
 
-# The expansion verdict of one polynomial ``P`` and its roots.  A sweep
-# walks the models of one ``d`` in a row, and they share ``P`` and the
-# roots, so one entry is enough; a larger memo costs a corpus, whose rows
-# each have their own roots.  The CLI clears it when each command starts.
-@lru_cache(maxsize=1)
-def _expands(cleared: tuple[tuple[int, ...], int], roots: tuple[tuple[int, int, int], ...]) -> bool:
-    """Whether the cleared ``P = ints / D`` is ``prod_j (x - rp_j/rq_j)^(k_j)``
-    over the roots ``rp_j/rq_j`` of multiplicity ``k_j``.  Both sides have
-    degree at most ``deg``, so they are equal iff ``ints`` by Horner times
-    ``prod_j rq_j^(k_j)`` is ``D * prod_j (x*rq_j - rp_j)^(k_j)`` at the
-    ``deg + 1`` integers ``x = 0..deg``."""
-    ints, den = cleared
-    deg = max(len(ints) - 1, sum(k for _, _, k in roots))
-    root_den = 1
-    for _, rq, k in roots:
-        root_den *= rq**k
-    for x in range(deg + 1):
-        value = 0
-        for coeff in reversed(ints):
-            value = value * x + coeff
-        product = den
-        for rp, rq, k in roots:
-            product *= (x * rq - rp) ** k
-        if value * root_den != product:
-            return False
-    return True
-
-
 def roundtrip_check(model: CompactificationModel) -> bool:
     """Whether every chart T point, lifted to the surface and rescaled,
     projects back to its chart image.
@@ -249,14 +220,14 @@ def roundtrip_check(model: CompactificationModel) -> bool:
     multiplies ``x*y`` by ``t^(a+b)`` and the root product by
     ``t^(c*n*mult)``, where ``mult`` sums the multiplicities.  So every
     rescaled lift is on the surface iff ``a + b == c*n*mult`` and the
-    expanded ``P`` is the root product, which ``_expands`` decides once per
-    polynomial and roots.  The projection ``[x t^a : r t^c : t^n]`` of the
-    rescaled lift is ``t^(a, c, n)`` times the chart image, which is that
-    image in ``P(a, c, n)`` by the definition of its weights, so nothing
-    is compared and no point is drawn.
+    expanded ``P`` is the root product, which the roots decide once, in
+    ``RootConfig._expands``.  The projection ``[x t^a : r t^c : t^n]`` of
+    the rescaled lift is ``t^(a, c, n)`` times the chart image, which is
+    that image in ``P(a, c, n)`` by the definition of its weights, so
+    nothing is compared and no point is drawn.
     """
     _require_cyclic(model)
     a, b, c, n = model.ambient.weights
     if a + b != c * n * model.roots.total:
         return False
-    return _expands(model.roots.polynomial._cleared, model.roots._triples)
+    return model.roots._expands

@@ -13,7 +13,7 @@ import argparse
 import sys
 from functools import lru_cache
 
-from . import birational, compactify, reports
+from . import compactify, reports
 from .errors import BadInput, ClassTError
 
 _DOTLESS = "this command has no graph form; use --format text or json"
@@ -111,14 +111,14 @@ def _params(args: argparse.Namespace) -> dict:
 
 
 def run_command(argv: list[str]) -> int:
-    # Each command builds its own model frames and roundtrip expansion verdicts,
-    # as a one-shot process would: a command pays for each once and never
-    # reuses another command's, so its output and its cost do not depend on
-    # the commands run before it in the same process.  The parser is built
+    # Each command builds its own model frames, as a one-shot process would:
+    # a command pays for each once and never reuses another command's, so
+    # its output and its cost do not depend on the commands run before it
+    # in the same process.  Each command parses its own roots, so their
+    # roundtrip expansion verdicts need no clearing.  The parser is built
     # once per process: it keeps no state between parses, and argparse
     # reads the terminal width when it formats, not when it is built.
     compactify._cyclic_frame.cache_clear()
-    birational._expands.cache_clear()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -121,9 +121,28 @@ class RootConfig:
         return tuple((f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(self.pairs) if k >= 2)
 
     @cached_property
-    def _triples(self) -> tuple[tuple[int, int, int], ...]:
-        """``(p, q, k)`` for each root ``p/q`` of multiplicity ``k``."""
-        return tuple((root.numerator, root.denominator, k) for root, k in self.pairs)
+    def _expands(self) -> bool:
+        """Whether the cleared ``P = ints / D`` is ``prod_j (x - rp_j/rq_j)^(k_j)``
+        over the roots ``rp_j/rq_j`` of multiplicity ``k_j``.  Both sides have
+        degree at most ``deg``, so they are equal iff ``ints`` by Horner times
+        ``prod_j rq_j^(k_j)`` is ``D * prod_j (x*rq_j - rp_j)^(k_j)`` at the
+        ``deg + 1`` integers ``x = 0..deg``."""
+        ints, den = self.polynomial._cleared
+        triples = [(root.numerator, root.denominator, k) for root, k in self.pairs]
+        deg = max(len(ints) - 1, self.total)
+        root_den = 1
+        for _, rq, k in triples:
+            root_den *= rq**k
+        for x in range(deg + 1):
+            value = 0
+            for coeff in reversed(ints):
+                value = value * x + coeff
+            product = den
+            for rp, rq, k in triples:
+                product *= (x * rq - rp) ** k
+            if value * root_den != product:
+                return False
+        return True
 
     def as_text(self) -> str:
         return ",".join(f"{r}:{k}" for r, k in self.pairs)
@@ -296,13 +315,16 @@ class WeightEnumeration:
     only ``pairs`` never pays for a reduction.  As ``gcd(c, n) = 1``, each
     reduces to ``(a, b, c) / gcd(a, c)``, whose ``c`` fixes the divisor and
     so ``a``: distinct candidates give distinct reductions.
-    ``raw_count`` counts all congruence candidates with ``a, b >= 1``.
     """
 
     u: int
     pairs: tuple[WeightPair, ...]
-    raw_count: int
     _shared: tuple[tuple[int, int, int, int], ...] = ()
+
+    @property
+    def raw_count(self) -> int:
+        """The number of congruence candidates with ``a, b >= 1``."""
+        return len(self.pairs) + len(self._shared)
 
     @cached_property
     def reduced(self) -> tuple[WeightPair, ...]:
@@ -393,15 +415,14 @@ def enumerate_weights(d: int, n: int, m: int, c: int) -> WeightEnumeration:
     degree = d * n * c
     target = (c * u) % n
     first = target if target else n
-    candidates = range(first, degree, n)
     primary = []
     shared = []
-    for a in candidates:
+    for a in range(first, degree, n):
         if gcd(a, c) == 1:
             primary.append(WeightPair(a=a, b=degree - a, c=c))
         else:
             shared.append((a, degree - a, c, n))
-    return WeightEnumeration(u=u, pairs=tuple(primary), raw_count=len(candidates), _shared=tuple(shared))
+    return WeightEnumeration(u=u, pairs=tuple(primary), _shared=tuple(shared))
 
 
 def build_cyclic(d: int, n: int, m: int, c: int, a: int, roots: RootConfig) -> CompactificationModel:

@@ -126,13 +126,12 @@ def _check_ale_end(out: SuiteResult, model: CompactificationModel) -> None:
 
 def _check_topology(out: SuiteResult, model: CompactificationModel, a_indices: tuple[int, ...]) -> None:
     out.tick()
-    label = model.label()
     model_indices = tuple(sorted(k for _, k in model.interior_singularities))
     if a_indices != model_indices:
-        out.fail(f"{label}: fibre status {a_indices} != {model_indices}")
+        out.fail(f"{model.label()}: fibre status {a_indices} != {model_indices}")
     for lbl, chain in minimal_resolution(model):
         if any(e != 2 for e in chain.entries):
-            out.fail(f"{label}: chain at {lbl} not all (-2)")
+            out.fail(f"{model.label()}: chain at {lbl} not all (-2)")
 
 
 def _check_roundtrip(out: SuiteResult, model: CompactificationModel) -> None:
@@ -143,10 +142,9 @@ def _check_roundtrip(out: SuiteResult, model: CompactificationModel) -> None:
 
 def _check_blowup(out: SuiteResult, model: CompactificationModel) -> None:
     out.tick()
-    label = model.label()
     blow = blowup_at_R2(model)
     if blow.new_singularities != plane_points(model):
-        out.fail(f"{label}: blow-up points {blow.new_singularities}")
+        out.fail(f"{model.label()}: blow-up points {blow.new_singularities}")
     # K^2 of Mbar blown up at R2, two ways.  The target plane P(a, c, n)
     # has K^2 = (a + c + n)^2/(acn), less one per blow-up.  On
     # Mbar, K = -beta C gives beta^2 C^2, and blowing up the centre 1/b(c, n)
@@ -159,7 +157,7 @@ def _check_blowup(out: SuiteResult, model: CompactificationModel) -> None:
         (order_c + order_n - b) ** 2, b * order_c * order_n
     )
     if plane_side != centre_side:
-        out.fail(f"{label}: K^2 {plane_side} from the plane, {centre_side} from the blow-up")
+        out.fail(f"{model.label()}: K^2 {plane_side} from the plane, {centre_side} from the blow-up")
 
 
 def _walk_box(max_d: int, max_n: int, max_c: int, seed: int, count: int) -> list[SuiteResult]:
@@ -171,40 +169,38 @@ def _walk_box(max_d: int, max_n: int, max_c: int, seed: int, count: int) -> list
     first pair of each tuple and its fully degenerate model, and the
     weight family on the ``c = 1, n >= 2`` tuples.  The D/E residuals,
     each with its ALE group check, and the blow-up suite's ``count``
-    models, sampled from the box's parameters with ``random.Random(seed)``,
+    models, sampled from the box's models with ``random.Random(seed)``,
     run after the walk.
     """
     fam, res, top, rt, blo = map(SuiteResult, (
         "weight-family", "adjunction-residual", "topology", "projection-roundtrip", "blowup-singularities",
     ))
-    box: list[tuple[int, int, int, int, int, RootConfig]] = []
     # Per d: the simple roots, the fully degenerate roots and each one's
-    # status, so each polynomial is expanded once per walk.
-    configs_by_d: dict[int, list[tuple[RootConfig, tuple[int, ...]]]] = {}
+    # status, so each polynomial is expanded, and its expansion decided,
+    # once per walk.  Every d has tuples: n = m = c = 1 is one.
+    configs = {
+        d: [(roots, smoothness_status(roots)) for roots in (default_roots(d), RootConfig.of([(1, d)]))]
+        for d in range(1, max_d + 1)
+    }
+    box: list[CompactificationModel] = []
     for d, n, m, c in cyclic_tuples(max_d, max_n, max_c):
-        configs = configs_by_d.get(d)
-        if configs is None:
-            configs = configs_by_d[d] = [
-                (roots, smoothness_status(roots)) for roots in (default_roots(d), RootConfig.of([(1, d)]))
-            ]
-        (roots, status), (degenerate, degenerate_status) = configs
+        (roots, status), (degenerate, degenerate_status) = configs[d]
         enum = enumerate_weights(d, n, m, c)
         if c == 1 and n >= 2:
             _check_family(fam, d, n, m, enum)
         for k, pair in enumerate(enum.pairs):
-            params = (d, n, m, c, pair.a, roots)
-            model = build_cyclic(*params)
+            model = build_cyclic(d, n, m, c, pair.a, roots)
             _check_residual(res, model)
             if k == 0:
                 _check_topology(top, model, status)
                 _check_topology(top, build_cyclic(d, n, m, c, pair.a, degenerate), degenerate_status)
             _check_roundtrip(rt, model)
-            box.append(params)
+            box.append(model)
     for model in rdp_models():
         _check_residual(res, model)
         _check_ale_end(res, model)
-    for chosen in random.Random(seed).sample(box, min(count, len(box))):
-        _check_blowup(blo, build_cyclic(*chosen))
+    for model in random.Random(seed).sample(box, min(count, len(box))):
+        _check_blowup(blo, model)
     return [fam, res, top, rt, blo]
 
 

@@ -312,12 +312,13 @@ def roundtrip_oracle(model, sample_count: int, seed: int) -> list[tuple]:
     attempt, and rejects ``w' = 0`` and ``P(r^n) = 0`` with ``P(r^n)`` the
     root product.  The chart image ``[x : r : 1]``,
     ``x = w' P(r^n)``, lifts to ``[x : 1/w' : r : 1]``, which is rescaled
-    by ``t^(a, b, c, n)``.  Each sample gives ``(index, r, residue, plane)``:
-    the index of its scaling, the drawn ``r``, whether the rescaled
-    lift lies on the surface (``product_residue``), and whether its
-    projection ``[x : z : w]`` is the chart image in ``P(a, c, n)``
-    (``same_weighted_point``).  The list stops after the first sample that
-    fails either.
+    by ``t^(a, b, c, n)``.  Each sample gives ``(index, r, residue)``:
+    the index of its scaling, the drawn ``r``, and whether the rescaled
+    lift lies on the surface (``product_residue``).  The list stops after
+    the first sample off the surface.  The projection ``[x : z : w]`` of a
+    rescaled lift is ``t^(a, c, n)`` times the chart image, the same point
+    of ``P(a, c, n)`` by the definition of its weights, so it is not
+    compared.
     """
     rng = random.Random(seed)
     a, b, c, n = model.ambient.weights
@@ -336,9 +337,8 @@ def roundtrip_oracle(model, sample_count: int, seed: int) -> list[tuple]:
         ta, tb, tc, tn = scalings[index]
         lift = (x * ta, tb / w1, r * tc, tn)
         residue = product_residue(model, lift) == 0
-        plane = same_weighted_point((a, c, n), (lift[0], lift[2], lift[3]), (x, r, Fraction(1)))
-        samples.append((index, r, residue, plane))
-        if not (residue and plane):
+        samples.append((index, r, residue))
+        if not residue:
             break
     return samples
 

@@ -27,7 +27,7 @@ from classt import (
     topology,
     UniPoly,
 )
-from classt import birational, reports
+from classt import reports
 from classt.birational import surface_residue
 
 from oracles import (
@@ -436,11 +436,12 @@ def test_roundtrip_repeated_roots():
 def test_roundtrip_fails_on_a_wrong_expansion(monkeypatch):
     # The lift's y comes from the expanded P; the defining equation uses
     # the root factors, so an expansion that disagrees with them must fail.
+    # The roots keep their first verdict, so the wrong P goes into fresh
+    # roots before it.
+    assert roundtrip_check(build_cyclic(2, 2, 1, 1, 1, RootConfig.simple([1, 2])))
     roots = RootConfig.simple([1, 2])
-    model = build_cyclic(2, 2, 1, 1, 1, roots)
-    assert roundtrip_check(model)
     monkeypatch.setitem(roots.__dict__, "polynomial", UniPoly.from_roots([(1, 1), (3, 1)]))
-    assert not roundtrip_check(model)
+    assert not roundtrip_check(build_cyclic(2, 2, 1, 1, 1, roots))
 
 
 # The 27 distinct values of r drawn from the numerators -6..6 over 1, 2 and
@@ -460,23 +461,24 @@ def test_roundtrip_fails_on_a_wrong_expansion_that_vanishes_where_sampled(monkey
     # A monic P of degree 30 plus the product of (x - v) over every value v
     # of r^n that a sampled r gives is still monic of degree 30, and equals
     # the root product at each of those values, so only a complete test of
-    # the expansion sees that it is wrong.
+    # the expansion sees that it is wrong.  The roots keep their first
+    # verdict, so each wrong P goes into fresh roots before it.
     roots = RootConfig.of(pairs)
     assert roots.total == 30
-    models = [build_cyclic(30, n, 1, 1, 1, roots) for n in (1, 2)]
-    for model in models:
-        assert roundtrip_check(model)
+    for n in (1, 2):
+        assert roundtrip_check(build_cyclic(30, n, 1, 1, 1, roots))
     right = roots.polynomial
-    for model in models:
-        values = sorted({r**model.n for r in _SAMPLED_R})
-        assert len(values) == (27 if model.n == 1 else 14)
+    for n in (1, 2):
+        values = sorted({r**n for r in _SAMPLED_R})
+        assert len(values) == (27 if n == 1 else 14)
         extra = poly_product([[-v, 1] for v in values])
         padded = extra + [0] * (len(right.coeffs) - len(extra))
         wrong = UniPoly.of(a + b for a, b in zip(right.coeffs, padded))
         assert wrong.degree == 30 and wrong.coeffs[-1] == 1
         assert all(wrong(v) == right(v) for v in values)
-        monkeypatch.setitem(roots.__dict__, "polynomial", wrong)
-        assert not roundtrip_check(model), model.n
+        fresh = RootConfig.of(pairs)
+        monkeypatch.setitem(fresh.__dict__, "polynomial", wrong)
+        assert not roundtrip_check(build_cyclic(30, n, 1, 1, 1, fresh)), n
 
 
 def test_roundtrip_fails_on_a_wrong_y_weight():
@@ -491,63 +493,53 @@ def test_roundtrip_fails_on_a_wrong_y_weight():
 
 
 def test_warm_expansion_cache_gives_the_cold_roundtrip(monkeypatch):
-    # The box walked in order, each model's roundtrip on the verdict its
-    # predecessors of the same d cached, then on an empty cache every time:
-    # the model verdicts and the expansion verdicts agree, and the warm walk
-    # decides the expansion once per d.
-    expands = birational._expands
+    # The box walked in order, the models of one d sharing their roots and
+    # so the expansion verdict the first of them decided, then each model
+    # on fresh roots of the same pairs: the model verdicts and the
+    # expansion verdicts agree, and the shared roots decide the expansion
+    # once per d.
+    expands = vars(RootConfig)["_expands"]
+    decide = expands.func
     decided = []
 
-    def deciding(*key):
-        decided.append(expands(*key))
+    def deciding(roots):
+        decided.append(decide(roots))
         return decided[-1]
 
-    monkeypatch.setattr(birational, "_expands", deciding)
+    monkeypatch.setattr(expands, "func", deciding)
     models = list(box_models(5, 6, 4))
     walks = []
     for cold in (False, True):
-        expands.cache_clear()
         decided.clear()
         verdicts = []
         for model in models:
             if cold:
-                expands.cache_clear()
-            verdicts.append(roundtrip_check(model))
-        walks.append((verdicts, list(decided)))
-        # The box's 5 values of d each run over consecutive models, and the
-        # cache key holds P and the roots, not n.
-        info = expands.cache_info()
-        assert (info.hits, info.misses) == ((0, 1) if cold else (len(models) - 5, 5))
-    expands.cache_clear()
+                model = replace(model, roots=RootConfig.of(model.roots.pairs))
+            verdicts.append((roundtrip_check(model), model.roots._expands))
+        walks.append((verdicts, len(decided)))
     (warm, warm_decided), (cold, cold_decided) = walks
-    assert warm == cold and warm_decided == cold_decided
-    assert all(warm) and len(warm_decided) == len(models)
+    # The box's 5 values of d each run over consecutive models; the
+    # verdict is a fact of the roots, not of n.
+    assert (warm_decided, cold_decided) == (5, len(models))
+    assert warm == cold and all(rt and ex for rt, ex in warm)
 
 
 def _walk_box_against_the_oracle(models=None):
-    # Each model's roundtrip on an empty expansion cache against sampled
-    # lifts, rescaled and compared with Fractions, and against the
-    # expansion compared with Fractions: the oracle projects every sampled
-    # lift back to its chart image, the cached expansion verdict is the
-    # oracle's, an expansion that holds leaves every sampled lift on the
-    # surface, and the model verdicts agree.  The models default to the
-    # box with the roots 1..d.
-    expands = birational._expands
+    # Each model's roundtrip against sampled lifts, rescaled and compared
+    # with Fractions, and against the expansion compared with Fractions:
+    # the verdict kept on the model's roots is the oracle's, an expansion
+    # that holds leaves every sampled lift on the surface, and the model
+    # verdicts agree.  The models default to the box with the roots 1..d.
     models = list(box_models(5, 6, 4)) if models is None else models
     passed = []
     for i, model in enumerate(models):
-        expands.cache_clear()
         expected = roundtrip_oracle(model, 10, i)
         identity = expansion_oracle(model)
         passed.append(roundtrip_check(model))
-        assert all(agrees for _, _, _, agrees in expected), model.label()
-        key = (model.roots.polynomial._cleared, model.roots._triples)
-        assert expands(*key) == identity, model.label()
-        assert expands.cache_info().misses == 1, model.label()
-        assert not identity or all(on for _, _, on, _ in expected), model.label()
-        assert passed[-1] == all(on for _, _, on, _ in expected), model.label()
+        assert model.roots._expands == identity, model.label()
+        assert not identity or all(on for _, _, on in expected), model.label()
+        assert passed[-1] == all(on for _, _, on in expected), model.label()
         assert passed[-1] == identity, model.label()
-    expands.cache_clear()
     return passed
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from classt import birational, compactify, reports
+from classt import compactify, reports
 from classt.cli import build_parser, main, run_command
 from classt.reports import DIAGNOSTIC_TAGS
 
@@ -1034,27 +1034,6 @@ def test_each_command_starts_with_an_empty_frame_memo(capsys, monkeypatch):
         assert compactify._cyclic_frame.cache_info().currsize == 1
     assert sizes == [0, 0]
     assert compactify._cyclic_frame.cache_info().maxsize is not None
-
-
-def test_each_command_starts_with_an_empty_expansion_cache(capsys, monkeypatch):
-    # The roundtrip's expansion cache keeps one (P, roots) at a time; a
-    # birational command never starts on the verdict another one cached.
-    expands = birational._expands
-    sizes = []
-    run_case = reports.run_case
-
-    def recording(kind, params, seed):
-        sizes.append(expands.cache_info().currsize)
-        return run_case(kind, params, seed)
-
-    monkeypatch.setattr(reports, "run_case", recording)
-    for roots in ("1,2", "1:2", "1,2"):
-        argv = ["birational", "-d", "2", "-n", "2", "-m", "1", "-a", "1", "--roots", roots]
-        assert run(capsys, argv)[0] == 0
-        info = expands.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
-    assert sizes == [0, 0, 0]
-    assert expands.cache_info().maxsize == 1
 
 
 def test_the_one_parser_formats_help_at_each_width(capsys, monkeypatch):

@@ -187,6 +187,8 @@ def test_lazy_reductions_match_the_eager_loop():
     for params in cyclic_tuples(6, 6, 6):
         enum, again = enumerate_weights(*params), enumerate_weights(*params)
         assert enum == again and hash(enum) == hash(again)
+        d, n, m, c = params
+        assert enum.raw_count == sum((a * m - c) % n == 0 for a in range(1, d * n * c)), params
         reduced = enum.reduced
         assert reduced == eager_reduced(*params), params
         assert enum.reduced is reduced

@@ -5,7 +5,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 import classt.sweep
-from classt import birational
 from classt.arith import hj_evaluate
 from classt.compactify import (
     RootConfig,
@@ -82,7 +81,7 @@ def test_rdp_models():
 def test_box_models_use_default_roots(monkeypatch):
     # The walk builds the box in the closed form's order with the simple
     # roots 1..d, and the first pair of each tuple once more with the
-    # fully degenerate roots; the blow-up samples come after it.
+    # fully degenerate roots; the blow-up samples are box models.
     box = (2, 3, 2)
     params = list(box_params(*box))
     expected, tuples = [], set()
@@ -92,13 +91,19 @@ def test_box_models_use_default_roots(monkeypatch):
             tuples.add((d, n, m, c))
             expected.append((d, n, m, c, a, RootConfig.of([(1, d)])))
     assert {p[0] for p in expected} == {1, 2}
-    built = []
+    built, samples = [], []
     monkeypatch.setattr(classt.sweep, "build_cyclic", recording_build(built))
+    check_blowup = classt.sweep._check_blowup
+
+    def recording_blowup(out, model):
+        samples.append(model)
+        check_blowup(out, model)
+
+    monkeypatch.setattr(classt.sweep, "_check_blowup", recording_blowup)
     run_all(*box)
-    assert built[:len(expected)] == expected
-    samples = built[len(expected):]
+    assert built == expected
     assert len(samples) == min(classt.sweep._BLOWUP_COUNT, len(params)) == 19
-    assert all(p[5] == default_roots(p[0]) for p in samples)
+    assert all(m.roots == default_roots(m.roots.total) for m in samples)
 
 
 def test_sweep_box_case_counts():
@@ -297,15 +302,15 @@ def test_blowup_suite_reports_a_centre_moved_to_R1(monkeypatch):
 def test_roundtrip_suite_reports_a_mismatch(monkeypatch):
     # An expansion verdict that is wrong for every P of degree d = 2 fails
     # exactly the box models with d = 2.
-    expands = birational._expands
+    expands = vars(RootConfig)["_expands"].func
 
-    def wrong_for_d2(cleared, roots):
-        verdict = expands(cleared, roots)
-        return not verdict if sum(k for _, _, k in roots) == 2 else verdict
+    def wrong_for_d2(roots):
+        verdict = expands(roots)
+        return not verdict if roots.total == 2 else verdict
 
     box = (2, 2, 2)
     assert roundtrip_suite(*box).passed
-    monkeypatch.setattr(birational, "_expands", wrong_for_d2)
+    monkeypatch.setattr(RootConfig, "_expands", property(wrong_for_d2))
     models = list(box_models(*box))
     expected = [m.label() for m in models if m.roots.total == 2]
     assert len(expected) == 5 and len(expected) < len(models)
@@ -329,25 +334,34 @@ def test_weight_family_counts_a_short_pair_list_once(monkeypatch):
 
 
 def test_blowup_suite_builds_only_the_sampled_models(monkeypatch):
-    # After the walk the blow-up suite builds the 20 models it samples from
-    # the box's parameters, and no other.
-    params = [(*p, default_roots(p[0])) for p in box_params(*SWEEP_BOX)]
+    # The blow-up suite checks the 20 models it samples from the box's
+    # models, which the walk built; it builds no model after the walk.
+    models = list(box_models(*SWEEP_BOX))
+    check_blowup = classt.sweep._check_blowup
     for seed in (0, 7):
-        built = []
+        built, checked = [], []
+
+        def recording_blowup(out, model):
+            checked.append((len(built), model.label()))
+            check_blowup(out, model)
+
         monkeypatch.setattr(classt.sweep, "build_cyclic", recording_build(built))
+        monkeypatch.setattr(classt.sweep, "_check_blowup", recording_blowup)
         suite = blowup_suite(*SWEEP_BOX, 20, seed)
         monkeypatch.undo()
-        assert built[-20:] == random.Random(seed).sample(params, 20)
-        assert len(built) == 730 + 169 + 20
+        assert len(built) == 730 + 169
+        assert checked == [(len(built), m.label()) for m in random.Random(seed).sample(models, 20)]
         assert suite.cases == 20 and suite.passed
 
 
 def test_run_all_walks_the_box_once(monkeypatch):
     # Walking the box once per suite built 1,818 models and enumerated 735
-    # weight tuples; one walk builds the 730 box models, one fully
-    # degenerate model per tuple with weights (169) and the 20 blow-up
-    # samples, and enumerates each of the 170 tuples once.
-    counts = {"build": 0, "enumerate": 0}
+    # weight tuples; one walk builds the 730 box models and one fully
+    # degenerate model per tuple with weights (169), samples the blow-up
+    # models from the box's, and enumerates each of the 170 tuples once.
+    # The simple roots of each d decide their expansion once for all the
+    # models of that d.
+    counts = {"build": 0, "enumerate": 0, "expands": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -357,10 +371,12 @@ def test_run_all_walks_the_box_once(monkeypatch):
 
     monkeypatch.setattr(classt.sweep, "build_cyclic", counted("build", build_cyclic))
     monkeypatch.setattr(classt.sweep, "enumerate_weights", counted("enumerate", enumerate_weights))
+    expands = vars(RootConfig)["_expands"]
+    monkeypatch.setattr(expands, "func", counted("expands", expands.func))
     for seed in (0, 7):
-        counts.update(build=0, enumerate=0)
+        counts.update(build=0, enumerate=0, expands=0)
         run_all(*SWEEP_BOX, seed=seed)
-        assert counts == {"build": 919, "enumerate": 170}
+        assert counts == {"build": 899, "enumerate": 170, "expands": 5}
     assert len(list(cyclic_tuples(*SWEEP_BOX))) == 170
 
     # The walk checks the roundtrip of each box model once, in the closed

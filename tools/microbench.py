@@ -15,13 +15,15 @@ by other load, moves less and is the column to compare between runs.
 The inputs are built once, so the package's memos (``build_cyclic``'s
 frame cache, ``UniPoly``'s cleared coefficients) are warm, as they are
 when a sweep revisits a model.  ``roundtrip_check``, which takes only the
-model, is timed twice: cold empties its expansion cache before each call,
-as each new polynomial does, and warm reuses the cached verdict, as the
-next model of a sweep with the same polynomial does.  The expansion test
-``_expands`` is timed on its own, cold.  ``enumerate_weights`` reduces
-the weights that share a factor with ``c`` only when its ``reduced`` is
-read: it is timed with that read, as the ``enumerate`` command pays it,
-and as "pairs" without it, as a sweep pays it.
+model, is timed twice: cold builds the model on fresh roots, which expand
+their polynomial and decide its expansion, as each new root configuration
+does, and warm reuses the verdict kept on the roots, as the next model of
+a sweep with the same roots does.  The expansion test
+``RootConfig._expands`` is timed on its own, cold, by calling the function
+under its cache.  ``enumerate_weights`` reduces the weights that share a
+factor with ``c`` only when its ``reduced`` is read: it is timed with that
+read, as the ``enumerate`` command pays it, and as "pairs" without it, as
+a sweep pays it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from classt import (  # noqa: E402
     roundtrip_check,
     squarefree_decomposition,
 )
-from classt.birational import _expands, surface_residue  # noqa: E402
+from classt.birational import surface_residue  # noqa: E402
 from classt.reports import assemble, build_cyclic_report, render_json  # noqa: E402
 
 REPEATS = 11
@@ -98,15 +100,10 @@ def cases() -> list[tuple[str, object]]:
     unscaled = WPoint(model.ambient, (x, 1 / s, r, Fraction(1)))
     report = build_cyclic_report(2, 3, 2, 2, 1, "1,2").data
 
-    expansion = (poly._cleared, model.roots._triples)
-
-    def cold_expands():
-        _expands.cache_clear()
-        return _expands(*expansion)
+    expands = vars(RootConfig)["_expands"].func
 
     def cold_roundtrip():
-        _expands.cache_clear()
-        return roundtrip_check(model)
+        return roundtrip_check(build_cyclic(2, 3, 2, 2, 1, RootConfig.simple([1, 2])))
 
     corpus = corpus_report()
     return [
@@ -128,7 +125,7 @@ def cases() -> list[tuple[str, object]]:
         ("birational.project_pi", lambda: project_pi(model, on_surface)),
         ("birational.evaluate_pi_chart T", lambda: evaluate_pi_chart(model, "T", chart_point)),
         ("birational.evaluate_pi_chart S", lambda: evaluate_pi_chart(model, "S", chart_point)),
-        ("birational._expands cold", cold_expands),
+        ("compactify.RootConfig._expands cold", lambda: expands(model.roots)),
         ("birational.roundtrip_check cold", cold_roundtrip),
         ("birational.roundtrip_check warm", lambda: roundtrip_check(model)),
         ("tianyau.check_hypotheses", lambda: check_hypotheses(model)),
