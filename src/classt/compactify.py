@@ -51,7 +51,11 @@ from .wps import HypersurfaceClass, WeightedProjectiveSpace, adjunction_class, h
 
 @dataclass(frozen=True)
 class RootConfig:
-    """Nonzero distinct roots ``a_j`` with multiplicities ``k_j >= 1``."""
+    """Nonzero distinct roots ``a_j`` with multiplicities ``k_j >= 1``.
+
+    Construction records ``pairs`` (the ``(a_j, k_j)``), ``total`` (``d = sum k_j``) and
+    ``_interior`` (an interior ``A_(k_j - 1)`` point ``("S_j", k_j - 1)`` per ``k_j >= 2``).
+    """
 
     roots: tuple[Fraction, ...]
     multiplicities: tuple[int, ...]
@@ -74,6 +78,11 @@ class RootConfig:
                 seen.add(key)
         if any(k < 1 for k in self.multiplicities):
             raise BadInput("multiplicities must be positive")
+        vars(self).update(
+            pairs=tuple(zip(self.roots, self.multiplicities)),
+            total=sum(self.multiplicities),
+            _interior=tuple((f"S_{j + 1}", k - 1) for j, k in enumerate(self.multiplicities) if k >= 2),
+        )
 
     @staticmethod
     def of(pairs: Iterable[tuple[RationalLike, int]]) -> "RootConfig":
@@ -101,24 +110,10 @@ class RootConfig:
                 raise BadInput(f"cannot parse root entry {chunk!r}") from exc
         return RootConfig(tuple(roots), tuple(mults))
 
-    @property
-    def total(self) -> int:
-        """Sum of multiplicities; the ``d`` of the model the roots fit."""
-        return sum(self.multiplicities)
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple(zip(self.roots, self.multiplicities))
-
     @cached_property
     def polynomial(self) -> UniPoly:
         """The monic polynomial ``P(z) = prod (z - a_j)^(k_j)``."""
         return UniPoly.from_roots(self.pairs)
-
-    @cached_property
-    def _interior(self) -> tuple[tuple[str, int], ...]:
-        """``("S_j", k - 1)`` for the ``j``-th root if ``k >= 2``: the interior ``A_(k-1)`` points."""
-        return tuple((f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(self.pairs) if k >= 2)
 
     @cached_property
     def _expands(self) -> bool:
@@ -164,16 +159,16 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CurveAtInfinity:
-    """Rational boundary curve with its orbifold point orders."""
+    """Rational boundary curve with its orbifold point orders, treated as immutable."""
 
     self_intersection: Fraction
     orbifold_points: tuple[int, ...]
     genus = 0
 
     def __post_init__(self):
-        if self.self_intersection <= 0:
+        if self.self_intersection.numerator <= 0:
             raise BadInput("the boundary curve must have positive self-intersection")
         if self.orbifold_points and min(self.orbifold_points) < 2:
             raise BadInput("orbifold point orders must be at least 2")
@@ -291,9 +286,9 @@ class CompactificationModel:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WeightPair:
-    """One admissible weight choice ``(a, b)`` at ambient ``c``."""
+    """One admissible weight choice ``(a, b)`` at ambient ``c``, treated as immutable."""
 
     a: int
     b: int

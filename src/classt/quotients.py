@@ -119,7 +119,7 @@ def hj_resolution(s: QuotientSingularity) -> HJChain:
     return HJChain(tuple(hj_expand(n.order, n.weights[1])))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CyclicTDescriptor:
     """Reading of a germ as ``1/(d*n^2)(1, d*n*m - 1)`` with gcd(m, n) = 1.
 
@@ -127,7 +127,7 @@ class CyclicTDescriptor:
     ``n`` (zero when ``n == 1``).  ``solutions`` lists every valid
     ``(d, n, m)`` reading, largest ``n`` first; the descriptor's own
     parameters are the first entry.  The ``n == 1`` reading exists
-    exactly for the double point ``A_(d-1)``.
+    exactly for the double point ``A_(d-1)``.  Treated as immutable.
     """
 
     d: int

@@ -28,6 +28,7 @@ from .compactify import (
     CompactificationModel,
     RootConfig,
     _build_cyclic,
+    _parse_rational,
     build_rdp,
     enumerate_weights,
     weight_conditions,
@@ -130,7 +131,7 @@ def _parse_coefficient(value: Any) -> Any:
         return value
     _check_rational_text("coefficient", value)
     try:
-        return Fraction(value)
+        return _parse_rational(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"cannot parse coefficient {value!r}") from exc
 
@@ -189,7 +190,9 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
     The report checks the four weight conditions, "beta>1" and
     "adjunction-residual".  When a condition fails the outputs list
     the failed tags and the exit code is 1; otherwise the model is built and
-    ``finish(model, its TianYauReport)`` gives the outputs, exit code and DOT.
+    ``finish(model, tianyau)`` gives the outputs, exit code and DOT, where
+    ``tianyau()`` makes the model's TianYauReport on first use and keeps it,
+    so a ``build-cyclic`` or ``birational`` report makes one only if rendered.
     "beta>1" is derived, not tested: ``beta = (c + n)/n`` exceeds 1 because
     ``weight_conditions`` has already rejected ``n < 1`` and ``c < 1``.
     """
@@ -202,11 +205,16 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
     _check_range("a", a, -_MAX_DEGREE, _MAX_DEGREE)
     _check_roots(roots)
     conditions = weight_conditions(d, n, m, c, a, roots)
-    report = None
+    model = report = None
+
+    def tianyau() -> TianYauReport:
+        nonlocal report
+        if report is None:
+            report = check_hypotheses(model)
+        return report
     if all(x.passed for x in conditions):
         model = _build_cyclic(d, n, m, c, a, roots, conditions)
-        report = check_hypotheses(model)
-        outputs, exit_code, dot = finish(model, report)
+        outputs, exit_code, dot = finish(model, tianyau)
     else:
         failed = [x.tag for x in conditions if not x.passed]
         outputs = {"conditions_failed": failed + ["adjunction-residual"]}
@@ -216,7 +224,7 @@ def _cyclic_report(kind: str, params: tuple, extra_inputs: dict, finish) -> Comm
         checks = {x.tag: (x.passed, x.detail) for x in conditions}
         checks["beta>1"] = (True, f"beta = (c + n)/n = {rational_str(Fraction(c + n, n))}")
         checks["adjunction-residual"] = (
-            (False, "model not constructed") if report is None else _residual_check(report.adjunction_residual)
+            (False, "model not constructed") if model is None else _residual_check(tianyau().adjunction_residual)
         )
         inputs = {"d": d, "n": n, "m": m, "c": c, "a": a, "roots": roots.as_text(), **extra_inputs}
         return f"{kind}-{d}-{n}-{m}-{c}-{a}", inputs, checks
@@ -352,25 +360,27 @@ def check_report(d: int, n: int, m: int, c: int, a: int, roots: str) -> CommandR
     return _cyclic_report("check", (d, n, m, c, a, roots), {}, _check_outputs)
 
 
-def _check_outputs(model: CompactificationModel, report: TianYauReport) -> tuple:
+def _check_outputs(model: CompactificationModel, tianyau: Callable[[], TianYauReport]) -> tuple:
+    report = tianyau()
+    gt_one, decay, satisfied = report.beta_gt_one, report.decay_rhs, report.all_satisfied
     outputs = {
         "model": model.label(),
         "beta": rational_str(report.beta),
-        "beta_gt_one": report.beta_gt_one,
+        "beta_gt_one": gt_one,
         "singularities_on_divisor": report.singularities_on_divisor,
         # CurveAtInfinity rejects C^2 <= 0, so every built model has it.
         "divisor_almost_ample": True,
         # The quotient points at infinity are admissible tautologically.
         "divisor_admissible": report.singularities_on_divisor,
         "C2": rational_str(report.C_squared),
-        "decay_rhs": rational_str(report.decay_rhs) if report.decay_rhs is not None else None,
+        "decay_rhs": None if decay is None else rational_str(decay),
         "adjunction_residual": rational_str(report.adjunction_residual),
-        "all_satisfied": report.all_satisfied,
+        "all_satisfied": satisfied,
         # The minimal resolution leaves no interior point and the same beta,
         # C^2 and boundary curve.
-        "after_resolution_all_satisfied": report.beta_gt_one and report.adjunction_residual == 0,
+        "after_resolution_all_satisfied": gt_one and not report.adjunction_residual.numerator,
     }
-    return outputs, 0 if report.all_satisfied else 1, lambda: render_model_dot(model)
+    return outputs, 0 if satisfied else 1, lambda: render_model_dot(model)
 
 
 def birational_report(
@@ -379,7 +389,7 @@ def birational_report(
     # The roundtrip draws no sample: samples keeps its range and is only echoed.
     _check_range("samples", samples, 1, 1000)
 
-    def finish(model: CompactificationModel, _: TianYauReport) -> tuple:
+    def finish(model: CompactificationModel, _) -> tuple:
         blow = blowup_at_R2(model)
         plane, centers, total = target_plane(model).label(), model.roots.pairs, model.roots.total
         points_match = blow.new_singularities == plane_points(model)

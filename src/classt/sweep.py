@@ -145,19 +145,21 @@ def _check_blowup(out: SuiteResult, model: CompactificationModel) -> None:
     blow = blowup_at_R2(model)
     if blow.new_singularities != plane_points(model):
         out.fail(f"{model.label()}: blow-up points {blow.new_singularities}")
-    # K^2 of Mbar blown up at R2, two ways.  The target plane P(a, c, n)
-    # has K^2 = (a + c + n)^2/(acn), less one per blow-up.  On
-    # Mbar, K = -beta C gives beta^2 C^2, and blowing up the centre 1/b(c, n)
-    # with weights (c, n) (E^2 = -b/(cn), discrepancy (c + n)/b - 1)
-    # takes away (c + n - b)^2/(bcn); the centre is read off the charts.
+    # K^2 of Mbar blown up at R2, two ways, as plane/acn and centre/(den*bcn),
+    # compared on integers.  The target plane P(a, c, n) has
+    # K^2 = (a + c + n)^2/(acn), less one per blow-up.  On Mbar, K = -beta C
+    # gives beta^2 C^2, and blowing up the centre 1/b(c, n) with weights
+    # (c, n) (E^2 = -b/(cn), discrepancy (c + n)/b - 1) takes away
+    # (c + n - b)^2/(bcn); the centre is read off the charts.
     a, c, n = target_plane(model).weights
-    plane_side = Fraction((a + c + n) ** 2, a * c * n) - model.roots.total
     (order_c, (b, _)), (order_n, _) = blow.chart_actions
-    centre_side = model.beta**2 * model.curve.self_intersection - Fraction(
-        (order_c + order_n - b) ** 2, b * order_c * order_n
-    )
-    if plane_side != centre_side:
-        out.fail(f"{model.label()}: K^2 {plane_side} from the plane, {centre_side} from the blow-up")
+    beta, csq = model.beta, model.curve.self_intersection
+    acn, bcn, den = a * c * n, b * order_c * order_n, beta.denominator**2 * csq.denominator
+    plane = (a + c + n) ** 2 - model.roots.total * acn
+    centre = beta.numerator**2 * csq.numerator * bcn - (order_c + order_n - b) ** 2 * den
+    if plane * den * bcn != centre * acn:
+        sides = Fraction(plane, acn), Fraction(centre, den * bcn)
+        out.fail(f"{model.label()}: K^2 {sides[0]} from the plane, {sides[1]} from the blow-up")
 
 
 def _walk_box(max_d: int, max_n: int, max_c: int, seed: int, count: int) -> list[SuiteResult]:

@@ -26,7 +26,7 @@ from .compactify import CompactificationModel
 
 @dataclass(frozen=True)
 class TianYauReport:
-    """Exact record of the hypothesis checks for one model."""
+    """Exact record of the hypothesis checks for one model; verdicts are read on integers."""
 
     beta: Fraction
     singularities_on_divisor: bool
@@ -35,16 +35,17 @@ class TianYauReport:
 
     @property
     def beta_gt_one(self) -> bool:
-        return self.beta > 1
+        return self.beta.numerator > self.beta.denominator
 
     @property
     def decay_rhs(self) -> Fraction | None:
-        """``2/(beta - 1)``, the decay exponent, when ``beta > 1``."""
-        return Fraction(2) / (self.beta - 1) if self.beta > 1 else None
+        """``2/(beta - 1) = 2q/(p - q)`` for ``beta = p/q``, the decay exponent, when ``beta > 1``."""
+        p, q = self.beta.numerator, self.beta.denominator
+        return Fraction(2 * q, p - q) if p > q else None
 
     @property
     def all_satisfied(self) -> bool:
-        return self.beta_gt_one and self.singularities_on_divisor and self.adjunction_residual == 0
+        return self.beta_gt_one and self.singularities_on_divisor and not self.adjunction_residual.numerator
 
 
 def orbifold_adjunction_residual(model: CompactificationModel) -> Fraction:

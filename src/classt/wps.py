@@ -20,8 +20,10 @@ from typing import Iterable
 from .errors import BadInput
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WeightedProjectiveSpace:
+    """``P(weights)``; instances are treated as immutable."""
+
     weights: tuple[int, ...]
 
     def __post_init__(self):
@@ -38,9 +40,9 @@ class WeightedProjectiveSpace:
         return "P(" + ",".join(str(w) for w in self.weights) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HypersurfaceClass:
-    """Degree-``e`` hypersurface class in a weighted projective space."""
+    """Degree-``e`` hypersurface class in a weighted projective space; treated as immutable."""
 
     ambient: WeightedProjectiveSpace
     degree: int

@@ -5,12 +5,14 @@ import re
 import shlex
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from classt import compactify, reports
 from classt.cli import build_parser, main, run_command
+from classt.errors import BadInput
 from classt.reports import DIAGNOSTIC_TAGS
 
 from oracles import box_params
@@ -247,6 +249,36 @@ def test_rational_text_is_capped(capsys, tmp_path):
         code, out, err = run(capsys, ["--corpus", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}:1: invalid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("3", Fraction(3)),
+        ("-7/4", Fraction(-7, 4)),
+        ("+2", Fraction(2)),
+        (" 5/3 ", Fraction(5, 3)),
+        ("1e2", Fraction(100)),
+        ("-2.5E-1", Fraction(-1, 4)),
+        ("٣/4", Fraction(3, 4)),  # an Arabic-Indic three
+        ("1/0", ZeroDivisionError),
+        ("x", ValueError),
+    ],
+)
+def test_coefficient_texts_read_as_fraction_reads_them(text, value):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        expected = type(exc)
+    assert expected == value
+    if isinstance(value, Fraction):
+        parsed = reports._parse_coefficient(text)
+        assert type(parsed) is Fraction and parsed == value
+        return
+    with pytest.raises(BadInput) as caught:
+        reports._parse_coefficient(text)
+    assert str(caught.value) == f"cannot parse coefficient {text!r}"
+    assert type(caught.value.__cause__) is value
 
 
 def test_rdp_a_type_redirect_exit_one(capsys):
@@ -681,6 +713,35 @@ def test_check_does_each_piece_of_work_once(capsys, monkeypatch):
     assert calls == {"check_hypotheses": 1, "weight_conditions": 1, "dot": 0}
     run(capsys, argv + ["--format", "dot"])
     assert calls["dot"] == 1
+
+
+def test_models_are_checked_only_where_the_check_is_read(capsys, monkeypatch, tmp_path):
+    calls = {"check_hypotheses": 0}
+    monkeypatch.setattr(
+        reports, "check_hypotheses", _counting(calls, "check_hypotheses", reports.check_hypotheses)
+    )
+    model = {"d": 2, "n": 2, "m": 1, "a": 1, "roots": "1,2"}
+    rows = [
+        {"id": "built", "kind": "build-cyclic", "parameters": model, "expected": {"degree": 4}},
+        {"id": "bir", "kind": "birational", "parameters": model,
+         "expected": {"roundtrip": {"passed": True}}},
+    ]
+    code, data, _ = run_json(capsys, ["--corpus", write_corpus(tmp_path, rows)])
+    # A build-cyclic or birational row compares outputs that hold no Tian-Yau verdict.
+    assert (code, data["outputs"]["passed"], calls["check_hypotheses"]) == (0, 2, 0)
+    for kind in ("build-cyclic", "birational"):
+        report = reports.run_case(kind, model, 7)
+        assert calls["check_hypotheses"] == 0
+        # The full report reads the residual; a second rendering reuses it.
+        assert report.data["diagnostics"][-1] == {
+            "name": "adjunction-residual", "passed": True,
+            "detail": "K.C + C^2 - orbifold Euler side = 0/1",
+        }
+        assert report.data and calls["check_hypotheses"] == 1
+        calls["check_hypotheses"] = 0
+    # An unbuilt model is never checked.
+    assert not reports.run_case("build-cyclic", {**model, "a": 2}, 7).data["diagnostics"][-1]["passed"]
+    assert calls["check_hypotheses"] == 0
 
 
 def test_reports_are_assembled_only_when_rendered(capsys, monkeypatch, tmp_path):

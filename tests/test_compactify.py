@@ -15,6 +15,7 @@ from classt import (
     CompactificationModel,
     ConditionViolated,
     CurveAtInfinity,
+    CyclicTDescriptor,
     RootConfig,
     build_cyclic,
     build_rdp,
@@ -27,7 +28,7 @@ from classt import (
 from classt import compactify
 from classt.compactify import WeightPair, _parse_rational, weight_conditions
 from classt.sweep import cyclic_tuples
-from classt.wps import WeightedProjectiveSpace, well_formed_reduction
+from classt.wps import HypersurfaceClass, WeightedProjectiveSpace, well_formed_reduction
 
 from oracles import box_params
 
@@ -72,6 +73,37 @@ def test_root_config_parse_errors():
         with pytest.raises(BadInput) as info:
             RootConfig.parse(text)
         assert type(info.value) is BadInput and str(info.value) == message
+
+
+@settings(derandomize=True, database=None, max_examples=100)
+@given(st.lists(st.tuples(st.fractions(max_denominator=9), st.integers(1, 4)), min_size=1, max_size=6,
+                unique_by=lambda pair: pair[0]).filter(lambda pairs: all(r for r, _ in pairs)))
+def test_root_facts_match_their_definitions(items):
+    rc = RootConfig.of(items)
+    pairs = tuple(zip(rc.roots, rc.multiplicities))
+    assert rc.pairs == pairs and rc.total == sum(rc.multiplicities)
+    assert rc._interior == tuple((f"S_{j + 1}", k - 1) for j, (_, k) in enumerate(pairs) if k >= 2)
+    # The recorded facts stay out of repr, equality and the hash.
+    again = RootConfig(rc.roots, rc.multiplicities)
+    assert repr(rc) == f"RootConfig(roots={rc.roots!r}, multiplicities={rc.multiplicities!r})"
+    assert rc == again and hash(rc) == hash(again)
+    bumped = replace(rc, multiplicities=(rc.multiplicities[0] + 1,) + rc.multiplicities[1:])
+    assert bumped.total == rc.total + 1 and bumped._interior[0] == ("S_1", rc.multiplicities[0])
+
+
+def test_root_config_errors_keep_their_order():
+    # Each input breaks its own check and every later one.
+    one, zero = Fraction(1), Fraction(0)
+    for roots, mults, message in (
+        ((), (0,), "at least one root is required"),
+        ((zero, zero), (0,), "roots and multiplicities must pair up"),
+        ((zero, zero), (0, 0), "roots must be nonzero"),
+        ((one, one), (0, 0), "roots must be distinct, got 1 more than once"),
+        ((one,), (0,), "multiplicities must be positive"),
+    ):
+        with pytest.raises(BadInput) as exc:
+            RootConfig(roots, mults)
+        assert str(exc.value) == message
 
 
 def _outcome(parse, text):
@@ -483,6 +515,49 @@ def test_curve_validation():
     # A boundary curve may meet only smooth points, as in P(1, 1, 1, 1).
     assert CurveAtInfinity(Fraction(1, 3), ()).orbifold_points == ()
     assert build_cyclic(2, 1, 1, 1, 1, RootConfig.simple([1, 2])).curve.orbifold_points == ()
+
+
+def test_frame_records_keep_the_dataclass_behaviour():
+    # repr, equality, hashing, replace and messages as the frozen dataclasses
+    # gave them, on slots: no instance carries a __dict__.
+    space = WeightedProjectiveSpace((1, 3, 1, 2))
+    curve = CurveAtInfinity(Fraction(8, 3), (3,))
+    records = [
+        (space, "WeightedProjectiveSpace(weights=(1, 3, 1, 2))", ((1, 3, 1, 2),), {"weights": (1, 1)}),
+        (HypersurfaceClass(space, 6),
+         "HypersurfaceClass(ambient=WeightedProjectiveSpace(weights=(1, 3, 1, 2)), degree=6)",
+         (space, 6), {"degree": 7}),
+        (curve, "CurveAtInfinity(self_intersection=Fraction(8, 3), orbifold_points=(3,))",
+         (Fraction(8, 3), (3,)), {"orbifold_points": (2, 5)}),
+        (CyclicTDescriptor(2, 3, 1, ((2, 3, 1),)),
+         "CyclicTDescriptor(d=2, n=3, m=1, solutions=((2, 3, 1),))",
+         (2, 3, 1, ((2, 3, 1),)), {"m": 2}),
+        (WeightPair(1, 11, 2), "WeightPair(a=1, b=11, c=2, reduced_from=None)",
+         (1, 11, 2, None), {"reduced_from": (2, 22, 4)}),
+    ]
+    for record, text, values, change in records:
+        cls = type(record)
+        assert repr(record) == text and not hasattr(record, "__dict__")
+        assert record == cls(*values) and not record != cls(*values)
+        assert record != values and record.__eq__(values) is NotImplemented
+        assert hash(record) == hash(values) and {record: 1}[cls(*values)] == 1
+        changed = replace(record, **change)
+        assert changed != record and changed not in {record}
+        assert replace(changed, **{k: getattr(record, k) for k in change}) == record
+    assert CyclicTDescriptor(2, 3, 2, ()).u == 2 and curve.genus == 0
+    # The messages of the checks, which replace runs too, in their order.
+    for build, message in (
+        (lambda: replace(space, weights=(2,)), "a projective space needs at least two weights"),
+        (lambda: WeightedProjectiveSpace((0, 1)), "weights must be positive, got (0, 1)"),
+        (lambda: HypersurfaceClass(space, 0), "hypersurface degree must be positive, got 0"),
+        (lambda: replace(curve, self_intersection=Fraction(-8, 3)),
+         "the boundary curve must have positive self-intersection"),
+        (lambda: CurveAtInfinity(0, (1,)), "the boundary curve must have positive self-intersection"),
+        (lambda: replace(curve, orbifold_points=(1,)), "orbifold point orders must be at least 2"),
+    ):
+        with pytest.raises(BadInput) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_model_is_frozen():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from classt import (
     CurveAtInfinity,
     RootConfig,
+    TianYauReport,
     build_cyclic,
     build_rdp,
     check_hypotheses,
@@ -18,7 +19,7 @@ from classt import (
     orbifold_adjunction_residual,
 )
 
-from oracles import fraction_adjunction_residual
+from oracles import box_models, fraction_adjunction_residual
 
 
 def test_check_d2_n2_model():
@@ -186,3 +187,38 @@ def test_every_enumerated_pair_satisfies_the_hypotheses(family):
         report = check_hypotheses(model)
         assert report.all_satisfied == (not model.interior_singularities)
         assert report.beta_gt_one
+
+
+def _fraction_verdicts(report):
+    """``beta_gt_one``, ``decay_rhs`` and ``all_satisfied`` by their
+    definitions on Fractions: ``beta > 1``, ``2/(beta - 1)`` and the three flags."""
+    beta = Fraction(report.beta)
+    decay = Fraction(2) / (beta - 1) if beta > 1 else None
+    return beta > 1, decay, beta > 1 and report.singularities_on_divisor and report.adjunction_residual == 0
+
+
+def _verdicts(report):
+    return report.beta_gt_one, report.decay_rhs, report.all_satisfied
+
+
+# Betas below, at and above one, both signs, and the decay's rounding cases.
+_BETAS = st.fractions(min_value=-4, max_value=6, max_denominator=40) | st.sampled_from(
+    [Fraction(1), Fraction(0), Fraction(41, 40), Fraction(39, 40), Fraction(3, 1)]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_BETAS, st.booleans(), st.sampled_from([Fraction(0), Fraction(1, 6), Fraction(-1, 12)]))
+def test_verdicts_match_their_fraction_definitions(beta, on_divisor, residual):
+    report = TianYauReport(beta, on_divisor, Fraction(1, 3), residual)
+    assert _verdicts(report) == _fraction_verdicts(report)
+    decay = report.decay_rhs
+    assert decay is None or type(decay) is Fraction
+
+
+def test_verdicts_match_their_fraction_definitions_on_every_box_model():
+    models = list(box_models(5, 6, 4))
+    assert len(models) == 730
+    for model in models:
+        report = check_hypotheses(model)
+        assert _verdicts(report) == _fraction_verdicts(report) == (True, Fraction(2 * model.n, model.c), True)

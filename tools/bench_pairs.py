@@ -1,4 +1,4 @@
-"""Run the benchmark on two source trees in alternating pairs.
+"""Run the benchmark on a parent, a change and a copy of the parent, in rotation.
 
 Usage (from anywhere inside the repository):
 
@@ -6,22 +6,29 @@ Usage (from anywhere inside the repository):
         --workload sweep:10 --workload corpus:5 --workload germs:5 \\
         --claim sweep:items_per_s
 
-exports ``src`` and ``perfbench`` of the git revision ``REV`` (the parent)
-with ``git archive``, as ``tools/bytes_diff.sh`` does, and copies those of
-the working tree (the change).  Each side runs from its own temporary
-directory, so the repository's ``perfbench/`` is only read.  For each
-``WORKLOAD:PAIRS`` it runs
+exports ``src`` and ``perfbench`` of the git revision ``REV`` twice with
+``git archive``, as ``tools/bytes_diff.sh`` does: once as the parent and
+once as the copy, an A/A side that differs from the parent only in noise.
+It copies those of the working tree as the change.  Each side runs from its
+own temporary directory, the three named with the same length, so the
+repository's ``perfbench/`` is only read and no side has longer paths.
+For each ``WORKLOAD:PAIRS`` it runs
 
     python3 perfbench/run.py --workload W --seed S --trace 0
 
 once per side for the seeds 11, 12, ..., one run at a time, at run.py's
-own run length; the parent runs first on odd seeds and the change on
-even ones.  It writes the medians and quartiles (inclusive method) of each
+own run length; the run order of the three sides rotates from one seed to
+the next.  It writes the medians and quartiles (inclusive method) of each
 end-to-end metric named in ``BENCHMARK.json`` to ``--out``, with the
-change-over-parent ratio of the medians and the number of pairs in which
-the change is better.  ``--claim WORKLOAD:METRIC`` adds a sentence with
-that metric's ratio, wins, and median gain against the parent's
-interquartile range.
+change-over-parent and copy-over-parent ratios of the medians and the
+number of pairs in which each is better than the parent.
+
+``--claim WORKLOAD:METRIC`` states a claim only when the change's ratio
+lies beyond both the A/A ratio and its inverse in the metric's better
+direction, and the change wins more pairs than the copy; the sentence
+gives both ratios and both win counts, and the change's median gain
+against the parent's interquartile range.  Otherwise it says that the
+change is within the A/A spread.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ TREES = ("src", "perfbench")
 # Left behind by a run of the benchmark or the tests; not part of a side.
 IGNORED = shutil.ignore_patterns(".work", "__pycache__", ".pytest_cache")
 FIRST_SEED = 11
+SIDES = ("parent", "change", "copy")
+# One run directory per side, the names of one length.
+RUN_DIRS = {"parent": "side-a", "change": "side-b", "copy": "side-c"}
 
 
 def export_revision(rev: str, dest: Path) -> None:
@@ -81,37 +91,40 @@ def summarize(runs: dict, seeds: list[int], metrics: list[dict]) -> dict:
     out = {
         "seeds": seeds,
         "pairs": len(seeds),
-        "failed": {side: sum(r["failed"] for r in runs[side]) for side in ("parent", "change")},
-        "correct": all(r["correct"] for side in ("parent", "change") for r in runs[side]),
+        "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+        "correct": all(r["correct"] for side in SIDES for r in runs[side]),
         "metrics": {},
     }
     for spec in metrics:
         name = spec["name"]
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in ("parent", "change")}
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         lower = spec["better"] == "lower"
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
-        parent, change = quartiles(values["parent"]), quartiles(values["change"])
-        out["metrics"][name] = {
-            "unit": spec["unit"],
-            "parent": parent,
-            "change": change,
-            "change_over_parent": round(change["median"] / parent["median"], 4),
-            "change_wins": wins,
-        }
+        entry = {"unit": spec["unit"]}
+        entry.update((side, quartiles(values[side])) for side in SIDES)
+        for side in ("change", "copy"):
+            wins = sum((x < p) if lower else (x > p) for p, x in zip(values["parent"], values[side]))
+            entry[f"{side}_over_parent"] = round(entry[side]["median"] / entry["parent"]["median"], 4)
+            entry[f"{side}_wins"] = wins
+        out["metrics"][name] = entry
     return out
 
 
 def claim_text(workload: str, metric: str, entry: dict, better: str) -> str:
+    """The claim on ``metric``, or the sentence that it lies within the A/A spread."""
     m = entry["metrics"][metric]
-    parent, change = m["parent"], m["change"]
-    gain = change["median"] - parent["median"]
-    if better == "lower":
-        gain = -gain
-    iqr = parent["q3"] - parent["q1"]
-    verb = "falls" if better == "lower" else "rises"
-    return (f"{workload} {metric} {verb}; measured x{m['change_over_parent']}, "
-            f"{m['change_wins']} of {entry['pairs']} pairs, parent IQR {iqr:.6g} {m['unit']} "
-            f"against a median gain of {gain:.6g} {m['unit']}")
+    ratio, aa, pairs = m["change_over_parent"], m["copy_over_parent"], entry["pairs"]
+    lower = better == "lower"
+    # The A/A spread reaches from the copy's ratio to its inverse.
+    beyond = ratio < min(aa, 1 / aa) if lower else ratio > max(aa, 1 / aa)
+    measured = (f"measured x{ratio}, {m['change_wins']} of {pairs} pairs, "
+                f"A/A x{aa}, {m['copy_wins']} of {pairs} pairs")
+    if not (beyond and m["change_wins"] > m["copy_wins"]):
+        return f"{workload} {metric}: no claim, within the A/A spread; {measured}"
+    gain = m["change"]["median"] - m["parent"]["median"]
+    iqr = m["parent"]["q3"] - m["parent"]["q1"]
+    verb = "falls" if lower else "rises"
+    return (f"{workload} {metric} {verb}; {measured}, parent IQR {iqr:.6g} {m['unit']} "
+            f"against a median gain of {abs(gain):.6g} {m['unit']}")
 
 
 def cpu_model() -> str:
@@ -157,16 +170,17 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        sides = {"parent": tmp / "parent", "change": tmp / "change"}
+        sides = {side: tmp / RUN_DIRS[side] for side in SIDES}
         export_revision(args.rev, sides["parent"])
+        export_revision(args.rev, sides["copy"])
         copy_working_tree(sides["change"])
         workloads = {}
         for name, pairs in plan:
             seeds = list(range(FIRST_SEED, FIRST_SEED + pairs))
-            runs = {"parent": [], "change": []}
-            for seed in seeds:
-                order = ("parent", "change") if seed % 2 else ("change", "parent")
-                for side in order:
+            runs = {side: [] for side in SIDES}
+            for pair, seed in enumerate(seeds):
+                start = pair % len(SIDES)  # the run order rotates from pair to pair
+                for side in SIDES[start:] + SIDES[:start]:
                     result = run_once(sides[side], name, seed)
                     runs[side].append(result)
                     value = result["metrics"]["items_per_s"]["value"]
@@ -184,10 +198,12 @@ def main(argv=None) -> int:
         "cpu": cpu_model(),
         "command": "python3 perfbench/run.py --workload W --seed N --trace 0",
         "method": (
-            "parent commit and change run from separate copies, one run at a time, alternating "
-            "which side runs first in each pair (odd seeds parent first); "
-            f"pairs: {counts}; quartiles over the pairs' runs (inclusive method); wins count "
-            "pairs where the change is better"
+            "parent commit, change and a second export of the parent (the A/A copy) run from "
+            "separate directories of equal name length, one run at a time, the run order of the "
+            f"three rotating from pair to pair; pairs: {counts}; quartiles over the pairs' runs "
+            "(inclusive method); wins count pairs where the change, or the copy, is better than "
+            "the parent; a claim needs the change's ratio beyond the copy's ratio and its "
+            "inverse, and more wins than the copy"
         ),
         "claim": "; ".join(claim_text(w, m, workloads[w], better[m]) for w, m in claims),
         "workloads": workloads,

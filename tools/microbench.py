@@ -23,7 +23,11 @@ a sweep with the same roots does.  The expansion test
 under its cache.  ``enumerate_weights`` reduces the weights that share a
 factor with ``c`` only when its ``reduced`` is read: it is timed with that
 read, as the ``enumerate`` command pays it, and as "pairs" without it, as
-a sweep pays it.
+a sweep pays it.  ``RootConfig.parse`` reads a root text as a corpus row
+gives it, with two repeated roots, and so records the derived root facts.
+``check_report`` is timed cold: each call first clears the memo of
+``build_cyclic``'s frames, so it builds the frame and the Tian-Yau report,
+as a corpus row on a weight tuple not seen before does.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ from classt import (  # noqa: E402
     squarefree_decomposition,
 )
 from classt.birational import surface_residue  # noqa: E402
-from classt.reports import assemble, build_cyclic_report, render_json  # noqa: E402
+from classt.compactify import _cyclic_frame  # noqa: E402
+from classt.reports import assemble, build_cyclic_report, check_report, render_json  # noqa: E402
 
 REPEATS = 11
 TARGET_S = 0.02
@@ -105,6 +110,10 @@ def cases() -> list[tuple[str, object]]:
     def cold_roundtrip():
         return roundtrip_check(build_cyclic(2, 3, 2, 2, 1, RootConfig.simple([1, 2])))
 
+    def cold_check():
+        _cyclic_frame.cache_clear()
+        return check_report(2, 3, 2, 2, 1, "1,2")
+
     corpus = corpus_report()
     return [
         ("arith.UniPoly.__call__", lambda: poly(Fraction(-125, 8))),
@@ -120,6 +129,7 @@ def cases() -> list[tuple[str, object]]:
         ("compactify.enumerate_weights", lambda: enumerate_weights(3, 4, 1, 3).reduced),
         ("compactify.enumerate_weights pairs", lambda: enumerate_weights(3, 4, 1, 3).pairs),
         ("compactify.build_cyclic", lambda: build_cyclic(2, 3, 2, 2, 1, model.roots)),
+        ("compactify.RootConfig.parse", lambda: RootConfig.parse("1:2, -3/2:2, 5, 7/3")),
         ("birational.WPoint.__eq__", lambda: on_surface == unscaled),
         ("birational.surface_residue", lambda: surface_residue(model, lift)),
         ("birational.project_pi", lambda: project_pi(model, on_surface)),
@@ -129,6 +139,7 @@ def cases() -> list[tuple[str, object]]:
         ("birational.roundtrip_check cold", cold_roundtrip),
         ("birational.roundtrip_check warm", lambda: roundtrip_check(model)),
         ("tianyau.check_hypotheses", lambda: check_hypotheses(model)),
+        ("reports.check_report cold", cold_check),
         ("reports.render_json", lambda: render_json(report)),
         ("reports.render_json corpus", lambda: render_json(corpus)),
     ]
